@@ -215,11 +215,16 @@ def enumerate_y_basis(k: int, n: int, mode: Mode,
     return _build_basis(spec, encodings)
 
 
+def strut_type_count(k: int, mode: Mode) -> int:
+    """Number of nonzero struts on k colors: C(k, 2), plus the k
+    one-color struts in concordance mode."""
+    return math.comb(k, 2) + (k if mode is Mode.CONCORDANCE else 0)
+
+
 def strut_union_count(k: int, d: int, mode: Mode) -> int:
     """Number of degree-d multisets of struts: the quotient dimension
     expected when nothing but strut unions survives the relations."""
     check_num_colors(k)
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
-    s = math.comb(k, 2) + (k if mode is Mode.CONCORDANCE else 0)
-    return math.comb(s + d - 1, d)
+    return math.comb(strut_type_count(k, mode) + d - 1, d)

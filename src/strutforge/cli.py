@@ -19,7 +19,7 @@ from .errors import (
     DomainError,
     UnluckyPrimeError,
 )
-from .linalg import DEFAULT_PRIMES
+from .linalg import DEFAULT_PRIMES, is_prime
 from .pipeline import (
     CSV_HEADER,
     ResultCache,
@@ -61,6 +61,13 @@ def _parse_primes(value: Optional[str]) -> tuple[int, ...]:
         raise click.BadParameter(f"primes must be integers: {value!r}") from exc
     if len(primes) < 2:
         raise click.BadParameter("need at least two primes")
+    for p in primes:
+        try:
+            prime = is_prime(p)
+        except DomainError as exc:
+            raise click.BadParameter(str(exc)) from exc
+        if not prime:
+            raise click.BadParameter(f"{p} is not a prime")
     return primes
 
 

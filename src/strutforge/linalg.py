@@ -22,6 +22,40 @@ PRIME_POOL = (
 )
 DEFAULT_PRIMES = PRIME_POOL[:2]
 
+# Miller-Rabin with these bases is exact for every n below 3.3 * 10**24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 1 << 64
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for 0 <= n < 2**64.
+
+    Miller-Rabin over a fixed set of bases, exact on that whole range;
+    larger n raise DomainError rather than get a probable answer.
+    """
+    if n >= _MR_LIMIT:
+        raise DomainError(f"primality is only checked below 2**64, got {n}")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 @dataclass(frozen=True)
 class SparseMatrix:
@@ -131,6 +165,8 @@ def _rows_mod_p(m: SparseMatrix, p: int) -> list[dict[int, int]]:
 
 
 def _check_prime(m: SparseMatrix, p: int) -> None:
+    if not is_prime(p):
+        raise DomainError(f"{p} is not a prime")
     if p <= m.max_abs_coefficient():
         raise DomainError(f"prime {p} does not exceed the largest coefficient")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -190,6 +191,13 @@ class ResultCache:
 
     Lookups scan the file; the first record matching (mode, space, k,
     param, tool_version) wins, so re-computations never shadow history.
+
+    Each record is written with one write call.  A writer killed mid-write
+    leaves a torn record: an unparseable last line without its newline.
+    Lookups skip it with a warning.  The next append closes it off with a
+    newline and a blank line before its own record, and lookups skip an
+    unparseable line followed by a blank line silently.  Any other
+    unparseable line raises CacheError.
     """
 
     def __init__(self, directory: Path):
@@ -203,11 +211,20 @@ class ResultCache:
         key = (mode.value, space, k, param, tool_version)
         try:
             with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
+                for raw in fh:
+                    line = raw.strip()
                     if not line:
                         continue
-                    record = ResultRecord.from_json(line)
+                    try:
+                        record = ResultRecord.from_json(line)
+                    except json.JSONDecodeError:
+                        if not raw.endswith("\n"):
+                            print(f"warning: skipping the torn last line of {self.path}",
+                                  file=sys.stderr)
+                            return None
+                        if next(fh, "") != "\n":
+                            raise
+                        continue
                     if record.key() == key:
                         return record
         except (OSError, json.JSONDecodeError, TypeError, KeyError) as exc:
@@ -215,13 +232,20 @@ class ResultCache:
         return None
 
     def append(self, record: ResultRecord) -> None:
+        data = (record.to_json() + "\n").encode("utf-8")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(record.to_json() + "\n")
-                fh.flush()
+            with self.path.open("a+b", buffering=0) as fh:
+                end = fh.seek(0, os.SEEK_END)
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":
+                        data = b"\n\n" + data
+                written = fh.write(data)
         except OSError as exc:
             raise CacheError(f"cannot write cache {self.path}: {exc}") from exc
+        if written != len(data):
+            raise CacheError(f"short write to cache {self.path}")
 
     def get_or_compute(self, mode: Mode, space: str, k: int, param: int,
                        primes: Sequence[int] = DEFAULT_PRIMES,

@@ -1,11 +1,25 @@
 """Sparse relation rows over a diagram basis.
 
-Three generators: the single-Y recipe (an ordered special strut grafted
-onto every same-colored strut end), the general grafting form over the
-full space (any marked component attached above every same-colored leg),
-and the three-term IHX rewiring at internal edges.  Coefficients are
-attachment multiplicities times the canonical antisymmetry signs, so one
-fixed grafting convention reproduces the relations exactly.
+Three generators: the single-Y link rows, the general grafting form over
+the full space (any marked component attached above every same-colored
+leg), and the three-term IHX rewiring at internal edges.
+
+A single-Y link row comes from a special strut (a, c*) and a multiset R
+of n+1 rest struts.  Grafting the distinguished end c above a c-colored
+end of a rest strut {c, x} always yields the Y{a, c, x} oriented (a, c, x)
+next to R - {c, x}, so the row is computed in closed form on encodings:
+the sum over strut types {c, x} in R of
+mult({c, x}) * sign(a, c, x) * [Y{a, c, x} + (R - {c, x})], where
+sign(a, c, x) is the parity of the cyclic order (a, c, x) against sorted
+order and is 0 when two of a, c, x are equal.  No diagram is built or
+canonicalized.  The graft-then-canonicalize construction of the same
+rows stays in the tests, as the oracle the closed form is checked
+against.
+
+The full-space link and IHX rows are still built by grafting and
+rewiring concrete trees: coefficients are attachment multiplicities times
+the canonical antisymmetry signs, so one fixed grafting convention
+reproduces the relations exactly.
 """
 
 from __future__ import annotations
@@ -14,23 +28,33 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .bases import Basis, BasisSpec, forests, strut_types, _tree_shapes, _colorings
+from .bases import Basis, BasisSpec, forests, strut_type_count, _tree_shapes, _colorings
 from .diagrams import (
     Diagram,
     MARKED_COLOR,
     Mode,
     TreeComponent,
+    _SEP_BYTE,
     canonicalize,
     canonicalize_component,
     graft,
     render_component,
     strut,
+    strut_encoding,
+    y_encoding,
 )
 from .errors import CapacityError, DomainError
 
 DEFAULT_MAX_ROWS = 20_000_000
+
+
+def _normalized(entries: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The row or its negative, whichever has a positive first coefficient."""
+    if entries and entries[0][1] < 0:
+        return tuple((c, -v) for c, v in entries)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -55,10 +79,8 @@ class RelationRow:
 
     def normalized(self) -> "RelationRow":
         """Sign-normalized copy: first coefficient positive."""
-        if self.entries and self.entries[0][1] < 0:
-            return RelationRow(tuple((c, -v) for c, v in self.entries),
-                               self.provenance)
-        return self
+        entries = _normalized(self.entries)
+        return self if entries is self.entries else RelationRow(entries, self.provenance)
 
     def to_dump_text(self, basis: Basis) -> str:
         """Text form referencing columns by encoding hex, re-parseable."""
@@ -150,11 +172,19 @@ class _RowSet:
     def __init__(self) -> None:
         self._rows: dict[tuple[tuple[int, int], ...], RelationRow] = {}
 
-    def add(self, row: Optional[RelationRow]) -> None:
-        if row is None or row.is_empty:
+    def add(self, row: RelationRow) -> None:
+        if row.is_empty:
             return
         norm = row.normalized()
         self._rows.setdefault(norm.entries, norm)
+
+    def add_entries(self, entries: tuple[tuple[int, int], ...]) -> None:
+        """Add a sorted, zero-free row given as bare entries; a RelationRow
+        is built only for a row not seen before."""
+        if entries:
+            norm = _normalized(entries)
+            if norm not in self._rows:
+                self._rows[norm] = RelationRow(norm)
 
     def emit(self) -> list[RelationRow]:
         return [self._rows[key] for key in sorted(self._rows)]
@@ -174,47 +204,114 @@ def _rest_desc(rest: tuple[TreeComponent, ...]) -> str:
     return "{" + ",".join(render_component(c) for c in rest) + "}"
 
 
+def _strut_pairs(k: int, mode: Mode) -> list[tuple[int, int]]:
+    """End colors (i, j), i <= j, of every nonzero strut in encoding order
+    (the order of ``strut_types``); homotopy mode needs i < j."""
+    gap = 1 if mode is Mode.HOMOTOPY else 0
+    return [(i, j) for i in range(1, k + 1) for j in range(i + gap, k + 1)]
+
+
 def y_link_config_count(k: int, n: int, mode: Mode) -> int:
     """Raw configuration count behind y_link_relations."""
-    num_specials = sum(1 for _ in _special_struts(k, mode))
-    return num_specials * math.comb(len(strut_types(k, mode)) + n, n + 1)
+    num_specials = k * k - (k if mode is Mode.HOMOTOPY else 0)
+    return num_specials * math.comb(strut_type_count(k, mode) + n, n + 1)
+
+
+def _y_link_configs(k: int, n: int, mode: Mode, basis: Basis) -> Iterator[
+        tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int]]:
+    """(a, c, rest, entries, targets) per configuration, pre-dedup.
+
+    ``(a, c)`` is the special strut with distinguished color c, ``rest``
+    the n+1 rest struts as sorted end-color pairs, ``entries`` the sorted
+    row and ``targets`` the number of c-colored ends in ``rest``.  Each
+    term is one Y plus struts, so its column is looked up on the sorted
+    component encodings directly.  Distinct x give distinct Y components,
+    so terms never share a column and no coefficient cancels.
+    """
+    if basis.spec != BasisSpec(mode, k, "y", n):
+        raise DomainError("basis does not match enumerate_y_basis(k, n, mode)")
+    index = basis.index
+    # Per rest multiset R and color c: the number of c-colored ends, and
+    # one (x, mult, encodings of R minus one {c, x}) per strut type {c, x}
+    # in R with x != c.  A {c, c} strut only adds ends: its Y is zero.
+    plans = []
+    for rest in itertools.combinations_with_replacement(_strut_pairs(k, mode), n + 1):
+        encs = [strut_encoding(i, j) for i, j in rest]
+        ends: dict[int, int] = {}
+        terms: dict[int, list] = {}
+        for pos, (i, j) in enumerate(rest):
+            ends[i] = ends.get(i, 0) + 1
+            ends[j] = ends.get(j, 0) + 1
+            if i == j or (pos and rest[pos - 1] == (i, j)):
+                continue
+            mult = rest.count((i, j))
+            others = encs[:pos] + encs[pos + 1:]
+            terms.setdefault(i, []).append((j, mult, others))
+            terms.setdefault(j, []).append((i, mult, others))
+        plans.append((rest, ends, terms))
+    for a, c in _special_struts(k, mode):
+        ys = [y_encoding(a, c, x) for x in range(k + 1)]
+        for rest, ends, terms in plans:
+            entries = []
+            for x, mult, others in terms.get(c, ()):
+                y_enc, sign = ys[x]
+                if sign:
+                    key = _SEP_BYTE.join(sorted([y_enc, *others]))
+                    try:
+                        entries.append((index[key], mult * sign))
+                    except KeyError:
+                        raise DomainError(
+                            "relation term falls outside the basis; the basis "
+                            "does not match this generator's space") from None
+            entries.sort()
+            yield a, c, rest, tuple(entries), ends.get(c, 0)
 
 
 def iter_y_link_rows(k: int, n: int, mode: Mode, basis: Basis
                      ) -> Iterator[tuple[RelationRow, int]]:
-    """One (row, attachment targets) pair per configuration, pre-dedup.
+    """One (row, attachment targets) pair per configuration, pre-dedup,
+    with provenance ``y-link special={a}-{c}* rest={i-j,...}``.
 
-    The row is empty when no graft term survives canonicalization; the
-    target count is zero exactly for the overcounted configurations whose
-    distinguished color appears on no rest strut.
+    This is the dump path.  Rows come from the closed form of
+    y_link_relations, before sign normalization and dedup: one term
+    mult({c, x}) * sign(a, c, x) per strut type {c, x} of the rest, with
+    sign(a, c, x) the parity of the cyclic order (a, c, x) against sorted
+    order, and no term when two of a, c, x are equal.  The provenance is
+    written from the color pairs.  The row is empty when no term survives;
+    the target count is zero exactly for the overcounted configurations
+    whose distinguished color appears on no rest strut.
     """
-    if basis.spec != BasisSpec(mode, k, "y", n):
-        raise DomainError("basis does not match enumerate_y_basis(k, n, mode)")
-    struts = strut_types(k, mode)
-    for a, c in _special_struts(k, mode):
-        marked = strut(a, c)  # vertex 1 carries the distinguished color c
-        for rest in itertools.combinations_with_replacement(struts, n + 1):
-            config = PreGraftConfig(rest, marked, 1)
-            row = config.relation_row(
-                basis, mode, k,
-                f"y-link special={a}-{c}* rest={_rest_desc(rest)}")
-            yield row, len(config.attachment_targets())
+    for a, c, rest, entries, targets in _y_link_configs(k, n, mode, basis):
+        desc = ",".join(f"{i}-{j}" for i, j in rest)
+        yield RelationRow(entries, f"y-link special={a}-{c}* rest={{{desc}}}"), targets
 
 
 def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,
                      max_configs: int = DEFAULT_MAX_ROWS) -> list[RelationRow]:
-    """Link relations inside the single-Y subspace.
+    """Link relations inside the single-Y subspace, in closed form.
 
-    One candidate row per (special strut, multiset of n+1 struts): the sum
-    of grafting the distinguished end above every rest-strut end of the
-    same color.  Empty and duplicate rows are dropped.
+    One candidate row per special strut (a, c*) and multiset R of n+1 rest
+    struts.  Grafting the distinguished end above a c-colored end of a
+    rest strut {c, x} gives the term Y{a, c, x} plus R - {c, x}, so the
+    row is the sum over strut types {c, x} in R of
+    mult({c, x}) * sign(a, c, x) * [Y{a, c, x} + (R - {c, x})],
+    where sign(a, c, x) is +1 when (a, c, x) is a cyclic rotation of its
+    sorted order and -1 otherwise (the graft orients the new vertex
+    (a, c, x)).  A term is zero when two of a, c, x are equal: a = x in
+    homotopy mode, and the antisymmetry-zero Ys in concordance mode.
+    Empty and duplicate rows are dropped; the rows carry no provenance.
+
+    The graft construction (PreGraftConfig over strut(a, c)) builds a
+    diagram, a spliced tree and a canonical form per term to reach the same
+    rows, so it is kept only in the tests, as the oracle this closed form
+    is checked against.
     """
     estimate = y_link_config_count(k, n, mode)
     if estimate > max_configs:
         raise CapacityError(f"{estimate} configurations exceed the cap {max_configs}")
     rows = _RowSet()
-    for row, _ in iter_y_link_rows(k, n, mode, basis):
-        rows.add(row)
+    for _, _, _, entries, _ in _y_link_configs(k, n, mode, basis):
+        rows.add_entries(entries)
     return rows.emit()
 
 
@@ -222,26 +319,18 @@ def count_effective_relations(k: int, n: int,
                               max_configs: int = DEFAULT_MAX_ROWS) -> tuple[int, int]:
     """(raw, nonempty) configuration counts for the homotopy Y-subspace.
 
-    raw enumerates every (ordered special strut, multiset of n+1 struts)
+    raw counts every (ordered special strut, multiset of n+1 struts)
     configuration; nonempty keeps those whose distinguished color appears
     on at least one rest strut, the rest being the overcounted relations
-    that attach nowhere.
+    that attach nowhere.  With s = C(k, 2) strut types, k - 1 of which
+    carry a given color, nonempty = k(k-1) [C(s+n, n+1) - C(s-(k-1)+n, n+1)].
     """
-    pairs = list(itertools.combinations(range(1, k + 1), 2))
-    raw_estimate = k * (k - 1) * math.comb(len(pairs) + n, n + 1)
-    if raw_estimate > max_configs:
-        raise CapacityError(f"{raw_estimate} configurations exceed the cap {max_configs}")
-    raw = 0
-    nonempty = 0
-    for a in range(1, k + 1):
-        for c in range(1, k + 1):
-            if a == c:
-                continue
-            for rest in itertools.combinations_with_replacement(pairs, n + 1):
-                raw += 1
-                if any(c in s for s in rest):
-                    nonempty += 1
-    return raw, nonempty
+    s = math.comb(k, 2)
+    raw = k * (k - 1) * math.comb(s + n, n + 1)
+    if raw > max_configs:
+        raise CapacityError(f"{raw} configurations exceed the cap {max_configs}")
+    avoiding = math.comb(s - (k - 1) + n, n + 1)
+    return raw, k * (k - 1) * (math.comb(s + n, n + 1) - avoiding)
 
 
 @lru_cache(maxsize=None)

@@ -73,6 +73,20 @@ class TestDim:
         run_ok(runner, "dim", "--space", "y", "--k", "3", "--n", "0")
         assert (tmp_path / "results.jsonl").exists()
 
+    def test_non_prime_primes_rejected_before_work(self, runner, tmp_path):
+        out_file = tmp_path / "sweep.csv"
+        for args in (["dim", "--space", "y", "--k", "3", "--n", "0",
+                      "--primes", "4,6"],
+                     ["witness", "--space", "y", "--k", "3", "--n", "0",
+                      "--primes", "4,9"],
+                     ["sweep", "--space", "y", "--k-range", "3:3",
+                      "--n-range", "0:0", "--out", str(out_file),
+                      "--primes", "7,9"]):
+            result = runner.invoke(cli, args + ["--cache-dir", str(tmp_path)])
+            assert result.exit_code != 0, args
+            assert "not a prime" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_capacity_error_exit(self, runner, tmp_path):
         result = runner.invoke(cli, [
             "dim", "--space", "y", "--k", "5", "--n", "2",

@@ -7,10 +7,12 @@ from strutforge.diagrams import Mode, decode_diagram
 from strutforge.errors import DomainError, UnluckyPrimeError
 from strutforge.linalg import (
     DEFAULT_PRIMES,
+    PRIME_POOL,
     SparseMatrix,
     apply_functional,
     cokernel_functionals,
     fraction_free_rank,
+    is_prime,
     rank_mod_p,
     rank_multiprime,
 )
@@ -32,6 +34,25 @@ def matrix(num_cols, *rows_):
     return SparseMatrix.from_rows([row(*r) for r in rows_], num_cols)
 
 
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(3000) if is_prime(n)] == [
+            n for n in range(3000) if trial(n)]
+
+    def test_large_values(self):
+        assert all(is_prime(p) for p in PRIME_POOL)
+        assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+        # Strong pseudoprimes to the first few bases, and a semiprime.
+        for n in (3215031751, 3825123056546413051, (2**32 + 15) * (2**31 - 1)):
+            assert not is_prime(n)
+
+    def test_range_limit(self):
+        with pytest.raises(DomainError):
+            is_prime(2**64)
+
+
 class TestRankModP:
     def test_single_unit_row(self):
         assert rank_mod_p(matrix(3, [(0, 1)]), P) == 1
@@ -50,6 +71,13 @@ class TestRankModP:
         m = SparseMatrix.from_rows(rows, len(basis))
         assert rank_mod_p(m, P) == 3
         assert fraction_free_rank(m) == 3
+
+    def test_non_prime_rejected(self):
+        m = matrix(2, [(0, 1)])
+        with pytest.raises(DomainError):
+            rank_mod_p(m, 9)
+        with pytest.raises(DomainError):
+            cokernel_functionals(m, 2147483649)
 
     def test_small_prime_rejected(self):
         with pytest.raises(DomainError):

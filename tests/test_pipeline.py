@@ -94,6 +94,33 @@ class TestCache:
         with pytest.raises(CacheError):
             ResultCache(tmp_path).lookup(H, "y", 3, 0)
 
+    def test_corrupt_middle_line_raises(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        rec, _ = cache.get_or_compute(H, "y", 3, 0)
+        path = tmp_path / "results.jsonl"
+        path.write_text('{"mode": "homo\n' + rec.to_json() + "\n")
+        with pytest.raises(CacheError):
+            cache.lookup(H, "y", 3, 0)
+
+    def test_torn_last_line_serves_and_accepts_records(self, tmp_path, capsys):
+        cache = ResultCache(tmp_path)
+        first, _ = cache.get_or_compute(H, "y", 3, 0)
+        path = tmp_path / "results.jsonl"
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"mode": "homo')
+        assert cache.lookup(H, "y", 3, 0) == first
+        second, cached = cache.get_or_compute(H, "y", 4, 0)
+        assert not cached
+        assert "torn last line" in capsys.readouterr().err
+        third, cached = cache.get_or_compute(H, "y", 3, 1)
+        assert not cached
+        lines = path.read_text().split("\n")
+        assert lines[1:] == ['{"mode": "homo', "", second.to_json(),
+                             third.to_json(), ""]
+        for rec in (first, second, third):
+            assert cache.lookup(H, rec.space, rec.k, rec.param) == rec
+        assert capsys.readouterr().err == ""
+
 
 class TestCacheDirPrecedence:
     def test_flag_wins(self, monkeypatch, tmp_path):

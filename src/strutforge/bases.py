@@ -1,9 +1,11 @@
 """Deterministic ordered bases of forest diagram spaces.
 
-Bases are generated by brute force: every unitrivalent tree shape is grown
-by leaf insertion, colored in all mode-legal ways, canonicalized, and
-deduplicated, so completeness rests only on the canonical form.  Forests
-are multisets of nonzero trees split by degree partition.
+The single-Y basis is closed-form: one Y per color triple and one strut
+per strut type, written directly as canonical encodings.  The full
+space is generated by brute force: every unitrivalent tree shape is
+grown by leaf insertion, colored in all mode-legal ways, canonicalized,
+and deduplicated, so completeness rests only on the canonical form.
+Forests are multisets of nonzero trees split by degree partition.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .diagrams import (
     CanonicalDiagram,
@@ -24,6 +26,8 @@ from .diagrams import (
     check_num_colors,
     decode_component,
     decode_diagram,
+    strut_encoding,
+    y_encoding,
 )
 from .errors import CapacityError, DomainError
 
@@ -123,8 +127,12 @@ def tree_components(k: int, deg: int, mode: Mode) -> tuple[TreeComponent, ...]:
     return tuple(decode_component(enc) for enc in sorted(encodings))
 
 
-def strut_types(k: int, mode: Mode) -> tuple[TreeComponent, ...]:
-    return tree_components(k, 1, mode)
+def _strut_pairs(k: int, mode: Mode) -> list[tuple[int, int]]:
+    """End colors (i, j), i <= j, of every nonzero strut in encoding order
+    (the order of ``tree_components(k, 1, mode)``); homotopy mode needs
+    i < j."""
+    gap = 1 if mode is Mode.HOMOTOPY else 0
+    return [(i, j) for i in range(1, k + 1) for j in range(i + gap, k + 1)]
 
 
 def enumerate_trees(k: int, deg: int, mode: Mode,
@@ -178,7 +186,7 @@ def forest_encoding(components: tuple[TreeComponent, ...], mode: Mode) -> bytes:
     return _SEP_BYTE.join(sorted(_component_encoding(c, mode) for c in components))
 
 
-def _build_basis(spec: BasisSpec, encodings: set[bytes]) -> Basis:
+def _build_basis(spec: BasisSpec, encodings: Iterable[bytes]) -> Basis:
     ordered = tuple(CanonicalDiagram(enc, 1) for enc in sorted(encodings))
     index = {cd.encoding: i for i, cd in enumerate(ordered)}
     return Basis(spec, ordered, index)
@@ -198,21 +206,23 @@ def enumerate_basis(k: int, d: int, mode: Mode,
 
 def enumerate_y_basis(k: int, n: int, mode: Mode,
                       max_elements: int = DEFAULT_MAX_ELEMENTS) -> Basis:
-    """Ordered basis of diagrams with one Y-component and ``n`` struts."""
+    """Ordered basis of diagrams with one Y-component and ``n`` struts.
+
+    A nonzero Y has three distinct colors, so the basis is every color
+    triple's Y next to every multiset of ``n`` strut types, built from the
+    closed-form encodings; the capacity guard is the exact count.
+    """
     spec = BasisSpec(mode, k, "y", n)
     if mode is Mode.HOMOTOPY and k < 3:
         raise DomainError("the homotopy Y-subspace needs k >= 3")
-    ys = tree_components(k, 2, mode)
-    struts = strut_types(k, mode)
-    encodings: set[bytes] = set()
-    for y in ys:
-        y_enc = _component_encoding(y, mode)
-        for rest in itertools.combinations_with_replacement(struts, n):
-            encs = sorted([y_enc] + [_component_encoding(s, mode) for s in rest])
-            encodings.add(_SEP_BYTE.join(encs))
-            if len(encodings) > max_elements:
-                raise CapacityError(f"basis exceeds the cap {max_elements}")
-    return _build_basis(spec, encodings)
+    size = math.comb(k, 3) * math.comb(strut_type_count(k, mode) + n - 1, n)
+    if size > max_elements:
+        raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
+    ys = [y_encoding(*colors)[0] for colors in itertools.combinations(range(1, k + 1), 3)]
+    struts = [strut_encoding(i, j) for i, j in _strut_pairs(k, mode)]
+    return _build_basis(spec, [
+        _SEP_BYTE.join(sorted([y, *rest]))
+        for y in ys for rest in itertools.combinations_with_replacement(struts, n)])
 
 
 def strut_type_count(k: int, mode: Mode) -> int:

@@ -1,5 +1,10 @@
 """Exact rank and cokernel of sparse integer relation matrices.
 
+One per-block echelon kernel serves both functionals of the quotient:
+the rows are reduced mod p, split into column-connected blocks, and each
+block is brought to echelon form with a shortest-row pivot policy.  The
+rank is the number of pivots; the cokernel functionals are read off the
+same pivots after back-substitution to the reduced row echelon form.
 Ranks are computed modulo at least two ~2**31 primes and cross-checked;
 a modular rank can only undershoot the rational one, so agreement across
 independent primes certifies the value far beyond test noise while
@@ -115,18 +120,21 @@ def _column_blocks(rows: list[dict[int, int]]) -> dict[int, list[dict[int, int]]
     return blocks
 
 
-def _eliminate_block(rows: list[dict[int, int]], p: int) -> int:
-    """Sparse Gaussian elimination of one block over F_p.
+def _echelon_block(rows: list[dict[int, int]], p: int) -> list[tuple[int, dict[int, int]]]:
+    """Sparse Gaussian elimination of one block over F_p: the
+    (pivot column, monic pivot row) pairs in pivot order.
 
     Pivot policy: shortest remaining row, then lowest leading column,
-    then insertion order (Markowitz-lite, fully deterministic).
+    then insertion order (Markowitz-lite, fully deterministic).  A pivot
+    row has no entry left of its pivot column and no earlier pivot
+    column, and is never updated after it is chosen.
     """
     col_rows: dict[int, set[int]] = {}
     for rid, row in enumerate(rows):
         for col in row:
             col_rows.setdefault(col, set()).add(rid)
     alive = set(range(len(rows)))
-    rank = 0
+    pivots = []
     while alive:
         rid = min(alive, key=lambda r: (len(rows[r]), min(rows[r]), r))
         alive.discard(rid)
@@ -134,8 +142,7 @@ def _eliminate_block(rows: list[dict[int, int]], p: int) -> int:
         pc = min(pivot_row)
         inv = pow(pivot_row[pc], -1, p)
         pivot_row = {c: (v * inv) % p for c, v in pivot_row.items()}
-        rows[rid] = pivot_row
-        rank += 1
+        pivots.append((pc, pivot_row))
         for sid in list(col_rows.get(pc, ())):
             if sid == rid or sid not in alive:
                 continue
@@ -152,7 +159,7 @@ def _eliminate_block(rows: list[dict[int, int]], p: int) -> int:
                     col_rows[c].discard(sid)
             if not target:
                 alive.discard(sid)
-    return rank
+    return pivots
 
 
 def _rows_mod_p(m: SparseMatrix, p: int) -> list[dict[int, int]]:
@@ -171,14 +178,18 @@ def _check_prime(m: SparseMatrix, p: int) -> None:
         raise DomainError(f"prime {p} does not exceed the largest coefficient")
 
 
+def _echelon(m: SparseMatrix, p: int) -> list[tuple[int, dict[int, int]]]:
+    """Echelon pivots of the whole matrix over F_p, block by block."""
+    _check_prime(m, p)
+    pivots = []
+    for _, block in sorted(_column_blocks(_rows_mod_p(m, p)).items()):
+        pivots.extend(_echelon_block(block, p))
+    return pivots
+
+
 def rank_mod_p(m: SparseMatrix, p: int) -> int:
     """Rank of the row space over F_p."""
-    _check_prime(m, p)
-    rows = _rows_mod_p(m, p)
-    if not rows:
-        return 0
-    return sum(_eliminate_block(block, p)
-               for _, block in sorted(_column_blocks(rows).items()))
+    return len(_echelon(m, p))
 
 
 def rank_multiprime(m: SparseMatrix, primes: Sequence[int] = DEFAULT_PRIMES,
@@ -211,60 +222,36 @@ def rank_multiprime(m: SparseMatrix, primes: Sequence[int] = DEFAULT_PRIMES,
         f"modular ranks kept disagreeing; max observed rank {observed_max}")
 
 
-def _rref_mod_p(m: SparseMatrix, p: int) -> tuple[list[tuple[int, dict[int, int]]], int]:
-    """Reduced row echelon form over F_p: sorted (pivot column, row) pairs."""
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for source in m.rows:
-        row = {c: v % p for c, v in source.entries if v % p}
-        for pc, prow in pivots:
-            if pc in row:
-                factor = row[pc]
-                for c, v in prow.items():
-                    new = (row.get(c, 0) - factor * v) % p
-                    if new:
-                        row[c] = new
-                    else:
-                        row.pop(c, None)
-        if not row:
-            continue
-        pc = min(row)
-        inv = pow(row[pc], -1, p)
-        row = {c: (v * inv) % p for c, v in row.items()}
-        for i, (opc, orow) in enumerate(pivots):
-            if pc in orow:
-                factor = orow[pc]
-                for c, v in row.items():
-                    new = (orow.get(c, 0) - factor * v) % p
-                    if new:
-                        orow[c] = new
-                    else:
-                        orow.pop(c, None)
-        pivots.append((pc, row))
-    pivots.sort()
-    return pivots, len(pivots)
-
-
 def cokernel_functionals(m: SparseMatrix, p: int) -> list[list[int]]:
     """Canonical basis of functionals over F_p vanishing on every row.
 
     One vector per non-pivot column of the reduced echelon form, so the
-    list has exactly num_cols - rank entries and is deterministic.
+    list has exactly num_cols - rank entries and is deterministic.  The
+    echelon pivots are back-substituted from the rightmost pivot column
+    leftwards: each pivot row only holds columns right of its own pivot,
+    so clearing the later pivot columns from it, using rows that are
+    already reduced, leaves the unique reduced form.
     """
-    _check_prime(m, p)
-    pivots, _ = _rref_mod_p(m, p)
-    pivot_cols = {pc for pc, _ in pivots}
-    out = []
-    for free in range(m.num_cols):
-        if free in pivot_cols:
-            continue
-        vec = [0] * m.num_cols
+    # pivot column -> the other entries of its reduced row (pivot is 1)
+    reduced: dict[int, dict[int, int]] = {}
+    for pc, row in sorted(_echelon(m, p), reverse=True):
+        del row[pc]
+        for col in [c for c in row if c in reduced]:
+            factor = row.pop(col)
+            for c, v in reduced[col].items():
+                new = (row.get(c, 0) - factor * v) % p
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+        reduced[pc] = row
+    vecs = {free: [0] * m.num_cols for free in range(m.num_cols) if free not in reduced}
+    for pc, row in reduced.items():
+        for c, v in row.items():
+            vecs[c][pc] = (-v) % p
+    for free, vec in vecs.items():
         vec[free] = 1
-        for pc, row in pivots:
-            coef = row.get(free, 0)
-            if coef:
-                vec[pc] = (-coef) % p
-        out.append(vec)
-    return out
+    return list(vecs.values())
 
 
 def apply_functional(row: RelationRow, vec: Sequence[int], p: int) -> int:

@@ -30,7 +30,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-from .bases import Basis, BasisSpec, forests, strut_type_count, _tree_shapes, _colorings
+from .bases import (
+    Basis,
+    BasisSpec,
+    _colorings,
+    _strut_pairs,
+    _tree_shapes,
+    forests,
+    strut_type_count,
+)
 from .diagrams import (
     Diagram,
     MARKED_COLOR,
@@ -202,13 +210,6 @@ def _special_struts(k: int, mode: Mode) -> Iterator[tuple[int, int]]:
 
 def _rest_desc(rest: tuple[TreeComponent, ...]) -> str:
     return "{" + ",".join(render_component(c) for c in rest) + "}"
-
-
-def _strut_pairs(k: int, mode: Mode) -> list[tuple[int, int]]:
-    """End colors (i, j), i <= j, of every nonzero strut in encoding order
-    (the order of ``strut_types``); homotopy mode needs i < j."""
-    gap = 1 if mode is Mode.HOMOTOPY else 0
-    return [(i, j) for i in range(1, k + 1) for j in range(i + gap, k + 1)]
 
 
 def y_link_config_count(k: int, n: int, mode: Mode) -> int:

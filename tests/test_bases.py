@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from strutforge.bases import (
@@ -7,11 +9,14 @@ from strutforge.bases import (
     enumerate_y_basis,
     forests,
     strut_union_count,
+    tree_components,
 )
 from strutforge.counting import u
 from strutforge.diagrams import (
+    _SEP_BYTE,
     Mode,
     canonicalize,
+    canonicalize_component,
     decode_diagram,
     encoding_leaf_colors,
 )
@@ -19,6 +24,18 @@ from strutforge.errors import CapacityError, DomainError
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
+
+
+def brute_force_y_encodings(k, n, mode):
+    """Oracle: every brute-force Y tree next to every multiset of ``n``
+    brute-force struts, canonicalized component by component."""
+    def enc(comp):
+        return canonicalize_component(comp, mode)[0]
+    struts = [enc(s) for s in tree_components(k, 1, mode)]
+    return sorted({
+        _SEP_BYTE.join(sorted([enc(y), *rest]))
+        for y in tree_components(k, 2, mode)
+        for rest in itertools.combinations_with_replacement(struts, n)})
 
 
 class TestEnumerateTrees:
@@ -69,6 +86,21 @@ class TestEnumerateYBasis:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             enumerate_y_basis(5, 2, H, max_elements=10)
+        # The guard is the exact count, C(5, 3) Ys times C(10 + 1, 2)
+        # strut pairs, checked before any work even far past the cap.
+        assert len(enumerate_y_basis(5, 2, H, max_elements=550)) == 550
+        with pytest.raises(CapacityError):
+            enumerate_y_basis(5, 2, H, max_elements=549)
+        with pytest.raises(CapacityError):
+            enumerate_y_basis(60, 20, H)
+
+    def test_matches_brute_force(self):
+        for mode, k_min in ((H, 3), (C, 1)):
+            for k in range(k_min, 7):
+                for n in range(4):
+                    basis = enumerate_y_basis(k, n, mode)
+                    assert [cd.encoding for cd in basis.elements] == \
+                        brute_force_y_encodings(k, n, mode), (mode, k, n)
 
 
 class TestEnumerateBasis:

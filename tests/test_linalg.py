@@ -26,6 +26,58 @@ H = Mode.HOMOTOPY
 P = DEFAULT_PRIMES[0]
 
 
+def rref_oracle(m, p):
+    """Reduced row echelon form over F_p, one incoming row at a time:
+    sorted (pivot column, row) pairs."""
+    pivots = []
+    for source in m.rows:
+        row_ = {c: v % p for c, v in source.entries if v % p}
+        for pc, prow in pivots:
+            if pc in row_:
+                factor = row_[pc]
+                for c, v in prow.items():
+                    new = (row_.get(c, 0) - factor * v) % p
+                    if new:
+                        row_[c] = new
+                    else:
+                        row_.pop(c, None)
+        if not row_:
+            continue
+        pc = min(row_)
+        inv = pow(row_[pc], -1, p)
+        row_ = {c: (v * inv) % p for c, v in row_.items()}
+        for _, orow in pivots:
+            if pc in orow:
+                factor = orow[pc]
+                for c, v in row_.items():
+                    new = (orow.get(c, 0) - factor * v) % p
+                    if new:
+                        orow[c] = new
+                    else:
+                        orow.pop(c, None)
+        pivots.append((pc, row_))
+    pivots.sort()
+    return pivots
+
+
+def oracle_functionals(m, p):
+    """One vector per non-pivot column of ``rref_oracle``."""
+    pivots = rref_oracle(m, p)
+    pivot_cols = {pc for pc, _ in pivots}
+    out = []
+    for free in range(m.num_cols):
+        if free in pivot_cols:
+            continue
+        vec = [0] * m.num_cols
+        vec[free] = 1
+        for pc, row_ in pivots:
+            coef = row_.get(free, 0)
+            if coef:
+                vec[pc] = (-coef) % p
+        out.append(vec)
+    return out
+
+
 def row(*entries):
     return RelationRow(tuple(sorted(entries)))
 
@@ -175,6 +227,17 @@ class TestCokernel:
         res = rank_multiprime(m)
         assert len(cokernel_functionals(m, P)) == res.quotient_dim
 
+    def test_back_substitution(self):
+        # Pivot order is column 1, then 0, then 2: the column-0 pivot row
+        # still holds column 2 until back-substitution clears it.
+        # Column 3 is in no row.
+        m = matrix(5, [(0, 1), (1, 1), (2, 1), (4, 1)], [(1, 1)],
+                   [(0, 1), (2, 2), (4, 3)])
+        assert [pc for pc, _ in linalg._echelon(m, P)] == [1, 0, 2]
+        vecs = cokernel_functionals(m, P)
+        assert vecs == [[0, 0, 0, 1, 0], [1, 0, P - 2, 0, 1]]
+        assert vecs == oracle_functionals(m, P)
+
     def test_deterministic(self):
         basis = enumerate_basis(3, 2, H)
         rows = link_relations(3, 2, H, basis)
@@ -209,3 +272,10 @@ def test_cokernel_size_and_annihilation(m):
     for vec in vecs:
         for r in m.rows:
             assert apply_functional(r, vec, P) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_sparse_matrix())
+def test_cokernel_matches_rref_oracle(m):
+    for p in (P, 5):
+        assert cokernel_functionals(m, p) == oracle_functionals(m, p)

@@ -13,7 +13,7 @@ import itertools
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from strutforge.bases import enumerate_y_basis, strut_types
+from strutforge.bases import enumerate_y_basis, tree_components
 from strutforge.cli import cli
 from strutforge.diagrams import (
     Mode,
@@ -39,7 +39,7 @@ C = Mode.CONCORDANCE
 def graft_y_link_rows(k, n, mode, basis):
     """Oracle: ((a, c, rest pairs), row, attachment targets) per
     configuration, in generation order, with the dump provenance."""
-    struts = strut_types(k, mode)
+    struts = tree_components(k, 1, mode)
     for a in range(1, k + 1):
         for c in range(1, k + 1):
             if a == c and mode is H:

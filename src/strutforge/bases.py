@@ -1,11 +1,12 @@
 """Deterministic ordered bases of forest diagram spaces.
 
 The single-Y basis is closed-form: one Y per color triple and one strut
-per strut type, written directly as canonical encodings.  The full
-space is generated by brute force: every unitrivalent tree shape is
-grown by leaf insertion, colored in all mode-legal ways, canonicalized,
-and deduplicated, so completeness rests only on the canonical form.
-Forests are multisets of nonzero trees split by degree partition.
+per strut type, written directly as canonical encodings.  Trees of the
+full space are generated on encodings: a tree marked at one leaf is a
+leaf color plus a canonical rooted expression built bottom-up from
+strictly ordered sibling pairs, so marked trees need no dedup, and the
+unmarked trees are the canonical forms of the marked ones.  Forests are
+multisets of nonzero trees split by degree partition.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .diagrams import (
     Diagram,
     Mode,
     TreeComponent,
+    _NODE_BYTE,
     _SEP_BYTE,
     canonicalize_component,
     check_num_colors,
@@ -71,59 +73,60 @@ class Basis:
         return decode_diagram(self.elements[col].encoding, self.spec.mode, self.spec.k)
 
 
-def _tree_shapes(num_leaves: int) -> list[dict[int, list[int]]]:
-    """All unitrivalent tree shapes on leaves 0..num_leaves-1.
+@lru_cache(maxsize=None)
+def rooted_expressions(k: int, m: int, mode: Mode) -> tuple[tuple[bytes, int], ...]:
+    """Every nonzero canonical rooted subtree expression with ``m`` leaves,
+    as (expression, leaf color bitmask) pairs in expression order.
 
-    Grown by subdividing an edge with a new trivalent vertex carrying the
-    next leaf; internal ids start at num_leaves.  The neighbor list order
-    at each trivalent vertex fixes one orientation per shape (the flipped
-    classes are the negatives, absorbed by canonicalization).
+    An expression is a color byte when ``m = 1`` and otherwise
+    ``_NODE_BYTE + a + b`` with ``a < b``, the form ``_encode_rooted``
+    writes.  Equal siblings are swapped by an orientation-reversing
+    automorphism, so that subtree is zero and never listed.  Homotopy mode
+    also needs ``a`` and ``b`` to have disjoint leaf colors.
     """
-    if num_leaves < 2:
-        raise DomainError("a tree needs at least two leaves")
-    trees: list[dict[int, list[int]]] = [{0: [1], 1: [0]}]
-    for leaf in range(2, num_leaves):
-        w = num_leaves + (leaf - 2)
-        grown = []
-        for adj in trees:
-            edges = [(u, v) for u in adj for v in adj[u] if u < v]
-            for u, v in edges:
-                new = {x: list(ns) for x, ns in adj.items()}
-                new[u] = [w if x == v else x for x in new[u]]
-                new[v] = [w if x == u else x for x in new[v]]
-                new[w] = [u, v, leaf]
-                new[leaf] = [w]
-                grown.append(new)
-        trees = grown
-    return trees
+    if m == 1:
+        return tuple((bytes([c]), 1 << c) for c in range(1, k + 1))
+    homotopy = mode is Mode.HOMOTOPY
+    out = []
+    for ma in range(1, m // 2 + 1):
+        for a, mask_a in rooted_expressions(k, ma, mode):
+            for b, mask_b in rooted_expressions(k, m - ma, mode):
+                if (2 * ma == m and a >= b) or (homotopy and mask_a & mask_b):
+                    continue
+                lo, hi = (a, b) if a < b else (b, a)
+                out.append((_NODE_BYTE + lo + hi, mask_a | mask_b))
+    return tuple(sorted(out))
 
 
-def _colorings(k: int, num_leaves: int, mode: Mode) -> Iterator[tuple[int, ...]]:
-    colors = range(1, k + 1)
-    if mode is Mode.HOMOTOPY:
-        return itertools.permutations(colors, num_leaves)
-    return itertools.product(colors, repeat=num_leaves)
+def marked_encodings(k: int, deg: int, mode: Mode) -> Iterator[bytes]:
+    """``bytes([c]) + E`` for every nonzero tree of degree ``deg`` marked at
+    one leaf, in (c, E) order: ``c`` is the marked leaf's color and ``E``
+    the rooted expression hanging off it.  Homotopy mode keeps ``c`` off
+    the colors of ``E``."""
+    exprs = rooted_expressions(k, deg, mode)
+    for c in range(1, k + 1):
+        for expr, mask in exprs:
+            if not (mode is Mode.HOMOTOPY and mask >> c & 1):
+                yield bytes([c]) + expr
 
 
 @lru_cache(maxsize=None)
 def tree_components(k: int, deg: int, mode: Mode) -> tuple[TreeComponent, ...]:
     """Concrete canonical representatives of all nonzero trees of one
-    degree, in encoding order."""
+    degree, in encoding order.
+
+    Every rooting of a nonzero tree at a leaf is a marked encoding, since
+    a rooting with equal siblings already makes the tree zero, so the
+    canonical forms of the marked encodings are all of them.
+    """
     check_num_colors(k)
     if deg < 1:
         raise DomainError(f"tree degree must be >= 1, got {deg}")
-    num_leaves = deg + 1
-    shapes = _tree_shapes(num_leaves)
     encodings = set()
-    for shape in shapes:
-        n_verts = len(shape)
-        adj = tuple(tuple(shape[v]) for v in range(n_verts))
-        for coloring in _colorings(k, num_leaves, mode):
-            colors = coloring + (0,) * (n_verts - num_leaves)
-            comp = TreeComponent(adj, colors)
-            enc, sign = canonicalize_component(comp, mode)
-            if sign != 0:
-                encodings.add(enc)
+    for marked in marked_encodings(k, deg, mode):
+        enc, sign = canonicalize_component(decode_component(marked), mode)
+        if sign != 0:
+            encodings.add(enc)
     return tuple(decode_component(enc) for enc in sorted(encodings))
 
 

@@ -24,7 +24,7 @@ from .bases import (
     enumerate_basis,
     enumerate_y_basis,
 )
-from .diagrams import Mode, encoding_trivalent_count
+from .diagrams import Mode
 from .errors import CacheError, DomainError
 from .linalg import (
     DEFAULT_PRIMES,
@@ -156,25 +156,6 @@ def compute_witness(mode: Mode, space: str, k: int, param: int,
     }
 
 
-def trivalent_block_quotient(basis: Basis, rows: Sequence[RelationRow],
-                             trivalent: int,
-                             primes: Sequence[int] = DEFAULT_PRIMES) -> int:
-    """Quotient dimension of the sub-block whose diagrams have the given
-    trivalent-vertex count (relations never mix counts, so the block is
-    closed)."""
-    cols = [i for i, cd in enumerate(basis.elements)
-            if encoding_trivalent_count(cd.encoding) == trivalent]
-    remap = {col: j for j, col in enumerate(cols)}
-    block_rows = []
-    for row in rows:
-        if all(c in remap for c, _ in row.entries):
-            block_rows.append(RelationRow(
-                tuple((remap[c], v) for c, v in row.entries), row.provenance))
-    result = rank_multiprime(
-        SparseMatrix.from_rows(block_rows, len(cols)), primes)
-    return result.quotient_dim
-
-
 def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
     """Cache directory precedence: flag, then the environment variable,
     then ./cache."""
@@ -189,13 +170,17 @@ def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
 class ResultCache:
     """Append-only JSON-lines store of ResultRecords.
 
-    Lookups scan the file; the first record matching (mode, space, k,
-    param, tool_version) wins, so re-computations never shadow history.
+    The first record matching (mode, space, k, param, tool_version) wins,
+    so re-computations never shadow history.  The file is parsed into a
+    key -> record dict once per process and parsed again only when its
+    (size, mtime) differs from what this process last read or wrote; an
+    append adds its own record to the dict when the file had not changed
+    before the write.
 
     Each record is written with one write call.  A writer killed mid-write
     leaves a torn record: an unparseable last line without its newline.
-    Lookups skip it with a warning.  The next append closes it off with a
-    newline and a blank line before its own record, and lookups skip an
+    Loading skips it with a warning.  The next append closes it off with a
+    newline and a blank line before its own record, and loading skips an
     unparseable line followed by a blank line silently.  Any other
     unparseable line raises CacheError.
     """
@@ -203,14 +188,14 @@ class ResultCache:
     def __init__(self, directory: Path):
         self.directory = Path(directory)
         self.path = self.directory / CACHE_FILENAME
+        self._records: dict[tuple, ResultRecord] = {}
+        self._stamp: Optional[tuple[int, int]] = None
 
-    def lookup(self, mode: Mode, space: str, k: int, param: int,
-               tool_version: str = TOOL_VERSION) -> Optional[ResultRecord]:
-        if not self.path.exists():
-            return None
-        key = (mode.value, space, k, param, tool_version)
+    def _load(self) -> None:
+        records: dict[tuple, ResultRecord] = {}
         try:
             with self.path.open("r", encoding="utf-8") as fh:
+                st = os.fstat(fh.fileno())
                 for raw in fh:
                     line = raw.strip()
                     if not line:
@@ -221,15 +206,27 @@ class ResultCache:
                         if not raw.endswith("\n"):
                             print(f"warning: skipping the torn last line of {self.path}",
                                   file=sys.stderr)
-                            return None
+                            break
                         if next(fh, "") != "\n":
                             raise
                         continue
-                    if record.key() == key:
-                        return record
+                    records.setdefault(record.key(), record)
         except (OSError, json.JSONDecodeError, TypeError, KeyError) as exc:
             raise CacheError(f"unreadable cache {self.path}: {exc}") from exc
-        return None
+        self._records, self._stamp = records, (st.st_size, st.st_mtime_ns)
+
+    def lookup(self, mode: Mode, space: str, k: int, param: int,
+               tool_version: str = TOOL_VERSION) -> Optional[ResultRecord]:
+        try:
+            st = self.path.stat()
+        except FileNotFoundError:
+            self._records, self._stamp = {}, (0, 0)
+        except OSError as exc:
+            raise CacheError(f"unreadable cache {self.path}: {exc}") from exc
+        else:
+            if (st.st_size, st.st_mtime_ns) != self._stamp:
+                self._load()
+        return self._records.get((mode.value, space, k, param, tool_version))
 
     def append(self, record: ResultRecord) -> None:
         data = (record.to_json() + "\n").encode("utf-8")
@@ -242,10 +239,14 @@ class ResultCache:
                     if fh.read(1) != b"\n":
                         data = b"\n\n" + data
                 written = fh.write(data)
+                st = os.fstat(fh.fileno())
         except OSError as exc:
             raise CacheError(f"cannot write cache {self.path}: {exc}") from exc
         if written != len(data):
             raise CacheError(f"short write to cache {self.path}")
+        if self._stamp is not None and end == self._stamp[0]:
+            self._records.setdefault(record.key(), record)
+            self._stamp = (st.st_size, st.st_mtime_ns)
 
     def get_or_compute(self, mode: Mode, space: str, k: int, param: int,
                        primes: Sequence[int] = DEFAULT_PRIMES,

@@ -16,10 +16,13 @@ canonicalized.  The graft-then-canonicalize construction of the same
 rows stays in the tests, as the oracle the closed form is checked
 against.
 
-The full-space link and IHX rows are still built by grafting and
-rewiring concrete trees: coefficients are attachment multiplicities times
-the canonical antisymmetry signs, so one fixed grafting convention
-reproduces the relations exactly.
+The full-space link rows take their marked components straight from the
+canonical marked encodings of ``bases`` (a leg color plus a rooted
+expression), with no dedup or canonicalization.  Those rows and the IHX
+rows are still built by grafting and rewiring concrete trees:
+coefficients are attachment multiplicities times the canonical
+antisymmetry signs, so one fixed grafting convention reproduces the
+relations exactly.
 """
 
 from __future__ import annotations
@@ -33,20 +36,18 @@ from typing import Iterator
 from .bases import (
     Basis,
     BasisSpec,
-    _colorings,
     _strut_pairs,
-    _tree_shapes,
     forests,
+    marked_encodings,
     strut_type_count,
 )
 from .diagrams import (
     Diagram,
-    MARKED_COLOR,
     Mode,
     TreeComponent,
     _SEP_BYTE,
     canonicalize,
-    canonicalize_component,
+    decode_component,
     graft,
     render_component,
     strut,
@@ -337,28 +338,16 @@ def count_effective_relations(k: int, n: int,
 @lru_cache(maxsize=None)
 def marked_trees(k: int, deg: int, mode: Mode) -> tuple[tuple[TreeComponent, int], ...]:
     """All (tree, marked leaf) configurations of one degree, up to
-    isomorphism of the marked tree.
+    isomorphism of the marked tree, in (leg color, expression) order.
 
-    The marked leaf is recolored with a reserved pseudo-color for the
-    isomorphism test, which also discards configurations equal to their
-    own negative.  Homotopy mode only colors legs injectively: a repeated
-    color on the marked component survives every graft and kills the row.
+    A marked tree is its leg color plus the canonical rooted expression at
+    the leg (``bases.marked_encodings``), so each configuration is decoded
+    once with the leg at vertex 0.  Marked trees equal to their own
+    negative are never generated.  Homotopy mode keeps the leg color off
+    the other legs: a repeated color on the marked component survives
+    every graft and kills the row.
     """
-    num_leaves = deg + 1
-    seen: dict[tuple[int, bytes], tuple[TreeComponent, int]] = {}
-    for shape in _tree_shapes(num_leaves):
-        n_verts = len(shape)
-        adj = tuple(tuple(shape[v]) for v in range(n_verts))
-        for coloring in _colorings(k, num_leaves, mode):
-            colors = coloring + (0,) * (n_verts - num_leaves)
-            comp = TreeComponent(adj, colors)
-            for leg in range(num_leaves):
-                recolored = comp.with_color(leg, MARKED_COLOR)
-                enc, sign = canonicalize_component(recolored, Mode.CONCORDANCE)
-                if sign == 0:
-                    continue
-                seen.setdefault((coloring[leg], enc), (comp, leg))
-    return tuple(seen[key] for key in sorted(seen))
+    return tuple((decode_component(enc), 0) for enc in marked_encodings(k, deg, mode))
 
 
 def link_relations(k: int, d: int, mode: Mode, basis: Basis,

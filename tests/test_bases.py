@@ -21,6 +21,9 @@ from strutforge.diagrams import (
     encoding_leaf_colors,
 )
 from strutforge.errors import CapacityError, DomainError
+from strutforge.relations import marked_trees
+
+import brute_force
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
@@ -36,6 +39,27 @@ def brute_force_y_encodings(k, n, mode):
         _SEP_BYTE.join(sorted([enc(y), *rest]))
         for y in tree_components(k, 2, mode)
         for rest in itertools.combinations_with_replacement(struts, n)})
+
+
+# (mode, largest k, largest degree) cells where the generator must equal
+# the brute-force oracle.
+ORACLE_GRID = ((H, 6, 4), (C, 6, 3), (C, 4, 4))
+
+
+class TestTreeGeneratorOracle:
+    @pytest.mark.parametrize("mode,max_k,max_deg", ORACLE_GRID)
+    def test_trees_and_marked_trees_match_brute_force(self, mode, max_k, max_deg):
+        def marked_keys(configs):
+            return {brute_force.marked_tree_key(comp, leg) for comp, leg in configs}
+
+        for k in range(1, max_k + 1):
+            for deg in range(1, max_deg + 1):
+                assert tree_components(k, deg, mode) == \
+                    brute_force.tree_components(k, deg, mode), (k, deg)
+                generated = marked_trees(k, deg, mode)
+                assert len(marked_keys(generated)) == len(generated), (k, deg)
+                assert marked_keys(generated) == \
+                    marked_keys(brute_force.marked_trees(k, deg, mode)), (k, deg)
 
 
 class TestEnumerateTrees:

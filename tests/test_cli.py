@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 from click.testing import CliRunner
@@ -118,6 +119,26 @@ class TestSweep:
         cache_size = (tmp_path / "results.jsonl").read_text()
         run_ok(runner, *args)
         assert (tmp_path / "results.jsonl").read_text() == cache_size
+
+    def test_resumed_sweep_reads_cache_once(self, runner, tmp_path, monkeypatch):
+        out_file = tmp_path / "sweep.csv"
+        args = ["sweep", "--space", "y", "--k-range", "3:6", "--n-range", "0:2",
+                "--out", str(out_file), "--cache-dir", str(tmp_path)]
+        run_ok(runner, *args)
+        cold = out_file.read_text()
+        reads = []
+        real_open = pathlib.Path.open
+
+        def counting_open(self, mode="r", *a, **kw):
+            if self.name == "results.jsonl" and "r" in mode:
+                reads.append(mode)
+            return real_open(self, mode, *a, **kw)
+
+        monkeypatch.setattr(pathlib.Path, "open", counting_open)
+        run_ok(runner, *args)
+        assert len(cold.splitlines()) == 1 + 12
+        assert out_file.read_text() == cold
+        assert reads == ["r"]
 
     def test_error_marker_continues(self, runner, tmp_path):
         out_file = tmp_path / "sweep.csv"

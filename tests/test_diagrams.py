@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strutforge.bases import _tree_shapes
 from strutforge.diagrams import (
     CanonicalDiagram,
     Diagram,
@@ -21,6 +20,8 @@ from strutforge.diagrams import (
     y_tree,
 )
 from strutforge.errors import DomainError, StructuralError
+
+from brute_force import tree_shapes
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
@@ -192,7 +193,7 @@ class TestEncodingHelpers:
 @st.composite
 def random_component(draw, max_leaves=5, k=5, distinct=False):
     n = draw(st.integers(2, max_leaves))
-    shapes = _tree_shapes(n)
+    shapes = tree_shapes(n)
     shape = shapes[draw(st.integers(0, len(shapes) - 1))]
     if distinct:
         colors = draw(st.permutations(range(1, k + 1))) [:n]

@@ -5,8 +5,9 @@ import pytest
 
 from strutforge import __version__
 from strutforge.bases import enumerate_basis, enumerate_y_basis
-from strutforge.diagrams import Mode
+from strutforge.diagrams import Mode, encoding_trivalent_count
 from strutforge.errors import CacheError
+from strutforge.linalg import SparseMatrix, rank_multiprime
 from strutforge.pipeline import (
     CACHE_ENV_VAR,
     CSV_HEADER,
@@ -16,9 +17,8 @@ from strutforge.pipeline import (
     compute_dimension,
     compute_witness,
     resolve_cache_dir,
-    trivalent_block_quotient,
 )
-from strutforge.relations import y_link_relations
+from strutforge.relations import RelationRow, y_link_relations
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
@@ -161,12 +161,24 @@ class TestFourColorFullSpace:
             assert rec.quotient_dim == want
 
 
+def trivalent_block_quotient(basis, rows, trivalent):
+    """Quotient dimension of the sub-block whose diagrams have the given
+    trivalent-vertex count (relations never mix counts, so the block is
+    closed)."""
+    cols = [i for i, cd in enumerate(basis.elements)
+            if encoding_trivalent_count(cd.encoding) == trivalent]
+    remap = {col: j for j, col in enumerate(cols)}
+    block_rows = [RelationRow(tuple((remap[c], v) for c, v in row.entries))
+                  for row in rows if all(c in remap for c, _ in row.entries)]
+    return rank_multiprime(
+        SparseMatrix.from_rows(block_rows, len(cols))).quotient_dim
+
+
 class TestBlockAgreement:
     def test_y_space_matches_full_space_block(self):
         for k, n in ((3, 1), (4, 1)):
             y_basis = enumerate_y_basis(k, n, H)
             y_rows = y_link_relations(k, n, H, y_basis)
-            from strutforge.linalg import SparseMatrix, rank_multiprime
             y_dim = rank_multiprime(
                 SparseMatrix.from_rows(y_rows, len(y_basis))).quotient_dim
             full = enumerate_basis(k, n + 2, H)

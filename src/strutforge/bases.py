@@ -6,13 +6,15 @@ full space are generated on encodings: a tree marked at one leaf is a
 leaf color plus a canonical rooted expression built bottom-up from
 strictly ordered sibling pairs, so marked trees need no dedup, and the
 unmarked trees are the canonical forms of the marked ones.  Forests are
-multisets of nonzero trees split by degree partition.
+multisets of nonzero trees split by degree partition, listed as tuples of
+component encodings; a full-space basis element joins them sorted.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -141,10 +143,10 @@ def _strut_pairs(k: int, mode: Mode) -> list[tuple[int, int]]:
 def enumerate_trees(k: int, deg: int, mode: Mode,
                     max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[CanonicalDiagram]:
     """All nonzero single-component diagrams of the given degree."""
-    comps = tree_components(k, deg, mode)
-    if len(comps) > max_elements:
-        raise CapacityError(f"{len(comps)} trees exceed the cap {max_elements}")
-    return [CanonicalDiagram(canonicalize_component(c, mode)[0], 1) for c in comps]
+    encodings = tree_encodings(k, deg, mode)
+    if len(encodings) > max_elements:
+        raise CapacityError(f"{len(encodings)} trees exceed the cap {max_elements}")
+    return [CanonicalDiagram(enc, 1) for enc in encodings]
 
 
 def _partitions(d: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -158,35 +160,47 @@ def _partitions(d: int, largest: int | None = None) -> Iterator[tuple[int, ...]]
             yield (part,) + rest
 
 
-def forests(k: int, d: int, mode: Mode) -> Iterator[tuple[TreeComponent, ...]]:
-    """All multisets of nonzero trees with total degree ``d`` (degree 0
-    yields the empty forest), components sorted by encoding."""
-    if d == 0:
-        yield ()
-        return
+@lru_cache(maxsize=None)
+def tree_encodings(k: int, deg: int, mode: Mode) -> tuple[bytes, ...]:
+    """Canonical encodings of ``tree_components(k, deg, mode)``, in the
+    same (encoding) order."""
+    return tuple(canonicalize_component(comp, mode)[0]
+                 for comp in tree_components(k, deg, mode))
+
+
+def forest_count(k: int, d: int, mode: Mode) -> int:
+    """Number of multisets of nonzero trees with total degree ``d``: the
+    sum over partitions of ``d`` of the product over part sizes ``deg``
+    of C(T + m - 1, m), with T the number of trees of degree ``deg`` and
+    m the multiplicity of that part."""
+    total = 0
     for partition in _partitions(d):
-        sizes: dict[int, int] = {}
-        for part in partition:
-            sizes[part] = sizes.get(part, 0) + 1
-        pools = []
-        for deg in sorted(sizes, reverse=True):
-            comps = tree_components(k, deg, mode)
-            if not comps:
-                pools = None
-                break
-            pools.append(itertools.combinations_with_replacement(comps, sizes[deg]))
-        if pools is None:
-            continue
+        product = 1
+        for deg, m in Counter(partition).items():
+            product *= math.comb(len(tree_components(k, deg, mode)) + m - 1, m)
+        total += product
+    return total
+
+
+def forest_encodings(k: int, d: int, mode: Mode) -> Iterator[tuple[bytes, ...]]:
+    """Every multiset of nonzero trees with total degree ``d``, as a tuple
+    of component encodings (degree 0 yields the empty forest).
+
+    Forests come in partition order; inside one, components run by
+    decreasing degree and by encoding within a degree, so equal
+    components sit next to each other.
+    """
+    for partition in _partitions(d):
+        pools = [itertools.combinations_with_replacement(tree_encodings(k, deg, mode), m)
+                 for deg, m in Counter(partition).items()]
         for choice in itertools.product(*pools):
             yield tuple(itertools.chain.from_iterable(choice))
 
 
-def _component_encoding(comp: TreeComponent, mode: Mode) -> bytes:
-    return canonicalize_component(comp, mode)[0]
-
-
-def forest_encoding(components: tuple[TreeComponent, ...], mode: Mode) -> bytes:
-    return _SEP_BYTE.join(sorted(_component_encoding(c, mode) for c in components))
+def forests(k: int, d: int, mode: Mode) -> Iterator[tuple[TreeComponent, ...]]:
+    """``forest_encodings`` decoded into concrete components."""
+    for forest in forest_encodings(k, d, mode):
+        yield tuple(decode_component(enc) for enc in forest)
 
 
 def _build_basis(spec: BasisSpec, encodings: Iterable[bytes]) -> Basis:
@@ -197,14 +211,18 @@ def _build_basis(spec: BasisSpec, encodings: Iterable[bytes]) -> Basis:
 
 def enumerate_basis(k: int, d: int, mode: Mode,
                     max_elements: int = DEFAULT_MAX_ELEMENTS) -> Basis:
-    """Ordered basis of all nonzero forests of total degree ``d``."""
+    """Ordered basis of all nonzero forests of total degree ``d``.
+
+    Distinct forests have distinct sorted component encodings, so the
+    capacity guard is the exact ``forest_count``, checked before any
+    forest is listed.
+    """
     spec = BasisSpec(mode, k, "full", d)
-    encodings: set[bytes] = set()
-    for forest in forests(k, d, mode):
-        encodings.add(forest_encoding(forest, mode))
-        if len(encodings) > max_elements:
-            raise CapacityError(f"basis exceeds the cap {max_elements}")
-    return _build_basis(spec, encodings)
+    size = forest_count(k, d, mode)
+    if size > max_elements:
+        raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
+    return _build_basis(spec, [_SEP_BYTE.join(sorted(forest))
+                               for forest in forest_encodings(k, d, mode)])
 
 
 def enumerate_y_basis(k: int, n: int, mode: Mode,

@@ -473,8 +473,12 @@ def encoding_leaf_colors(enc: bytes) -> tuple[int, ...]:
 def render_component(comp: TreeComponent) -> str:
     """Short human-readable form, e.g. '1-2' for a strut, 'Y(1,2,3)'."""
     enc, sign = canonicalize_component(comp, Mode.CONCORDANCE)
-    if sign == 0:
-        return "0"
+    return render_encoding(enc) if sign else "0"
+
+
+def render_encoding(enc: bytes) -> str:
+    """``render_component`` of the component with canonical encoding
+    ``enc``, read off the encoding."""
     if len(enc) == 2:
         return f"{enc[0]}-{enc[1]}"
     if len(enc) == 4 and enc[1] == _NODE:

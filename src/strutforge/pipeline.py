@@ -35,6 +35,7 @@ from .linalg import (
 from .relations import (
     DEFAULT_MAX_ROWS,
     RelationRow,
+    coefficient_bound,
     count_ihx_instances,
     count_link_configs,
     ihx_relations,
@@ -119,11 +120,23 @@ def build_relations(mode: Mode, space: str, k: int, param: int, basis: Basis,
     return [seen[key] for key in sorted(seen)], raw
 
 
+def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
+    """Reject, before any work, a prime that does not exceed the largest
+    coefficient the cell's relation rows can have; the rank routines
+    check the actual rows again."""
+    bound = coefficient_bound(space, param)
+    for p in primes:
+        if p <= bound:
+            raise DomainError(
+                f"prime {p} does not exceed the coefficient bound {bound} of this space")
+
+
 def compute_dimension(mode: Mode, space: str, k: int, param: int,
                       primes: Sequence[int] = DEFAULT_PRIMES,
                       max_elements: int = DEFAULT_MAX_ELEMENTS,
                       max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
     """Full pipeline for one cell: basis, relations, multi-prime rank."""
+    _check_prime_bound(space, param, primes)
     start = time.monotonic()
     basis = build_basis(mode, space, k, param, max_elements)
     rows, raw = build_relations(mode, space, k, param, basis, max_rows)
@@ -145,6 +158,7 @@ def compute_witness(mode: Mode, space: str, k: int, param: int,
                     max_rows: int = DEFAULT_MAX_ROWS) -> dict:
     """Witness document: basis encodings plus the cokernel functionals,
     each a mod-p linear functional vanishing on every relation."""
+    _check_prime_bound(space, param, (prime,))
     basis = build_basis(mode, space, k, param, max_elements)
     rows, _ = build_relations(mode, space, k, param, basis, max_rows)
     functionals = cokernel_functionals(

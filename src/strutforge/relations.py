@@ -12,17 +12,24 @@ the sum over strut types {c, x} in R of
 mult({c, x}) * sign(a, c, x) * [Y{a, c, x} + (R - {c, x})], where
 sign(a, c, x) is the parity of the cyclic order (a, c, x) against sorted
 order and is 0 when two of a, c, x are equal.  No diagram is built or
-canonicalized.  The graft-then-canonicalize construction of the same
-rows stays in the tests, as the oracle the closed form is checked
-against.
+canonicalized.
 
-The full-space link rows take their marked components straight from the
-canonical marked encodings of ``bases`` (a leg color plus a rooted
-expression), with no dedup or canonicalization.  Those rows and the IHX
-rows are still built by grafting and rewiring concrete trees:
-coefficients are attachment multiplicities times the canonical
+The full-space rows are assembled on canonical encodings too.  A link
+configuration is a marked tree (a leg color plus a rooted expression
+from ``bases``) and a rest forest given as a tuple of component
+encodings; an IHX row rewires one component of a basis encoding.  A
+graft or a rewiring changes one component and leaves the others as they
+are, so each distinct (marked tree, host component) pair is grafted and
+canonicalized once, and each distinct component's I, H and X terms once.
+A term's column is the basis index of the sorted component encodings.
+Coefficients are attachment multiplicities times the canonical
 antisymmetry signs, so one fixed grafting convention reproduces the
-relations exactly.
+relations exactly.  Provenance text is built only for rows kept after
+dedup.
+
+The graft-then-canonicalize constructions of all these rows, with a
+concrete diagram per term, stay in the tests as the oracles the fast
+paths are checked against.
 """
 
 from __future__ import annotations
@@ -31,13 +38,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 from .bases import (
     Basis,
     BasisSpec,
     _strut_pairs,
-    forests,
+    forest_count,
+    forest_encodings,
     marked_encodings,
     strut_type_count,
 )
@@ -45,11 +53,15 @@ from .diagrams import (
     Diagram,
     Mode,
     TreeComponent,
+    _NODE,
     _SEP_BYTE,
+    _join_components,
     canonicalize,
+    canonicalize_component,
     decode_component,
     graft,
     render_component,
+    render_encoding,
     strut,
     strut_encoding,
     y_encoding,
@@ -181,19 +193,15 @@ class _RowSet:
     def __init__(self) -> None:
         self._rows: dict[tuple[tuple[int, int], ...], RelationRow] = {}
 
-    def add(self, row: RelationRow) -> None:
-        if row.is_empty:
-            return
-        norm = row.normalized()
-        self._rows.setdefault(norm.entries, norm)
-
-    def add_entries(self, entries: tuple[tuple[int, int], ...]) -> None:
-        """Add a sorted, zero-free row given as bare entries; a RelationRow
-        is built only for a row not seen before."""
+    def add_entries(self, entries: tuple[tuple[int, int], ...],
+                    describe: Optional[Callable[[], str]] = None) -> None:
+        """Add a sorted, zero-free row given as bare entries; a RelationRow,
+        and its provenance ``describe()``, is built only for a row not
+        seen before."""
         if entries:
             norm = _normalized(entries)
             if norm not in self._rows:
-                self._rows[norm] = RelationRow(norm)
+                self._rows[norm] = RelationRow(norm, describe() if describe else "")
 
     def emit(self) -> list[RelationRow]:
         return [self._rows[key] for key in sorted(self._rows)]
@@ -317,6 +325,20 @@ def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,
     return rows.emit()
 
 
+def coefficient_bound(space: str, param: int) -> int:
+    """Largest absolute coefficient a relation row of the space can have.
+
+    A single-Y row has one term per rest strut type {c, x}, weighted by
+    its multiplicity among the n + 1 rest struts.  A full-space link
+    coefficient counts signed grafts onto same-colored leaves of a rest
+    forest of degree at most d - 1, which has at most 2(d - 1) leaves,
+    and an IHX row has three unit terms.
+    """
+    if space == "y":
+        return param + 1
+    return max(3, 2 * (param - 1))
+
+
 def count_effective_relations(k: int, n: int,
                               max_configs: int = DEFAULT_MAX_ROWS) -> tuple[int, int]:
     """(raw, nonempty) configuration counts for the homotopy Y-subspace.
@@ -350,6 +372,38 @@ def marked_trees(k: int, deg: int, mode: Mode) -> tuple[tuple[TreeComponent, int
     return tuple((decode_component(enc), 0) for enc in marked_encodings(k, deg, mode))
 
 
+def _term_column(index: dict[bytes, int], components: list[bytes]) -> int:
+    """Basis column of the forest with these canonical component encodings."""
+    try:
+        return index[_SEP_BYTE.join(sorted(components))]
+    except KeyError:
+        raise DomainError(
+            "relation term falls outside the basis; the basis does not "
+            "match this generator's space") from None
+
+
+def _graft_terms(marked: TreeComponent, marked_leg: int, host: bytes,
+                 decoded: dict[bytes, TreeComponent],
+                 mode: Mode) -> tuple[tuple[bytes, int], ...]:
+    """(encoding, summed sign) of the canonical components made by grafting
+    the marked leg above each same-colored leaf of the host component
+    ``host``, zeros dropped.  ``decoded`` memoizes the host components."""
+    color = marked.colors[marked_leg]
+    if color not in host:
+        return ()
+    comp = decoded.get(host)
+    if comp is None:
+        comp = decoded[host] = decode_component(host)
+    terms: dict[bytes, int] = {}
+    for v, c in comp.leaves():
+        if c == color:
+            enc, sign = canonicalize_component(
+                _join_components(marked, marked_leg, comp, v), mode)
+            if sign:
+                terms[enc] = terms.get(enc, 0) + sign
+    return tuple((enc, sign) for enc, sign in terms.items() if sign)
+
+
 def link_relations(k: int, d: int, mode: Mode, basis: Basis,
                    max_configs: int = DEFAULT_MAX_ROWS) -> list[RelationRow]:
     """Link relations over the full degree-d space.
@@ -359,28 +413,51 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
     sums the grafts of the marked leg above every same-colored leg of the
     forest (grafts onto the marked component itself close a loop and
     vanish).
+
+    The forest is a tuple of canonical component encodings.  Grafting
+    onto one component leaves the others as they are, so the canonical
+    grafts onto each distinct component are computed once per marked
+    tree, and a component repeated m times contributes its terms m
+    times.  The exact configuration count is checked against
+    ``max_configs`` before the first row.
     """
+    total = count_link_configs(k, d, mode)
+    if total > max_configs:
+        raise CapacityError(f"{total} link configurations exceed the cap {max_configs}")
+    index = basis.index
+    decoded: dict[bytes, TreeComponent] = {}
     rows = _RowSet()
-    raw = 0
     for dm in range(1, d + 1):
-        rest_forests = list(forests(k, d - dm, mode))
+        rest_forests = list(forest_encodings(k, d - dm, mode))
         for m_comp, m_leg in marked_trees(k, dm, mode):
+            grafts: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
             for rest in rest_forests:
-                raw += 1
-                if raw > max_configs:
-                    raise CapacityError(f"link configurations exceed the cap {max_configs}")
-                config = PreGraftConfig(rest, m_comp, m_leg)
-                rows.add(config.relation_row(basis, mode, k))
+                coeffs: dict[int, int] = {}
+                for pos, host in enumerate(rest):
+                    if pos and rest[pos - 1] == host:
+                        continue
+                    terms = grafts.get(host)
+                    if terms is None:
+                        terms = grafts[host] = _graft_terms(m_comp, m_leg, host, decoded, mode)
+                    if not terms:
+                        continue
+                    mult = rest.count(host)
+                    others = list(rest[:pos] + rest[pos + 1:])
+                    for enc, sign in terms:
+                        col = _term_column(index, others + [enc])
+                        coeffs[col] = coeffs.get(col, 0) + mult * sign
+                rows.add_entries(
+                    tuple(sorted((c, v) for c, v in coeffs.items() if v)),
+                    lambda: (f"link marked={render_component(m_comp)}@{m_comp.colors[m_leg]}* "
+                             f"rest={{{','.join(render_encoding(e) for e in rest)}}}"))
     return rows.emit()
 
 
 def count_link_configs(k: int, d: int, mode: Mode) -> int:
-    """Raw configuration count behind link_relations."""
-    total = 0
-    for dm in range(1, d + 1):
-        n_rest = sum(1 for _ in forests(k, d - dm, mode))
-        total += len(marked_trees(k, dm, mode)) * n_rest
-    return total
+    """Raw configuration count behind link_relations: marked trees of
+    each degree dm times the forests of the remaining degree."""
+    return sum(len(marked_trees(k, dm, mode)) * forest_count(k, d - dm, mode)
+               for dm in range(1, d + 1))
 
 
 def _rewire(comp: TreeComponent, u: int, v: int,
@@ -415,32 +492,51 @@ def ihx_instances(comp: TreeComponent) -> Iterator[tuple[TreeComponent, TreeComp
         yield term_i, term_h, term_x
 
 
+def _ihx_terms(enc: bytes, mode: Mode) -> tuple[tuple[tuple[bytes, int], ...], ...]:
+    """Canonical (encoding, sign) of the I, H and X terms of each internal
+    edge of the component with canonical encoding ``enc``."""
+    return tuple(tuple(canonicalize_component(term, mode) for term in triple)
+                 for triple in ihx_instances(decode_component(enc)))
+
+
 def ihx_relations(k: int, d: int, mode: Mode, basis: Basis) -> list[RelationRow]:
     """Three-term IHX rows, one per (basis diagram, component, internal
     edge); struts and Y-components have no internal edge and contribute
-    nothing."""
+    nothing.
+
+    The rewiring happens inside one component, so the canonical I, H and
+    X terms are computed once per distinct component encoding and each
+    term's column is looked up with the diagram's other components.
+    """
+    index = basis.index
+    triples: dict[bytes, tuple[tuple[tuple[bytes, int], ...], ...]] = {}
     rows = _RowSet()
-    for col in range(len(basis)):
-        diag = basis.diagram(col)
-        for idx, comp in enumerate(diag.components):
-            others = diag.components[:idx] + diag.components[idx + 1:]
-            for term_i, term_h, term_x in ihx_instances(comp):
-                builder = _RowBuilder(basis)
-                builder.add(Diagram(others + (term_i,), mode, k), 1)
-                builder.add(Diagram(others + (term_h,), mode, k), -1)
-                builder.add(Diagram(others + (term_x,), mode, k), 1)
-                rows.add(builder.row(
-                    f"ihx diagram#{col} component#{idx} edge "
-                    f"{render_component(comp)}"))
+    for col, element in enumerate(basis.elements):
+        parts = element.encoding.split(_SEP_BYTE)
+        for idx, enc in enumerate(parts):
+            if enc.count(_NODE) < 2:
+                continue
+            if enc not in triples:
+                triples[enc] = _ihx_terms(enc, mode)
+            others = parts[:idx] + parts[idx + 1:]
+            for triple in triples[enc]:
+                coeffs: dict[int, int] = {}
+                for (term, sign), weight in zip(triple, (1, -1, 1)):
+                    if sign:
+                        c = _term_column(index, others + [term])
+                        coeffs[c] = coeffs.get(c, 0) + weight * sign
+                rows.add_entries(
+                    tuple(sorted((c, v) for c, v in coeffs.items() if v)),
+                    lambda: f"ihx diagram#{col} component#{idx} edge {render_encoding(enc)}")
     return rows.emit()
 
 
 def count_ihx_instances(basis: Basis) -> int:
-    total = 0
-    for col in range(len(basis)):
-        for comp in basis.diagram(col).components:
-            total += len(comp.internal_edges())
-    return total
+    """Internal edges over all basis diagrams: a component with t >= 1
+    trivalent vertices (node bytes) has t - 1 of them."""
+    return sum(max(part.count(_NODE) - 1, 0)
+               for element in basis.elements
+               for part in element.encoding.split(_SEP_BYTE))
 
 
 def expand_along(d: Diagram, c: int, fixed: int, basis: Basis) -> RelationRow:

@@ -1,9 +1,15 @@
-"""Brute-force tree enumeration: the oracle for the rooted-expression
-generator in ``strutforge.bases``.
+"""Brute-force oracles for the fast paths in ``strutforge``.
 
-Every unitrivalent tree shape is grown by leaf insertion, colored in all
-mode-legal ways, canonicalized and deduplicated, so completeness rests
-only on the canonical form.
+Tree enumeration, the oracle for the rooted-expression generator in
+``strutforge.bases``: every unitrivalent tree shape is grown by leaf
+insertion, colored in all mode-legal ways, canonicalized and
+deduplicated, so completeness rests only on the canonical form.
+
+Full-space relation rows, the oracle for ``link_relations``,
+``ihx_relations`` and ``count_ihx_instances`` in ``strutforge.relations``:
+every link configuration is grafted term by term with
+``PreGraftConfig`` on concrete forests, and every IHX row rewires the
+decoded basis diagrams, each term canonicalized as a whole diagram.
 """
 
 from __future__ import annotations
@@ -11,14 +17,24 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
+from strutforge import bases
 from strutforge.diagrams import (
     MARKED_COLOR,
+    Diagram,
     Mode,
     TreeComponent,
+    canonicalize,
     canonicalize_component,
     decode_component,
+    render_component,
 )
 from strutforge.errors import DomainError
+from strutforge.relations import (
+    PreGraftConfig,
+    RelationRow,
+    ihx_instances,
+    marked_trees,
+)
 
 
 def tree_shapes(num_leaves: int) -> list[dict[int, list[int]]]:
@@ -96,3 +112,78 @@ def marked_trees(k: int, deg: int, mode: Mode) -> tuple[tuple[TreeComponent, int
             if key[1]:
                 seen.setdefault(key, (comp, leg))
     return tuple(seen[key] for key in sorted(seen))
+
+
+def forests(k: int, d: int, mode: Mode) -> Iterator[tuple[TreeComponent, ...]]:
+    """Multisets of nonzero trees of total degree ``d`` in the order of
+    ``strutforge.bases.forest_encodings``: partitions of ``d``, components
+    by decreasing degree, encoding order within a degree."""
+    if d == 0:
+        yield ()
+        return
+    for partition in bases._partitions(d):
+        sizes: dict[int, int] = {}
+        for part in partition:
+            sizes[part] = sizes.get(part, 0) + 1
+        pools = [itertools.combinations_with_replacement(
+                     bases.tree_components(k, deg, mode), sizes[deg])
+                 for deg in sorted(sizes, reverse=True)]
+        for choice in itertools.product(*pools):
+            yield tuple(itertools.chain.from_iterable(choice))
+
+
+def dedup_rows(rows) -> list[RelationRow]:
+    """Sign-normalized nonzero rows sorted by entries, first provenance
+    kept."""
+    seen: dict[tuple, RelationRow] = {}
+    for row in rows:
+        if row.entries:
+            norm = row.normalized()
+            seen.setdefault(norm.entries, norm)
+    return [seen[key] for key in sorted(seen)]
+
+
+def link_rows(k: int, d: int, mode: Mode, basis) -> list[RelationRow]:
+    """Link rows by grafting: one PreGraftConfig per (marked tree, rest
+    forest), each term a concrete graft canonicalized as a diagram."""
+    def configs():
+        for dm in range(1, d + 1):
+            rest_forests = list(forests(k, d - dm, mode))
+            for m_comp, m_leg in marked_trees(k, dm, mode):
+                for rest in rest_forests:
+                    yield PreGraftConfig(rest, m_comp, m_leg).relation_row(basis, mode, k)
+    return dedup_rows(configs())
+
+
+def _signed_row(basis, weighted: list[tuple[Diagram, int]], provenance: str) -> RelationRow:
+    coeffs: dict[int, int] = {}
+    for diag, weight in weighted:
+        cd = canonicalize(diag)
+        if cd.sign:
+            col = basis.index[cd.encoding]
+            coeffs[col] = coeffs.get(col, 0) + weight * cd.sign
+    return RelationRow(tuple(sorted((c, v) for c, v in coeffs.items() if v)), provenance)
+
+
+def ihx_rows(k: int, d: int, mode: Mode, basis) -> list[RelationRow]:
+    """IHX rows on decoded diagrams: each internal edge of each component
+    rewired into I - H + X next to the diagram's other components."""
+    def rows():
+        for col in range(len(basis)):
+            diag = basis.diagram(col)
+            for idx, comp in enumerate(diag.components):
+                others = diag.components[:idx] + diag.components[idx + 1:]
+                for term_i, term_h, term_x in ihx_instances(comp):
+                    yield _signed_row(basis, [
+                        (Diagram(others + (term_i,), mode, k), 1),
+                        (Diagram(others + (term_h,), mode, k), -1),
+                        (Diagram(others + (term_x,), mode, k), 1),
+                    ], f"ihx diagram#{col} component#{idx} edge {render_component(comp)}")
+    return dedup_rows(rows())
+
+
+def ihx_instance_count(basis) -> int:
+    """Internal edges over all decoded basis diagrams."""
+    return sum(len(comp.internal_edges())
+               for col in range(len(basis))
+               for comp in basis.diagram(col).components)

@@ -7,6 +7,7 @@ from strutforge.bases import (
     enumerate_basis,
     enumerate_trees,
     enumerate_y_basis,
+    forest_count,
     forests,
     strut_union_count,
     tree_components,
@@ -21,7 +22,7 @@ from strutforge.diagrams import (
     encoding_leaf_colors,
 )
 from strutforge.errors import CapacityError, DomainError
-from strutforge.relations import marked_trees
+from strutforge.relations import count_link_configs, link_relations, marked_trees
 
 import brute_force
 
@@ -198,6 +199,53 @@ class TestForests:
             for comp in forest:
                 cols = [c for c in comp.colors if c > 0]
                 assert comp.degree >= 1
+
+
+class TestForestCount:
+    CELLS = ((H, 5, 4), (H, 6, 4), (H, 4, 5), (C, 3, 4), (C, 2, 5), (C, 1, 4))
+
+    @pytest.mark.parametrize("mode,k,d", CELLS)
+    def test_matches_enumeration(self, mode, k, d):
+        count = forest_count(k, d, mode)
+        assert count == len(enumerate_basis(k, d, mode))
+        assert count == sum(1 for _ in brute_force.forests(k, d, mode))
+        assert count_link_configs(k, d, mode) == sum(
+            len(marked_trees(k, dm, mode))
+            * sum(1 for _ in brute_force.forests(k, d - dm, mode))
+            for dm in range(1, d + 1))
+
+    def test_forests_decode_the_oracle_order(self):
+        for mode, k, d in ((H, 4, 4), (C, 2, 4)):
+            assert list(forests(k, d, mode)) == list(brute_force.forests(k, d, mode))
+
+    def test_basis_cap_is_the_exact_count(self):
+        count = forest_count(5, 4, H)
+        assert len(enumerate_basis(5, 4, H, max_elements=count)) == count
+        with pytest.raises(CapacityError):
+            enumerate_basis(5, 4, H, max_elements=count - 1)
+
+    def test_link_cap_is_the_exact_count(self):
+        basis = enumerate_basis(4, 3, H)
+        count = count_link_configs(4, 3, H)
+        assert link_relations(4, 3, H, basis, max_configs=count)
+        with pytest.raises(CapacityError):
+            link_relations(4, 3, H, basis, max_configs=count - 1)
+
+    def test_oversized_cell_raises_before_enumerating(self, monkeypatch):
+        def never(*_):
+            raise AssertionError("forests listed past the cap")
+
+        small = enumerate_basis(4, 1, H)
+        monkeypatch.setattr("strutforge.bases.forest_encodings", never)
+        monkeypatch.setattr("strutforge.relations.forest_encodings", never)
+        # Four colors bound homotopy trees to degree 3, so the counts of
+        # these cells take milliseconds: 7,528,128 forests of degree 22
+        # and 57,740,100 link configurations at degree 20.  The link count
+        # is checked before the basis is read, so any basis will do.
+        with pytest.raises(CapacityError):
+            enumerate_basis(4, 22, H)
+        with pytest.raises(CapacityError):
+            link_relations(4, 20, H, small)
 
 
 class TestStrutUnionCount:

@@ -88,6 +88,23 @@ class TestDim:
             assert "not a prime" in result.output
         assert list(tmp_path.iterdir()) == []
 
+    def test_small_primes_rejected_before_basis(self, runner, tmp_path, monkeypatch):
+        def never(*_):
+            raise AssertionError("basis built for a prime below the bound")
+
+        monkeypatch.setattr("strutforge.pipeline.build_basis", never)
+        cell = ["--space", "y", "--k", "6", "--n", "2", "--primes", "2,3",
+                "--cache-dir", str(tmp_path)]
+        for command in ("dim", "witness"):
+            result = runner.invoke(cli, [command, *cell])
+            assert result.exit_code == 1, command
+            assert "prime 2 does not exceed the coefficient bound 3" in result.output
+        out_file = tmp_path / "sweep.csv"
+        run_ok(runner, "sweep", "--space", "y", "--k-range", "6", "--n-range", "2",
+               "--primes", "2,3", "--out", str(out_file), "--cache-dir", str(tmp_path))
+        assert "error:DomainError" in out_file.read_text().splitlines()[1]
+        assert list(tmp_path.iterdir()) == [out_file]
+
     def test_capacity_error_exit(self, runner, tmp_path):
         result = runner.invoke(cli, [
             "dim", "--space", "y", "--k", "5", "--n", "2",

@@ -13,12 +13,13 @@ from strutforge.pipeline import (
     CSV_HEADER,
     ResultCache,
     ResultRecord,
+    build_basis,
     build_relations,
     compute_dimension,
     compute_witness,
     resolve_cache_dir,
 )
-from strutforge.relations import RelationRow, y_link_relations
+from strutforge.relations import RelationRow, coefficient_bound, y_link_relations
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
@@ -148,6 +149,21 @@ class TestWitness:
     def test_empty_for_trivial_quotient(self):
         doc = compute_witness(H, "y", 4, 1)
         assert doc["functionals"] == []
+
+
+class TestCoefficientBound:
+    def test_rows_stay_within_the_bound(self):
+        cells = ([(H, "y", k, n) for k in range(3, 7) for n in range(3)]
+                 + [(mode, "full", k, d) for mode in (H, C)
+                    for k in range(1, 6) for d in range(1, 5)])
+        for mode, space, k, param in cells:
+            basis = build_basis(mode, space, k, param)
+            rows, _ = build_relations(mode, space, k, param, basis)
+            largest = SparseMatrix.from_rows(rows, len(basis)).max_abs_coefficient()
+            bound = coefficient_bound(space, param)
+            # n + 1 equal rest struts give a Y row its largest coefficient.
+            assert largest == bound if space == "y" else largest <= bound, \
+                (mode, space, k, param)
 
 
 class TestFourColorFullSpace:

@@ -168,18 +168,44 @@ def tree_encodings(k: int, deg: int, mode: Mode) -> tuple[bytes, ...]:
                  for comp in tree_components(k, deg, mode))
 
 
+def tree_count(k: int, deg: int, mode: Mode) -> int:
+    """Number of nonzero trees of degree ``deg``.
+
+    In homotopy mode a nonzero tree has ``deg + 1`` distinct leaf colors,
+    so it has no symmetry and is never zero: C(k, deg + 1) color sets
+    times (2 deg - 3)!! trivalent shapes on labeled leaves.  Concordance
+    mode counts ``tree_components``.
+    """
+    if mode is not Mode.HOMOTOPY:
+        return len(tree_components(k, deg, mode))
+    check_num_colors(k)
+    if deg < 1:
+        raise DomainError(f"tree degree must be >= 1, got {deg}")
+    return math.comb(k, deg + 1) * math.prod(range(2 * deg - 3, 0, -2))
+
+
+def forest_counts(k: int, d: int, mode: Mode) -> list[int]:
+    """``forest_count(k, e, mode)`` for every e in 0..d, in one pass: the
+    coefficients of the product over tree degrees ``deg`` of
+    (1 - x**deg)**(-T), T = ``tree_count(k, deg, mode)``, one factor
+    sum_m C(T + m - 1, m) x**(deg m) at a time."""
+    counts = [1 if e == 0 else 0 for e in range(d + 1)]
+    for deg in range(1, d + 1):
+        t = tree_count(k, deg, mode)
+        if not t:
+            continue
+        factor = [math.comb(t + m - 1, m) for m in range(d // deg + 1)]
+        counts = [sum(counts[e - m * deg] * factor[m] for m in range(e // deg + 1))
+                  for e in range(d + 1)]
+    return counts
+
+
 def forest_count(k: int, d: int, mode: Mode) -> int:
     """Number of multisets of nonzero trees with total degree ``d``: the
     sum over partitions of ``d`` of the product over part sizes ``deg``
     of C(T + m - 1, m), with T the number of trees of degree ``deg`` and
     m the multiplicity of that part."""
-    total = 0
-    for partition in _partitions(d):
-        product = 1
-        for deg, m in Counter(partition).items():
-            product *= math.comb(len(tree_components(k, deg, mode)) + m - 1, m)
-        total += product
-    return total
+    return forest_counts(k, d, mode)[d] if d >= 0 else 0
 
 
 def forest_encodings(k: int, d: int, mode: Mode) -> Iterator[tuple[bytes, ...]]:

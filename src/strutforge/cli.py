@@ -40,6 +40,10 @@ from .relations import (
 
 _ERRORS = (DomainError, CapacityError, UnluckyPrimeError, CacheError)
 
+_PRIMES_HELP = ("Comma-separated primes (at least two). The first certifies a "
+                "rank that meets its row/column bound; the second is the "
+                "fallback for an uncertified cell. witness uses the first.")
+
 # Guard for the relations dump, which is a debugging surface.
 _DUMP_MAX_CONFIGS = 100_000
 
@@ -159,8 +163,7 @@ def _common_dim_options(fn):
                       help="Strut count (space y).")(fn)
     fn = click.option("--degree", type=int, default=None,
                       help="Total degree (space full).")(fn)
-    fn = click.option("--primes", type=str, default=None,
-                      help="Comma-separated primes (at least two).")(fn)
+    fn = click.option("--primes", type=str, default=None, help=_PRIMES_HELP)(fn)
     fn = click.option("--cache-dir", type=str, default=None,
                       help="Cache directory (else $STRUTFORGE_CACHE_DIR, else ./cache).")(fn)
     fn = click.option("--max-basis", type=int, default=DEFAULT_MAX_ELEMENTS,
@@ -202,7 +205,7 @@ def cmd_dim(mode: str, space: str, k: int, n: Optional[int],
               help="Degrees (space full).")
 @click.option("--out", type=click.Path(dir_okay=False), required=True,
               help="CSV output path.")
-@click.option("--primes", type=str, default=None)
+@click.option("--primes", type=str, default=None, help=_PRIMES_HELP)
 @click.option("--cache-dir", type=str, default=None)
 @click.option("--max-basis", type=int, default=DEFAULT_MAX_ELEMENTS, show_default=True)
 @click.option("--max-rows", type=int, default=DEFAULT_MAX_ROWS, show_default=True)

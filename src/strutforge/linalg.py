@@ -5,15 +5,19 @@ the rows are reduced mod p, split into column-connected blocks, and each
 block is brought to echelon form with a shortest-row pivot policy.  The
 rank is the number of pivots; the cokernel functionals are read off the
 same pivots after back-substitution to the reduced row echelon form.
-Ranks are computed modulo at least two ~2**31 primes and cross-checked;
-a modular rank can only undershoot the rational one, so agreement across
-independent primes certifies the value far beyond test noise while
-keeping elimination in machine words.  A fraction-free integer
-elimination is kept alongside as the small-matrix oracle.
+Ranks are computed modulo ~2**31 primes, keeping elimination in machine
+words.  A modular rank can only undershoot the rational one, and the
+rational rank never exceeds min(#nonzero rows, #columns some row
+touches); a first-prime rank that reaches this bound is therefore the
+exact rank, and no second prime is needed.  Only a rank below the bound
+is cross-checked across further primes, whose agreement settles the
+value far beyond test noise.  A fraction-free integer elimination is
+kept alongside as the small-matrix oracle.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,6 +94,8 @@ class RankResult:
     primes: tuple[int, ...]
     agreement: bool
     quotient_dim: int
+    # True when the rank meets rank_bound, which proves it exact over Q.
+    certified: bool = False
 
     def __post_init__(self) -> None:
         if self.rank < 0 or self.quotient_dim < 0:
@@ -128,23 +134,31 @@ def _echelon_block(rows: list[dict[int, int]], p: int) -> list[tuple[int, dict[i
     then insertion order (Markowitz-lite, fully deterministic).  A pivot
     row has no entry left of its pivot column and no earlier pivot
     column, and is never updated after it is chosen.
+
+    Candidates come from a heap keyed on (length, leading column, row
+    id); every updated row is pushed again under its new key, and a
+    popped entry is skipped when its row is already a pivot or its key
+    is stale, so the first live entry is the policy's minimum.
     """
     col_rows: dict[int, set[int]] = {}
     for rid, row in enumerate(rows):
         for col in row:
             col_rows.setdefault(col, set()).add(rid)
-    alive = set(range(len(rows)))
+    heap = [(len(row), min(row), rid) for rid, row in enumerate(rows)]
+    heapq.heapify(heap)
+    done = [False] * len(rows)
     pivots = []
-    while alive:
-        rid = min(alive, key=lambda r: (len(rows[r]), min(rows[r]), r))
-        alive.discard(rid)
+    while heap:
+        length, pc, rid = heapq.heappop(heap)
         pivot_row = rows[rid]
-        pc = min(pivot_row)
+        if done[rid] or length != len(pivot_row) or pc != min(pivot_row):
+            continue
+        done[rid] = True
         inv = pow(pivot_row[pc], -1, p)
         pivot_row = {c: (v * inv) % p for c, v in pivot_row.items()}
         pivots.append((pc, pivot_row))
-        for sid in list(col_rows.get(pc, ())):
-            if sid == rid or sid not in alive:
+        for sid in list(col_rows[pc]):
+            if done[sid]:
                 continue
             target = rows[sid]
             factor = target[pc]
@@ -157,8 +171,8 @@ def _echelon_block(rows: list[dict[int, int]], p: int) -> list[tuple[int, dict[i
                 elif c in target:
                     del target[c]
                     col_rows[c].discard(sid)
-            if not target:
-                alive.discard(sid)
+            if target:
+                heapq.heappush(heap, (len(target), min(target), sid))
     return pivots
 
 
@@ -192,32 +206,57 @@ def rank_mod_p(m: SparseMatrix, p: int) -> int:
     return len(_echelon(m, p))
 
 
+def rank_bound(m: SparseMatrix) -> int:
+    """min(#nonzero rows, #columns some row touches): the rank over Q,
+    and so every modular rank, is at most this."""
+    touched = bytearray(m.num_cols)
+    nonzero = 0
+    for row in m.rows:
+        if row.entries:
+            nonzero += 1
+            for c, _ in row.entries:
+                touched[c] = 1
+    return min(nonzero, touched.count(1))
+
+
 def rank_multiprime(m: SparseMatrix, primes: Sequence[int] = DEFAULT_PRIMES,
                     max_retries: int = 3) -> RankResult:
-    """Rank agreed across several primes.
+    """Exact rank, certified by the first prime where possible.
 
-    Disagreement (an unlucky prime undershooting) triggers retries with
-    fresh primes from the pool; persistent disagreement raises
-    UnluckyPrimeError rather than guessing.
+    A rank mod p never exceeds the rank over Q, which never exceeds
+    rank_bound; so a first-prime rank equal to the bound is exact and is
+    returned with ``primes == primes[:1]`` and ``certified`` set.  Below
+    the bound, the remaining primes are ranked too (the first prime's
+    rank is reused) and must agree.  Disagreement (an unlucky prime
+    undershooting) triggers retries with fresh primes from the pool;
+    persistent disagreement raises UnluckyPrimeError rather than
+    guessing.
     """
     primes = tuple(primes)
     if len(set(primes)) < 2:
         raise DomainError("need at least two distinct primes")
+    bound = rank_bound(m)
+    ranks = [rank_mod_p(m, primes[0])]
+    if ranks[0] == bound:
+        return RankResult(rank=bound, primes=primes[:1], agreement=True,
+                          quotient_dim=m.num_cols - bound, certified=True)
+    ranks += [rank_mod_p(m, p) for p in primes[1:]]
     used = set(primes)
-    observed_max = 0
+    observed_max = max(ranks)
     attempt_primes = primes
-    for _ in range(max_retries + 1):
-        ranks = [rank_mod_p(m, p) for p in attempt_primes]
-        observed_max = max(observed_max, *ranks)
+    for attempt in range(max_retries + 1):
         if len(set(ranks)) == 1:
             return RankResult(rank=ranks[0], primes=attempt_primes,
                               agreement=True,
-                              quotient_dim=m.num_cols - ranks[0])
+                              quotient_dim=m.num_cols - ranks[0],
+                              certified=ranks[0] == bound)
         fresh = [p for p in PRIME_POOL if p not in used][:len(primes)]
-        if len(fresh) < 2:
+        if attempt == max_retries or len(fresh) < 2:
             break
         used.update(fresh)
         attempt_primes = tuple(fresh)
+        ranks = [rank_mod_p(m, p) for p in attempt_primes]
+        observed_max = max(observed_max, *ranks)
     raise UnluckyPrimeError(
         f"modular ranks kept disagreeing; max observed rank {observed_max}")
 

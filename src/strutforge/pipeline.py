@@ -1,9 +1,10 @@
 """End-to-end dimension pipeline, result records, and the result cache.
 
 A dimension run builds the basis, generates relations, ranks the matrix
-over several primes, and emits an immutable ResultRecord.  Records are
-cached append-only in a JSON-lines file keyed by (mode, space, k, param,
-tool_version) so sweeps resume for free.
+(one prime when that rank certifies itself, more otherwise), and emits
+an immutable ResultRecord.  Records are cached append-only in a
+JSON-lines file keyed by (mode, space, k, param, tool_version) so sweeps
+resume for free.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ class ResultRecord:
     elapsed_ms: int
     tool_version: str
     timestamp: str
+    # The rank met linalg.rank_bound, which proves it exact over Q;
+    # records written before this field existed load as False.
+    certified: bool = False
 
     def key(self) -> tuple:
         return (self.mode, self.space, self.k, self.param, self.tool_version)
@@ -135,7 +139,8 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
                       primes: Sequence[int] = DEFAULT_PRIMES,
                       max_elements: int = DEFAULT_MAX_ELEMENTS,
                       max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
-    """Full pipeline for one cell: basis, relations, multi-prime rank."""
+    """Full pipeline for one cell: basis, relations, certified or
+    multi-prime rank."""
     _check_prime_bound(space, param, primes)
     start = time.monotonic()
     basis = build_basis(mode, space, k, param, max_elements)
@@ -149,6 +154,7 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
         quotient_dim=result.quotient_dim, primes=result.primes,
         elapsed_ms=elapsed_ms, tool_version=TOOL_VERSION,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        certified=result.certified,
     )
 
 

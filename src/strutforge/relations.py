@@ -44,10 +44,11 @@ from .bases import (
     Basis,
     BasisSpec,
     _strut_pairs,
-    forest_count,
+    forest_counts,
     forest_encodings,
     marked_encodings,
     strut_type_count,
+    tree_count,
 )
 from .diagrams import (
     Diagram,
@@ -455,9 +456,19 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
 
 def count_link_configs(k: int, d: int, mode: Mode) -> int:
     """Raw configuration count behind link_relations: marked trees of
-    each degree dm times the forests of the remaining degree."""
-    return sum(len(marked_trees(k, dm, mode)) * forest_count(k, d - dm, mode)
-               for dm in range(1, d + 1))
+    each degree dm times the forests of the remaining degree.
+
+    A homotopy tree has distinct leaf colors, so each of its deg + 1
+    leaves marks a different marked tree; concordance mode counts
+    ``marked_trees``.
+    """
+    def marked(dm: int) -> int:
+        if mode is Mode.HOMOTOPY:
+            return (dm + 1) * tree_count(k, dm, mode)
+        return len(marked_trees(k, dm, mode))
+
+    forests = forest_counts(k, d - 1, mode)
+    return sum(marked(dm) * forests[d - dm] for dm in range(1, d + 1))
 
 
 def _rewire(comp: TreeComponent, u: int, v: int,

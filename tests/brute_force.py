@@ -10,6 +10,10 @@ Full-space relation rows, the oracle for ``link_relations``,
 every link configuration is grafted term by term with
 ``PreGraftConfig`` on concrete forests, and every IHX row rewires the
 decoded basis diagrams, each term canonicalized as a whole diagram.
+
+Echelon pivot order, the oracle for the heap pivot queue of
+``strutforge.linalg._echelon_block``: every pivot is the minimum over a
+scan of all live rows.
 """
 
 from __future__ import annotations
@@ -187,3 +191,40 @@ def ihx_instance_count(basis) -> int:
     return sum(len(comp.internal_edges())
                for col in range(len(basis))
                for comp in basis.diagram(col).components)
+
+
+def echelon_block_min_scan(rows: list[dict[int, int]], p: int) -> list[tuple[int, dict[int, int]]]:
+    """``_echelon_block`` with each pivot picked by scanning every live
+    row for the least (length, leading column, row id); updates ``rows``
+    in place like the kernel does."""
+    col_rows: dict[int, set[int]] = {}
+    for rid, row in enumerate(rows):
+        for col in row:
+            col_rows.setdefault(col, set()).add(rid)
+    alive = set(range(len(rows)))
+    pivots = []
+    while alive:
+        rid = min(alive, key=lambda r: (len(rows[r]), min(rows[r]), r))
+        alive.discard(rid)
+        pivot_row = rows[rid]
+        pc = min(pivot_row)
+        inv = pow(pivot_row[pc], -1, p)
+        pivot_row = {c: (v * inv) % p for c, v in pivot_row.items()}
+        pivots.append((pc, pivot_row))
+        for sid in list(col_rows.get(pc, ())):
+            if sid == rid or sid not in alive:
+                continue
+            target = rows[sid]
+            factor = target[pc]
+            for c, v in pivot_row.items():
+                new = (target.get(c, 0) - factor * v) % p
+                if new:
+                    if c not in target:
+                        col_rows.setdefault(c, set()).add(sid)
+                    target[c] = new
+                elif c in target:
+                    del target[c]
+                    col_rows[c].discard(sid)
+            if not target:
+                alive.discard(sid)
+    return pivots

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 
@@ -7,10 +9,12 @@ from strutforge.bases import (
     enumerate_basis,
     enumerate_trees,
     enumerate_y_basis,
+    _partitions,
     forest_count,
     forests,
     strut_union_count,
     tree_components,
+    tree_count,
 )
 from strutforge.counting import u
 from strutforge.diagrams import (
@@ -246,6 +250,45 @@ class TestForestCount:
             enumerate_basis(4, 22, H)
         with pytest.raises(CapacityError):
             link_relations(4, 20, H, small)
+
+
+def generator_forest_count(k, d, mode):
+    """forest_count by a partition walk over the generated trees."""
+    return sum(math.prod(math.comb(len(tree_components(k, deg, mode)) + m - 1, m)
+                         for deg, m in Counter(partition).items())
+               for partition in _partitions(d))
+
+
+class TestClosedFormCounts:
+    def test_homotopy_counts_match_the_generator(self):
+        for k in range(1, 8):
+            for deg in range(1, 6):
+                assert tree_count(k, deg, H) == len(tree_components(k, deg, H)), (k, deg)
+                assert forest_count(k, deg, H) == generator_forest_count(k, deg, H), (k, deg)
+                assert count_link_configs(k, deg, H) == sum(
+                    len(marked_trees(k, dm, H)) * generator_forest_count(k, deg - dm, H)
+                    for dm in range(1, deg + 1)), (k, deg)
+
+    def test_concordance_counts_match_the_partition_walk(self):
+        for k, d in ((1, 4), (2, 5), (3, 4)):
+            assert forest_count(k, d, C) == generator_forest_count(k, d, C), (k, d)
+
+    def test_homotopy_counts_build_no_tree(self, monkeypatch):
+        def never(*_):
+            raise AssertionError("trees generated for a count")
+
+        for name in ("bases.tree_components", "bases.rooted_expressions",
+                     "bases.marked_encodings", "relations.marked_trees"):
+            monkeypatch.setattr(f"strutforge.{name}", never)
+        # Trees on four colors stop at degree 3: 6 struts, 4 Ys, 3 H-trees.
+        assert tree_count(4, 3, H) == 3 and tree_count(4, 4, H) == 0
+        assert count_link_configs(4, 40, H) > forest_count(4, 39, H) > 0
+
+    def test_tree_count_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            tree_count(3, 0, H)
+        with pytest.raises(DomainError):
+            tree_count(0, 2, H)
 
 
 class TestStrutUnionCount:

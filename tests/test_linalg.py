@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strutforge.linalg as linalg
+from brute_force import echelon_block_min_scan
 from strutforge.bases import enumerate_basis, enumerate_y_basis
 from strutforge.diagrams import Mode, decode_diagram
 from strutforge.errors import DomainError, UnluckyPrimeError
@@ -151,7 +152,8 @@ class TestRankMultiprime:
         assert res.agreement
         assert res.rank == 24
         assert res.quotient_dim == 0
-        assert len(res.primes) == 2
+        assert res.primes == (DEFAULT_PRIMES[0],)
+        assert res.certified
 
     def test_full_space_three_colors_degree_two(self):
         basis = enumerate_basis(3, 2, H)
@@ -182,10 +184,23 @@ class TestRankMultiprime:
             return 0 if p in unlucky and p == DEFAULT_PRIMES[1] else 1
 
         monkeypatch.setattr(linalg, "rank_mod_p", fake_rank)
-        res = rank_multiprime(matrix(2, [(0, 1)]))
+        # Bound 2: the fake rank 1 does not certify, so the primes are compared.
+        res = rank_multiprime(matrix(2, [(0, 1)], [(1, 1)]))
         assert res.agreement
         assert res.rank == 1
         assert not set(res.primes) & set(DEFAULT_PRIMES)
+
+    def test_uncertified_uses_both_primes(self):
+        res = rank_multiprime(matrix(2, [(0, 1), (1, 1)], [(0, 1), (1, 1)]))
+        assert (res.rank, res.quotient_dim) == (1, 1)
+        assert not res.certified
+        assert res.primes == DEFAULT_PRIMES
+
+    def test_rank_bound(self):
+        assert linalg.rank_bound(matrix(5)) == 0
+        assert linalg.rank_bound(matrix(5, [(0, 1), (3, 2)])) == 1
+        assert linalg.rank_bound(matrix(5, [(1, 1)], [(1, 2)], [(1, 3)])) == 1
+        assert linalg.rank_bound(SparseMatrix.from_rows([RelationRow(())], 2)) == 0
 
 
 class TestCokernel:
@@ -279,3 +294,21 @@ def test_cokernel_size_and_annihilation(m):
 def test_cokernel_matches_rref_oracle(m):
     for p in (P, 5):
         assert cokernel_functionals(m, p) == oracle_functionals(m, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_sparse_matrix())
+def test_certified_rank_matches_fraction_free(m):
+    res = rank_multiprime(m)
+    assert res.rank == fraction_free_rank(m)
+    assert res.certified == (res.rank == linalg.rank_bound(m))
+    assert res.primes == (DEFAULT_PRIMES if not res.certified else (P,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_sparse_matrix())
+def test_heap_pivot_order_matches_min_scan(m):
+    for p in (P, 5):
+        rows = linalg._rows_mod_p(m, p)
+        expected = echelon_block_min_scan([dict(r) for r in rows], p)
+        assert linalg._echelon_block(rows, p) == expected

@@ -7,7 +7,8 @@ from strutforge import __version__
 from strutforge.bases import enumerate_basis, enumerate_y_basis
 from strutforge.diagrams import Mode, encoding_trivalent_count
 from strutforge.errors import CacheError
-from strutforge.linalg import SparseMatrix, rank_multiprime
+import strutforge.linalg as linalg
+from strutforge.linalg import DEFAULT_PRIMES, SparseMatrix, rank_multiprime
 from strutforge.pipeline import (
     CACHE_ENV_VAR,
     CSV_HEADER,
@@ -45,6 +46,33 @@ class TestComputeDimension:
     def test_concordance_record(self):
         rec = compute_dimension(C, "full", 2, 2)
         assert rec.quotient_dim == 6
+
+    @pytest.mark.parametrize("space,k,param", [("y", 5, 2), ("full", 4, 3)])
+    def test_certified_by_one_prime(self, space, k, param):
+        rec = compute_dimension(H, space, k, param)
+        assert rec.certified
+        assert rec.primes == (DEFAULT_PRIMES[0],)
+        data = json.loads(rec.to_json())
+        assert (data["certified"], data["primes"]) == (True, [DEFAULT_PRIMES[0]])
+
+    def test_uncertified_cell_ranks_one_more_prime(self, monkeypatch):
+        real = linalg.rank_mod_p
+        calls = []
+
+        def counted(m, p):
+            calls.append(p)
+            return real(m, p)
+
+        monkeypatch.setattr(linalg, "rank_mod_p", counted)
+        certified = compute_dimension(H, "y", 4, 1)
+        assert len(calls) == 1
+        calls.clear()
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda m, p: counted(m, p) - 1)
+        forced = compute_dimension(H, "y", 4, 1)
+        assert len(calls) == 2
+        assert not forced.certified
+        assert forced.primes == DEFAULT_PRIMES
+        assert forced.rank == certified.rank - 1
 
     def test_deterministic_modulo_timing(self):
         a = compute_dimension(H, "y", 4, 1)
@@ -88,6 +116,23 @@ class TestCache:
         assert len(lines) == 3
         for line in lines:
             ResultRecord.from_json(line)
+
+    def test_record_without_certified_is_a_hit(self, tmp_path):
+        # A line as written before records carried ``certified``.
+        line = ('{"mode": "homotopy", "space": "y", "k": 3, "param": 0, '
+                '"num_diagrams": 1, "num_relations_raw": 18, '
+                '"num_relations_effective": 1, "rank": 1, "quotient_dim": 0, '
+                '"primes": [2147483647, 2147483629], "elapsed_ms": 0, '
+                f'"tool_version": "{__version__}", '
+                '"timestamp": "2026-10-18T07:43:12+00:00"}\n')
+        (tmp_path / "results.jsonl").write_text(line)
+        rec, cached = ResultCache(tmp_path).get_or_compute(H, "y", 3, 0)
+        assert cached
+        assert rec.primes == (2147483647, 2147483629)
+        assert not rec.certified
+        assert (rec.rank, rec.quotient_dim) == (1, 0)
+        assert rec.csv_row() == ("homotopy,y,3,0,1,18,1,1,0,2147483647;2147483629,0,"
+                                 f"{__version__},2026-10-18T07:43:12+00:00")
 
     def test_corrupt_cache_raises(self, tmp_path):
         path = tmp_path / "results.jsonl"

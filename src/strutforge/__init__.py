@@ -28,7 +28,6 @@ from .diagrams import (
     decode_diagram,
     degree,
     diagram,
-    graft,
     strut,
     strut_count,
     y_tree,
@@ -42,7 +41,6 @@ from .bases import (
     strut_union_count,
 )
 from .relations import (
-    PreGraftConfig,
     RelationRow,
     count_effective_relations,
     expand_along,
@@ -71,12 +69,12 @@ from .errors import (
 __all__ = [
     "Basis", "BasisSpec", "CacheError", "CanonicalDiagram", "CapacityError",
     "CountReport", "DEFAULT_PRIMES", "Diagram", "DomainError", "Mode",
-    "NoCrossingError", "PreGraftConfig", "RankResult", "RelationRow", "SparseMatrix",
+    "NoCrossingError", "RankResult", "RelationRow", "SparseMatrix",
     "StructuralError", "TreeComponent", "UnluckyPrimeError", "canonicalize",
     "canonicalize_component", "cokernel_functionals", "count_effective_relations",
     "count_report", "crossing_n", "decode_component", "decode_diagram", "degree",
     "diagram", "enumerate_basis", "enumerate_trees", "enumerate_y_basis",
-    "existence_bound", "expand_along", "fraction_free_rank", "graft",
+    "existence_bound", "expand_along", "fraction_free_rank",
     "ihx_relations", "link_relations", "r", "rank_mod_p", "rank_multiprime",
     "ratio", "ratio_limit", "strut", "strut_count", "strut_union_count", "u",
     "y_link_relations", "y_tree",

@@ -25,11 +25,11 @@ from .diagrams import (
     Mode,
     TreeComponent,
     _NODE_BYTE,
-    _SEP_BYTE,
     canonicalize_component,
     check_num_colors,
     decode_component,
     decode_diagram,
+    diagram_encoding,
     strut_encoding,
     y_encoding,
 )
@@ -247,7 +247,7 @@ def enumerate_basis(k: int, d: int, mode: Mode,
     size = forest_count(k, d, mode)
     if size > max_elements:
         raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
-    return _build_basis(spec, [_SEP_BYTE.join(sorted(forest))
+    return _build_basis(spec, [diagram_encoding(forest)
                                for forest in forest_encodings(k, d, mode)])
 
 
@@ -262,13 +262,13 @@ def enumerate_y_basis(k: int, n: int, mode: Mode,
     spec = BasisSpec(mode, k, "y", n)
     if mode is Mode.HOMOTOPY and k < 3:
         raise DomainError("the homotopy Y-subspace needs k >= 3")
-    size = math.comb(k, 3) * math.comb(strut_type_count(k, mode) + n - 1, n)
+    size = math.comb(k, 3) * strut_union_count(k, n, mode)
     if size > max_elements:
         raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
     ys = [y_encoding(*colors)[0] for colors in itertools.combinations(range(1, k + 1), 3)]
     struts = [strut_encoding(i, j) for i, j in _strut_pairs(k, mode)]
     return _build_basis(spec, [
-        _SEP_BYTE.join(sorted([y, *rest]))
+        diagram_encoding([y, *rest])
         for y in ys for rest in itertools.combinations_with_replacement(struts, n)])
 
 

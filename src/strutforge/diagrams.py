@@ -323,8 +323,19 @@ def canonicalize(d: Diagram) -> CanonicalDiagram:
             return ZERO_CANONICAL
         sign *= s
         encodings.append(enc)
-    encodings.sort()
-    return CanonicalDiagram(_SEP_BYTE.join(encodings), sign)
+    return CanonicalDiagram(diagram_encoding(encodings), sign)
+
+
+def diagram_encoding(parts: Iterable[bytes]) -> bytes:
+    """Diagram encoding of the forest with these canonical component
+    encodings: the encodings sorted and joined with the separator byte."""
+    return _SEP_BYTE.join(sorted(parts))
+
+
+def component_encodings(enc: bytes) -> list[bytes]:
+    """The canonical component encodings of a nonzero diagram encoding,
+    in sorted order."""
+    return enc.split(_SEP_BYTE)
 
 
 def degree(d: Diagram) -> int:
@@ -386,7 +397,7 @@ def decode_diagram(enc: bytes, mode: Mode, k: int) -> Diagram:
     """Rebuild a concrete diagram from a diagram encoding."""
     if enc == b"":
         return Diagram.zero(mode, k)
-    comps = tuple(decode_component(part) for part in enc.split(_SEP_BYTE))
+    comps = tuple(decode_component(part) for part in component_encodings(enc))
     return Diagram(comps, mode, k)
 
 
@@ -422,42 +433,6 @@ def _join_components(marked: TreeComponent, marked_leg: int,
     adj[host_leg] = [w]
     adj[p] = [w if x == host_leg else x for x in adj[p]]
     return TreeComponent(tuple(tuple(n) for n in adj), tuple(colors))
-
-
-def graft(marked: TreeComponent, marked_leg: int, host: Diagram,
-          host_leg: tuple[int, int], marked_index: Optional[int] = None) -> Diagram:
-    """Attach the marked component's distinguished leg just above a host leg.
-
-    ``host_leg`` is (component index, leaf vertex).  When the marked
-    component is itself part of ``host``, pass its index as
-    ``marked_index``; a graft onto a leg of that same component closes a
-    loop and returns the zero diagram.  Otherwise the marked component is
-    external and the result's degree is degree(host) + degree(marked).
-
-    Raises DomainError when the two leg colors differ.
-    """
-    if host.is_zero:
-        return host
-    ci, v = host_leg
-    if not 0 <= ci < len(host.components):
-        raise DomainError(f"host has no component {ci}")
-    if marked.colors[marked_leg] == 0:
-        raise DomainError("marked leg is not a leaf")
-    if marked_index is not None and host.components[marked_index] != marked:
-        raise DomainError("marked_index does not point at the marked component")
-    if marked_index is not None and ci == marked_index:
-        return Diagram.zero(host.mode, host.k)
-    host_comp = host.components[ci]
-    if host_comp.colors[v] == 0:
-        raise DomainError("host leg is not a leaf")
-    if marked.colors[marked_leg] != host_comp.colors[v]:
-        raise DomainError(
-            f"leg colors differ: marked {marked.colors[marked_leg]}, "
-            f"host {host_comp.colors[v]}")
-    joined = _join_components(marked, marked_leg, host_comp, v)
-    rest = [comp for idx, comp in enumerate(host.components)
-            if idx != ci and idx != marked_index]
-    return Diagram(tuple(rest) + (joined,), host.mode, host.k)
 
 
 def encoding_trivalent_count(enc: bytes) -> int:

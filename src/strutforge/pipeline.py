@@ -141,6 +141,8 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
                       max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
     """Full pipeline for one cell: basis, relations, certified or
     multi-prime rank."""
+    if len(set(primes)) < 2:
+        raise DomainError("need at least two distinct primes")
     _check_prime_bound(space, param, primes)
     start = time.monotonic()
     basis = build_basis(mode, space, k, param, max_elements)

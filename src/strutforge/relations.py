@@ -21,15 +21,17 @@ encodings; an IHX row rewires one component of a basis encoding.  A
 graft or a rewiring changes one component and leaves the others as they
 are, so each distinct (marked tree, host component) pair is grafted and
 canonicalized once, and each distinct component's I, H and X terms once.
-A term's column is the basis index of the sorted component encodings.
-Coefficients are attachment multiplicities times the canonical
-antisymmetry signs, so one fixed grafting convention reproduces the
-relations exactly.  Provenance text is built only for rows kept after
-dedup.
+A term's column is the basis index of the sorted component encodings,
+looked up in one place.  Coefficients are attachment multiplicities
+times the canonical antisymmetry signs, so one fixed grafting convention
+reproduces the relations exactly.  ``expand_along`` builds its row with
+the same link-row assembly as ``link_relations``.  Provenance text is
+built only for rows kept after dedup.
 
 The graft-then-canonicalize constructions of all these rows, with a
-concrete diagram per term, stay in the tests as the oracles the fast
-paths are checked against.
+concrete diagram per term, live in ``tests/brute_force.py``
+(``PreGraftConfig`` and ``graft``) as the oracles the rows here,
+``expand_along``'s included, are checked against.
 """
 
 from __future__ import annotations
@@ -54,13 +56,12 @@ from .diagrams import (
     Diagram,
     Mode,
     TreeComponent,
-    _NODE,
-    _SEP_BYTE,
     _join_components,
-    canonicalize,
     canonicalize_component,
+    component_encodings,
     decode_component,
-    graft,
+    diagram_encoding,
+    encoding_trivalent_count,
     render_component,
     render_encoding,
     strut,
@@ -95,10 +96,6 @@ class RelationRow:
         if any(v == 0 for _, v in self.entries):
             raise DomainError("row entries must be nonzero")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def normalized(self) -> "RelationRow":
         """Sign-normalized copy: first coefficient positive."""
         entries = _normalized(self.entries)
@@ -123,69 +120,6 @@ class RelationRow:
             col = basis.index[bytes.fromhex(enc_hex)]
             entries.append((col, int(coef_str)))
         return cls(tuple(sorted(entries)), provenance)
-
-
-@dataclass(frozen=True)
-class PreGraftConfig:
-    """A relation configuration before grafting: a marked component with a
-    distinguished leg, plus the forest it will be attached into."""
-
-    host: tuple[TreeComponent, ...]
-    marked: TreeComponent
-    marked_leg: int
-
-    def __post_init__(self) -> None:
-        if self.marked.colors[self.marked_leg] == 0:
-            raise DomainError("marked leg must be a leaf of the marked component")
-
-    @property
-    def color(self) -> int:
-        return self.marked.colors[self.marked_leg]
-
-    @property
-    def total_degree(self) -> int:
-        return self.marked.degree + sum(c.degree for c in self.host)
-
-    def attachment_targets(self) -> list[tuple[int, int]]:
-        """(component index, leaf vertex) pairs of matching color on the
-        host; legs of the marked component itself are loops and excluded."""
-        return [(ci, v) for ci, comp in enumerate(self.host)
-                for v, color in comp.leaves() if color == self.color]
-
-    def relation_row(self, basis: Basis, mode: Mode, k: int,
-                     provenance: str = "") -> RelationRow:
-        host = Diagram(self.host, mode, k)
-        builder = _RowBuilder(basis)
-        for ci, v in self.attachment_targets():
-            builder.add(graft(self.marked, self.marked_leg, host, (ci, v)))
-        return builder.row(provenance or self.describe())
-
-    def describe(self) -> str:
-        return (f"link marked={render_component(self.marked)}@{self.color}* "
-                f"rest={_rest_desc(self.host)}")
-
-
-class _RowBuilder:
-    """Accumulates canonicalized graft terms into one sparse row."""
-
-    def __init__(self, basis: Basis):
-        self.basis = basis
-        self.coeffs: dict[int, int] = {}
-
-    def add(self, term: Diagram, weight: int = 1) -> None:
-        cd = canonicalize(term)
-        if cd.sign == 0:
-            return
-        col = self.basis.index.get(cd.encoding)
-        if col is None:
-            raise DomainError(
-                "relation term falls outside the basis; the basis does not "
-                "match this generator's space")
-        self.coeffs[col] = self.coeffs.get(col, 0) + weight * cd.sign
-
-    def row(self, provenance: str) -> RelationRow:
-        entries = tuple(sorted((c, v) for c, v in self.coeffs.items() if v != 0))
-        return RelationRow(entries, provenance)
 
 
 class _RowSet:
@@ -216,10 +150,6 @@ def _special_struts(k: int, mode: Mode) -> Iterator[tuple[int, int]]:
             if a == c and mode is Mode.HOMOTOPY:
                 continue
             yield a, c
-
-
-def _rest_desc(rest: tuple[TreeComponent, ...]) -> str:
-    return "{" + ",".join(render_component(c) for c in rest) + "}"
 
 
 def y_link_config_count(k: int, n: int, mode: Mode) -> int:
@@ -267,13 +197,7 @@ def _y_link_configs(k: int, n: int, mode: Mode, basis: Basis) -> Iterator[
             for x, mult, others in terms.get(c, ()):
                 y_enc, sign = ys[x]
                 if sign:
-                    key = _SEP_BYTE.join(sorted([y_enc, *others]))
-                    try:
-                        entries.append((index[key], mult * sign))
-                    except KeyError:
-                        raise DomainError(
-                            "relation term falls outside the basis; the basis "
-                            "does not match this generator's space") from None
+                    entries.append((_term_column(index, [y_enc, *others]), mult * sign))
             entries.sort()
             yield a, c, rest, tuple(entries), ends.get(c, 0)
 
@@ -312,10 +236,10 @@ def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,
     homotopy mode, and the antisymmetry-zero Ys in concordance mode.
     Empty and duplicate rows are dropped; the rows carry no provenance.
 
-    The graft construction (PreGraftConfig over strut(a, c)) builds a
-    diagram, a spliced tree and a canonical form per term to reach the same
-    rows, so it is kept only in the tests, as the oracle this closed form
-    is checked against.
+    The graft construction (``PreGraftConfig`` over strut(a, c) in
+    ``tests/brute_force.py``) builds a diagram, a spliced tree and a
+    canonical form per term to reach the same rows; it is the oracle this
+    closed form is checked against.
     """
     estimate = y_link_config_count(k, n, mode)
     if estimate > max_configs:
@@ -350,12 +274,11 @@ def count_effective_relations(k: int, n: int,
     that attach nowhere.  With s = C(k, 2) strut types, k - 1 of which
     carry a given color, nonempty = k(k-1) [C(s+n, n+1) - C(s-(k-1)+n, n+1)].
     """
-    s = math.comb(k, 2)
-    raw = k * (k - 1) * math.comb(s + n, n + 1)
+    raw = y_link_config_count(k, n, Mode.HOMOTOPY)
     if raw > max_configs:
         raise CapacityError(f"{raw} configurations exceed the cap {max_configs}")
-    avoiding = math.comb(s - (k - 1) + n, n + 1)
-    return raw, k * (k - 1) * (math.comb(s + n, n + 1) - avoiding)
+    avoiding = math.comb(math.comb(k, 2) - (k - 1) + n, n + 1)
+    return raw, raw - k * (k - 1) * avoiding
 
 
 @lru_cache(maxsize=None)
@@ -376,7 +299,7 @@ def marked_trees(k: int, deg: int, mode: Mode) -> tuple[tuple[TreeComponent, int
 def _term_column(index: dict[bytes, int], components: list[bytes]) -> int:
     """Basis column of the forest with these canonical component encodings."""
     try:
-        return index[_SEP_BYTE.join(sorted(components))]
+        return index[diagram_encoding(components)]
     except KeyError:
         raise DomainError(
             "relation term falls outside the basis; the basis does not "
@@ -405,6 +328,37 @@ def _graft_terms(marked: TreeComponent, marked_leg: int, host: bytes,
     return tuple((enc, sign) for enc, sign in terms.items() if sign)
 
 
+def _link_row(marked: TreeComponent, marked_leg: int, rest: tuple[bytes, ...],
+              index: dict[bytes, int],
+              grafts: dict[bytes, tuple[tuple[bytes, int], ...]],
+              decoded: dict[bytes, TreeComponent], mode: Mode,
+              scale: int = 1) -> tuple[tuple[int, int], ...]:
+    """Sorted entries of the link row that grafts the marked leg above
+    every same-colored leaf of the rest forest, times ``scale``.
+
+    ``rest`` is a tuple of canonical component encodings with equal ones
+    adjacent.  Grafting onto one component leaves the others as they
+    are, so a component repeated m times contributes its graft terms m
+    times.  ``grafts`` memoizes ``_graft_terms`` per host component for
+    this marked tree, and ``decoded`` the decoded hosts.
+    """
+    coeffs: dict[int, int] = {}
+    for pos, host in enumerate(rest):
+        if pos and rest[pos - 1] == host:
+            continue
+        terms = grafts.get(host)
+        if terms is None:
+            terms = grafts[host] = _graft_terms(marked, marked_leg, host, decoded, mode)
+        if not terms:
+            continue
+        mult = rest.count(host) * scale
+        others = list(rest[:pos] + rest[pos + 1:])
+        for enc, sign in terms:
+            col = _term_column(index, others + [enc])
+            coeffs[col] = coeffs.get(col, 0) + mult * sign
+    return tuple(sorted((c, v) for c, v in coeffs.items() if v))
+
+
 def link_relations(k: int, d: int, mode: Mode, basis: Basis,
                    max_configs: int = DEFAULT_MAX_ROWS) -> list[RelationRow]:
     """Link relations over the full degree-d space.
@@ -415,12 +369,10 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
     forest (grafts onto the marked component itself close a loop and
     vanish).
 
-    The forest is a tuple of canonical component encodings.  Grafting
-    onto one component leaves the others as they are, so the canonical
-    grafts onto each distinct component are computed once per marked
-    tree, and a component repeated m times contributes its terms m
-    times.  The exact configuration count is checked against
-    ``max_configs`` before the first row.
+    The forest is a tuple of canonical component encodings, and the
+    canonical grafts onto each distinct component are computed once per
+    marked tree (``_link_row``).  The exact configuration count is
+    checked against ``max_configs`` before the first row.
     """
     total = count_link_configs(k, d, mode)
     if total > max_configs:
@@ -433,22 +385,8 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
         for m_comp, m_leg in marked_trees(k, dm, mode):
             grafts: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
             for rest in rest_forests:
-                coeffs: dict[int, int] = {}
-                for pos, host in enumerate(rest):
-                    if pos and rest[pos - 1] == host:
-                        continue
-                    terms = grafts.get(host)
-                    if terms is None:
-                        terms = grafts[host] = _graft_terms(m_comp, m_leg, host, decoded, mode)
-                    if not terms:
-                        continue
-                    mult = rest.count(host)
-                    others = list(rest[:pos] + rest[pos + 1:])
-                    for enc, sign in terms:
-                        col = _term_column(index, others + [enc])
-                        coeffs[col] = coeffs.get(col, 0) + mult * sign
                 rows.add_entries(
-                    tuple(sorted((c, v) for c, v in coeffs.items() if v)),
+                    _link_row(m_comp, m_leg, rest, index, grafts, decoded, mode),
                     lambda: (f"link marked={render_component(m_comp)}@{m_comp.colors[m_leg]}* "
                              f"rest={{{','.join(render_encoding(e) for e in rest)}}}"))
     return rows.emit()
@@ -523,9 +461,9 @@ def ihx_relations(k: int, d: int, mode: Mode, basis: Basis) -> list[RelationRow]
     triples: dict[bytes, tuple[tuple[tuple[bytes, int], ...], ...]] = {}
     rows = _RowSet()
     for col, element in enumerate(basis.elements):
-        parts = element.encoding.split(_SEP_BYTE)
+        parts = component_encodings(element.encoding)
         for idx, enc in enumerate(parts):
-            if enc.count(_NODE) < 2:
+            if encoding_trivalent_count(enc) < 2:
                 continue
             if enc not in triples:
                 triples[enc] = _ihx_terms(enc, mode)
@@ -545,9 +483,9 @@ def ihx_relations(k: int, d: int, mode: Mode, basis: Basis) -> list[RelationRow]
 def count_ihx_instances(basis: Basis) -> int:
     """Internal edges over all basis diagrams: a component with t >= 1
     trivalent vertices (node bytes) has t - 1 of them."""
-    return sum(max(part.count(_NODE) - 1, 0)
+    return sum(max(encoding_trivalent_count(part) - 1, 0)
                for element in basis.elements
-               for part in element.encoding.split(_SEP_BYTE))
+               for part in component_encodings(element.encoding))
 
 
 def expand_along(d: Diagram, c: int, fixed: int, basis: Basis) -> RelationRow:
@@ -556,28 +494,30 @@ def expand_along(d: Diagram, c: int, fixed: int, basis: Basis) -> RelationRow:
     strut (c, x), then grafts the distinguished end back onto every
     c-colored leg.
 
-    Returns the raw (unnormalized) row; it equals a generated link row up
-    to overall sign.
+    The rest forest is the canonical encodings of the other components
+    plus the residual strut, and the row is scaled by the other
+    components' canonical signs, so it is exact for a diagram that is not
+    its class's +1 representative.  Returns the raw (unnormalized) row;
+    it equals a generated link row up to overall sign.
     """
     if c == fixed:
         raise DomainError("expansion needs two distinct leg colors")
-    cd = canonicalize(d)
-    if cd.encoding not in basis.index:
+    canon = [canonicalize_component(comp, d.mode) for comp in d.components]
+    if any(sign == 0 for _, sign in canon) or \
+            diagram_encoding(enc for enc, _ in canon) not in basis.index:
         raise DomainError("diagram is not an element of the given basis")
-    target_idx = None
-    third = None
     for idx, comp in enumerate(d.components):
         if comp.degree == 2:
             legs = list(comp.leaf_colors())
             if c in legs and fixed in legs:
                 legs.remove(c)
                 legs.remove(fixed)
-                target_idx, third = idx, legs[0]
+                third = legs[0]
                 break
-    if target_idx is None:
+    else:
         raise DomainError(f"no Y-component with legs including {c} and {fixed}")
-    rest = tuple(comp for i, comp in enumerate(d.components) if i != target_idx)
-    rest = rest + (strut(c, third),)
-    config = PreGraftConfig(rest, strut(fixed, c), 1)
-    return config.relation_row(basis, d.mode, d.k,
-                               f"expand along {c} fixing {fixed}")
+    others = canon[:idx] + canon[idx + 1:]
+    rest = tuple(sorted([enc for enc, _ in others] + [strut_encoding(c, third)]))
+    entries = _link_row(strut(fixed, c), 1, rest, basis.index, {}, {}, d.mode,
+                        math.prod(sign for _, sign in others))
+    return RelationRow(entries, f"expand along {c} fixing {fixed}")

@@ -5,11 +5,12 @@ Tree enumeration, the oracle for the rooted-expression generator in
 insertion, colored in all mode-legal ways, canonicalized and
 deduplicated, so completeness rests only on the canonical form.
 
-Full-space relation rows, the oracle for ``link_relations``,
-``ihx_relations`` and ``count_ihx_instances`` in ``strutforge.relations``:
-every link configuration is grafted term by term with
-``PreGraftConfig`` on concrete forests, and every IHX row rewires the
-decoded basis diagrams, each term canonicalized as a whole diagram.
+Relation rows by grafting concrete diagrams: ``graft`` splices a marked
+component onto a host diagram, and ``PreGraftConfig`` sums those grafts
+into one row, each term canonicalized as a whole diagram.  They are the
+oracle for ``y_link_relations``, ``link_relations`` and ``expand_along``
+in ``strutforge.relations``.  The IHX oracle rewires the decoded basis
+diagrams, for ``ihx_relations`` and ``count_ihx_instances``.
 
 Echelon pivot order, the oracle for the heap pivot queue of
 ``strutforge.linalg._echelon_block``: every pivot is the minimum over a
@@ -19,14 +20,17 @@ scan of all live rows.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from strutforge import bases
+from strutforge.bases import Basis
 from strutforge.diagrams import (
     MARKED_COLOR,
     Diagram,
     Mode,
     TreeComponent,
+    _join_components,
     canonicalize,
     canonicalize_component,
     decode_component,
@@ -34,7 +38,6 @@ from strutforge.diagrams import (
 )
 from strutforge.errors import DomainError
 from strutforge.relations import (
-    PreGraftConfig,
     RelationRow,
     ihx_instances,
     marked_trees,
@@ -134,6 +137,109 @@ def forests(k: int, d: int, mode: Mode) -> Iterator[tuple[TreeComponent, ...]]:
                  for deg in sorted(sizes, reverse=True)]
         for choice in itertools.product(*pools):
             yield tuple(itertools.chain.from_iterable(choice))
+
+
+def graft(marked: TreeComponent, marked_leg: int, host: Diagram,
+          host_leg: tuple[int, int], marked_index: Optional[int] = None) -> Diagram:
+    """Attach the marked component's distinguished leg just above a host leg.
+
+    ``host_leg`` is (component index, leaf vertex).  When the marked
+    component is itself part of ``host``, pass its index as
+    ``marked_index``; a graft onto a leg of that same component closes a
+    loop and returns the zero diagram.  Otherwise the marked component is
+    external and the result's degree is degree(host) + degree(marked).
+
+    Raises DomainError when the two leg colors differ.
+    """
+    if host.is_zero:
+        return host
+    ci, v = host_leg
+    if not 0 <= ci < len(host.components):
+        raise DomainError(f"host has no component {ci}")
+    if marked.colors[marked_leg] == 0:
+        raise DomainError("marked leg is not a leaf")
+    if marked_index is not None and host.components[marked_index] != marked:
+        raise DomainError("marked_index does not point at the marked component")
+    if marked_index is not None and ci == marked_index:
+        return Diagram.zero(host.mode, host.k)
+    host_comp = host.components[ci]
+    if host_comp.colors[v] == 0:
+        raise DomainError("host leg is not a leaf")
+    if marked.colors[marked_leg] != host_comp.colors[v]:
+        raise DomainError(
+            f"leg colors differ: marked {marked.colors[marked_leg]}, "
+            f"host {host_comp.colors[v]}")
+    joined = _join_components(marked, marked_leg, host_comp, v)
+    rest = [comp for idx, comp in enumerate(host.components)
+            if idx != ci and idx != marked_index]
+    return Diagram(tuple(rest) + (joined,), host.mode, host.k)
+
+
+@dataclass(frozen=True)
+class PreGraftConfig:
+    """A relation configuration before grafting: a marked component with a
+    distinguished leg, plus the forest it will be attached into."""
+
+    host: tuple[TreeComponent, ...]
+    marked: TreeComponent
+    marked_leg: int
+
+    def __post_init__(self) -> None:
+        if self.marked.colors[self.marked_leg] == 0:
+            raise DomainError("marked leg must be a leaf of the marked component")
+
+    @property
+    def color(self) -> int:
+        return self.marked.colors[self.marked_leg]
+
+    @property
+    def total_degree(self) -> int:
+        return self.marked.degree + sum(c.degree for c in self.host)
+
+    def attachment_targets(self) -> list[tuple[int, int]]:
+        """(component index, leaf vertex) pairs of matching color on the
+        host; legs of the marked component itself are loops and excluded."""
+        return [(ci, v) for ci, comp in enumerate(self.host)
+                for v, color in comp.leaves() if color == self.color]
+
+    def relation_row(self, basis: Basis, mode: Mode, k: int,
+                     provenance: str = "") -> RelationRow:
+        host = Diagram(self.host, mode, k)
+        builder = _RowBuilder(basis)
+        for ci, v in self.attachment_targets():
+            builder.add(graft(self.marked, self.marked_leg, host, (ci, v)))
+        return builder.row(provenance or self.describe())
+
+    def describe(self) -> str:
+        return (f"link marked={render_component(self.marked)}@{self.color}* "
+                f"rest={_rest_desc(self.host)}")
+
+
+class _RowBuilder:
+    """Accumulates canonicalized graft terms into one sparse row."""
+
+    def __init__(self, basis: Basis):
+        self.basis = basis
+        self.coeffs: dict[int, int] = {}
+
+    def add(self, term: Diagram, weight: int = 1) -> None:
+        cd = canonicalize(term)
+        if cd.sign == 0:
+            return
+        col = self.basis.index.get(cd.encoding)
+        if col is None:
+            raise DomainError(
+                "relation term falls outside the basis; the basis does not "
+                "match this generator's space")
+        self.coeffs[col] = self.coeffs.get(col, 0) + weight * cd.sign
+
+    def row(self, provenance: str) -> RelationRow:
+        entries = tuple(sorted((c, v) for c, v in self.coeffs.items() if v != 0))
+        return RelationRow(entries, provenance)
+
+
+def _rest_desc(rest: tuple[TreeComponent, ...]) -> str:
+    return "{" + ",".join(render_component(c) for c in rest) + "}"
 
 
 def dedup_rows(rows) -> list[RelationRow]:

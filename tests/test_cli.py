@@ -88,6 +88,22 @@ class TestDim:
             assert "not a prime" in result.output
         assert list(tmp_path.iterdir()) == []
 
+    def test_repeated_prime_rejected_before_work(self, runner, tmp_path, monkeypatch):
+        def never(*_):
+            raise AssertionError("basis built for a repeated prime")
+
+        monkeypatch.setattr("strutforge.pipeline.build_basis", never)
+        out_file = tmp_path / "sweep.csv"
+        primes = ["--primes", "2147483647,2147483647"]
+        for args in (["dim", "--space", "full", "--k", "6", "--degree", "5"],
+                     ["witness", "--space", "y", "--k", "3", "--n", "0"],
+                     ["sweep", "--space", "y", "--k-range", "3:3",
+                      "--n-range", "0:0", "--out", str(out_file)]):
+            result = runner.invoke(cli, args + primes + ["--cache-dir", str(tmp_path)])
+            assert result.exit_code == 2, args
+            assert "primes must be distinct" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_small_primes_rejected_before_basis(self, runner, tmp_path, monkeypatch):
         def never(*_):
             raise AssertionError("basis built for a prime below the bound")

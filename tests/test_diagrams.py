@@ -14,14 +14,13 @@ from strutforge.diagrams import (
     diagram,
     encoding_leaf_colors,
     encoding_trivalent_count,
-    graft,
     strut,
     strut_count,
     y_tree,
 )
 from strutforge.errors import DomainError, StructuralError
 
-from brute_force import tree_shapes
+from brute_force import graft, tree_shapes
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE

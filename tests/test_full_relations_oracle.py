@@ -5,7 +5,9 @@ The oracle in ``brute_force`` builds every row the long way: one
 concrete components, and every IHX row rewired on the decoded basis
 diagrams, each term canonicalized as a whole diagram.  The functions in
 ``strutforge.relations`` must return the same rows, with the same
-entries and provenance, in the same order.
+entries and provenance, in the same order.  ``expand_along`` must give
+the row ``PreGraftConfig`` grafts for the same concrete diagram, whatever
+its vertex orientations and component order.
 """
 
 import functools
@@ -13,12 +15,13 @@ import functools
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from strutforge.bases import enumerate_basis
+from strutforge.bases import enumerate_basis, enumerate_y_basis
 from strutforge.cli import cli
-from strutforge.diagrams import Mode
+from strutforge.diagrams import Diagram, Mode, strut
 from strutforge.relations import (
     count_ihx_instances,
     count_link_configs,
+    expand_along,
     ihx_relations,
     link_relations,
     marked_trees,
@@ -84,3 +87,77 @@ class TestRowsOnEncodings:
             cli, ["relations", "--space", "full", "--k", "4", "--degree", "3"])
         assert result.exit_code == 0, result.output
         assert result.output.splitlines() == expected
+
+
+def expand_along_by_graft(d, c, fixed, basis):
+    """``expand_along`` on concrete components: the first Y with legs c
+    and fixed is cut off, the strut (c, x) joins the other components, and
+    ``PreGraftConfig`` grafts the special strut (fixed, c*) onto them."""
+    idx = next(i for i, comp in enumerate(d.components)
+               if comp.degree == 2 and {c, fixed} <= set(comp.colors))
+    legs = list(d.components[idx].leaf_colors())
+    legs.remove(c)
+    legs.remove(fixed)
+    rest = d.components[:idx] + d.components[idx + 1:] + (strut(c, legs[0]),)
+    return brute_force.PreGraftConfig(rest, strut(fixed, c), 1).relation_row(
+        basis, d.mode, d.k, f"expand along {c} fixing {fixed}")
+
+
+@functools.lru_cache(maxsize=None)
+def expansion_cell(space, k, param, mode):
+    """The basis, its columns whose diagram has a Y-component, and those
+    of them with a second component that has a trivalent vertex, whose
+    orientation signs scale the expansion row."""
+    build = enumerate_y_basis if space == "y" else enumerate_basis
+    basis = build(k, param, mode)
+    cols, scaled = [], []
+    for col in range(len(basis)):
+        comps = basis.diagram(col).components
+        if any(comp.degree == 2 for comp in comps):
+            cols.append(col)
+            if sum(comp.degree >= 2 for comp in comps) > 1:
+                scaled.append(col)
+    return basis, cols, scaled
+
+
+def assert_expansion_matches_oracle(data, basis, cols):
+    """Draw a column, a Y of it and two of its legs, flip random
+    trivalent vertices, shuffle the components, and compare the
+    expansion row with the graft oracle's."""
+    mode, k = basis.spec.mode, basis.spec.k
+    d = basis.diagram(data.draw(st.sampled_from(cols)))
+    y_comp = data.draw(st.sampled_from(
+        [comp for comp in d.components if comp.degree == 2]))
+    c, fixed = data.draw(st.permutations(y_comp.leaf_colors()))[:2]
+    comps = []
+    for comp in d.components:
+        for v, nbrs in enumerate(comp.adj):
+            if len(nbrs) == 3 and data.draw(st.booleans()):
+                comp = comp.with_flip(v)
+        comps.append(comp)
+    shuffled = Diagram(tuple(data.draw(st.permutations(comps))), mode, k)
+    row = expand_along(shuffled, c, fixed, basis)
+    expected = expand_along_by_graft(shuffled, c, fixed, basis)
+    assert (row.entries, row.provenance) == (expected.entries, expected.provenance)
+
+
+class TestExpandAlongOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_graft_oracle(self, data):
+        mode = data.draw(st.sampled_from([H, C]))
+        space = data.draw(st.sampled_from(["y", "full"]))
+        k = data.draw(st.integers(3, 5))
+        param = data.draw(st.integers(0, 2) if space == "y" else st.integers(2, 4))
+        basis, cols, _ = expansion_cell(space, k, param, mode)
+        assert_expansion_matches_oracle(data, basis, cols)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_other_components_signs_scale_the_row(self, data):
+        # Degree 4 is the least full degree with a second trivalent
+        # component next to the Y.
+        mode = data.draw(st.sampled_from([H, C]))
+        k = data.draw(st.integers(3, 5))
+        basis, _, scaled = expansion_cell("full", k, 4, mode)
+        assert_expansion_matches_oracle(data, basis, scaled)

@@ -6,7 +6,7 @@ import pytest
 from strutforge import __version__
 from strutforge.bases import enumerate_basis, enumerate_y_basis
 from strutforge.diagrams import Mode, encoding_trivalent_count
-from strutforge.errors import CacheError
+from strutforge.errors import CacheError, DomainError
 import strutforge.linalg as linalg
 from strutforge.linalg import DEFAULT_PRIMES, SparseMatrix, rank_multiprime
 from strutforge.pipeline import (
@@ -54,6 +54,16 @@ class TestComputeDimension:
         assert rec.primes == (DEFAULT_PRIMES[0],)
         data = json.loads(rec.to_json())
         assert (data["certified"], data["primes"]) == (True, [DEFAULT_PRIMES[0]])
+
+    def test_repeated_prime_rejected_before_basis(self, monkeypatch):
+        def never(*_):
+            raise AssertionError("basis built for a repeated prime")
+
+        monkeypatch.setattr("strutforge.pipeline.build_basis", never)
+        p = DEFAULT_PRIMES[0]
+        for primes in ((p, p), (p,)):
+            with pytest.raises(DomainError, match="two distinct primes"):
+                compute_dimension(H, "full", 6, 5, primes)
 
     def test_uncertified_cell_ranks_one_more_prime(self, monkeypatch):
         real = linalg.rank_mod_p

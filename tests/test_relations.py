@@ -13,7 +13,6 @@ from strutforge.diagrams import (
 )
 from strutforge.errors import CapacityError, DomainError
 from strutforge.relations import (
-    PreGraftConfig,
     RelationRow,
     count_effective_relations,
     count_ihx_instances,
@@ -25,6 +24,8 @@ from strutforge.relations import (
     y_link_config_count,
     y_link_relations,
 )
+
+from brute_force import PreGraftConfig
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE

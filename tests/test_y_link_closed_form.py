@@ -25,12 +25,13 @@ from strutforge.diagrams import (
     y_tree,
 )
 from strutforge.relations import (
-    PreGraftConfig,
     _y_link_configs,
     count_effective_relations,
     y_link_config_count,
     y_link_relations,
 )
+
+from brute_force import PreGraftConfig
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE

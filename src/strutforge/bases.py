@@ -8,6 +8,13 @@ strictly ordered sibling pairs, so marked trees need no dedup, and the
 unmarked trees are the canonical forms of the marked ones.  Forests are
 multisets of nonzero trees split by degree partition, listed as tuples of
 component encodings; a full-space basis element joins them sorted.
+
+The single-Y space also splits into blocks, one per leaf-colour multiset
+M (the number of leaves of each colour, Y and struts together): a block
+is a Y on three distinct colours of M next to the struts whose end
+colours make up the rest of M.  A permutation of the colours carries
+each block onto another, so ``y_leaf_orbits`` lists one representative
+block per orbit with the orbit's size.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .diagrams import (
     CanonicalDiagram,
@@ -41,12 +48,15 @@ DEFAULT_MAX_ELEMENTS = 5_000_000
 @dataclass(frozen=True)
 class BasisSpec:
     """Which space a basis spans: the single-Y subspace with ``param``
-    struts, or the full space of forests of degree ``param``."""
+    struts, or the full space of forests of degree ``param``.  A Y basis
+    with ``leaves`` spans only the block of diagrams with that leaf-colour
+    multiset: ``leaves[i - 1]`` leaves of colour i."""
 
     mode: Mode
     k: int
     space: str  # "y" or "full"
     param: int
+    leaves: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         check_num_colors(self.k)
@@ -56,6 +66,11 @@ class BasisSpec:
             raise DomainError("strut count must be >= 0")
         if self.space == "full" and self.param < 1:
             raise DomainError("degree must be >= 1")
+        if self.leaves is not None and (
+                self.space != "y" or len(self.leaves) != self.k
+                or min(self.leaves) < 0 or sum(self.leaves) != 2 * self.param + 3):
+            raise DomainError(
+                f"leaves {self.leaves} is not a leaf multiset of this Y space")
 
 
 @dataclass(frozen=True)
@@ -251,25 +266,108 @@ def enumerate_basis(k: int, d: int, mode: Mode,
                                for forest in forest_encodings(k, d, mode)])
 
 
+def y_basis_size(k: int, n: int, mode: Mode) -> int:
+    """Exact size of ``enumerate_y_basis(k, n, mode)``, C(k, 3) Y colour
+    triples times the strut multisets, after its domain checks."""
+    BasisSpec(mode, k, "y", n)
+    if mode is Mode.HOMOTOPY and k < 3:
+        raise DomainError("the homotopy Y-subspace needs k >= 3")
+    return math.comb(k, 3) * strut_union_count(k, n, mode)
+
+
 def enumerate_y_basis(k: int, n: int, mode: Mode,
-                      max_elements: int = DEFAULT_MAX_ELEMENTS) -> Basis:
-    """Ordered basis of diagrams with one Y-component and ``n`` struts.
+                      max_elements: int = DEFAULT_MAX_ELEMENTS,
+                      leaves: Optional[Sequence[int]] = None) -> Basis:
+    """Ordered basis of diagrams with one Y-component and ``n`` struts,
+    or, given ``leaves``, of its block with that leaf-colour multiset.
 
     A nonzero Y has three distinct colors, so the basis is every color
     triple's Y next to every multiset of ``n`` strut types, built from the
-    closed-form encodings; the capacity guard is the exact count.
+    closed-form encodings.  A block's Y takes three distinct colours of
+    ``leaves`` and its struts the remaining ends (``_strut_multisets``).
+    The capacity guard is the exact count of the whole cell, also for a
+    block.
     """
-    spec = BasisSpec(mode, k, "y", n)
-    if mode is Mode.HOMOTOPY and k < 3:
-        raise DomainError("the homotopy Y-subspace needs k >= 3")
-    size = math.comb(k, 3) * strut_union_count(k, n, mode)
+    spec = BasisSpec(mode, k, "y", n, None if leaves is None else tuple(leaves))
+    size = y_basis_size(k, n, mode)
     if size > max_elements:
         raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
+    if spec.leaves is not None:
+        return _build_basis(spec, _y_block_encodings(spec.leaves, mode))
     ys = [y_encoding(*colors)[0] for colors in itertools.combinations(range(1, k + 1), 3)]
     struts = [strut_encoding(i, j) for i, j in _strut_pairs(k, mode)]
     return _build_basis(spec, [
         diagram_encoding([y, *rest])
         for y in ys for rest in itertools.combinations_with_replacement(struts, n)])
+
+
+def _y_block_encodings(leaves: tuple[int, ...], mode: Mode) -> Iterator[bytes]:
+    """Encodings of the Y-plus-struts diagrams with leaf-colour multiset
+    ``leaves``, unordered."""
+    support = [c for c, m in enumerate(leaves, 1) if m]
+    for triple in itertools.combinations(support, 3):
+        y = y_encoding(*triple)[0]
+        ends = tuple(m - (c in triple) for c, m in enumerate(leaves, 1))
+        for rest in _strut_multisets(ends, mode):
+            yield diagram_encoding([y, *(strut_encoding(i, j) for i, j in rest)])
+
+
+def _strut_multisets(ends: Sequence[int], mode: Mode) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every multiset of nonzero struts with ``ends[i - 1]`` ends of
+    colour i, as sorted end-colour pairs (i, j), i <= j.
+
+    The smallest colour i with ends left is paired off first: all its
+    struts are (i, j) with j >= i, so each choice of partners (two ends
+    per (i, i) strut, allowed in concordance mode only) is followed by
+    the multisets of the larger colours, and the pairs come out sorted.
+    """
+    left = list(ends)
+    k = len(left)
+    loops = mode is Mode.CONCORDANCE
+
+    def colour(i: int, prefix: tuple) -> Iterator[tuple[tuple[int, int], ...]]:
+        while i < k and not left[i]:
+            i += 1
+        if i == k:
+            yield prefix
+            return
+        need, left[i] = left[i], 0
+        for m in range(need // 2 + 1 if loops else 1):
+            yield from partners(i, i + 1, need - 2 * m, prefix + ((i + 1, i + 1),) * m)
+        left[i] = need
+
+    def partners(i: int, j: int, need: int, prefix: tuple) -> Iterator[tuple[tuple[int, int], ...]]:
+        if not need:
+            yield from colour(i + 1, prefix)
+            return
+        if need > sum(left[j:]):
+            return
+        for t in range(min(need, left[j]), -1, -1):
+            left[j] -= t
+            yield from partners(i, j + 1, need - t, prefix + ((i + 1, j + 1),) * t)
+            left[j] += t
+
+    return colour(0, ())
+
+
+def y_leaf_orbits(k: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(representative leaf multiset, orbit size), one per orbit of the
+    colour permutations on the leaf-colour multisets of the Y space with
+    ``n`` struts.
+
+    A representative gives colour i the multiplicity lambda_i of a
+    partition lambda of 3 + 2n into at most k parts.  Its orbit holds
+    k! / prod_j (number of colours of multiplicity j)! multisets, counting
+    multiplicity 0.
+    """
+    for part in _partitions(2 * n + 3):
+        if len(part) > k:
+            continue
+        leaves = part + (0,) * (k - len(part))
+        orbit = math.factorial(k)
+        for repeats in Counter(leaves).values():
+            orbit //= math.factorial(repeats)
+        yield leaves, orbit
 
 
 def strut_type_count(k: int, mode: Mode) -> int:

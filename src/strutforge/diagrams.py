@@ -295,6 +295,7 @@ def strut_encoding(i: int, j: int) -> bytes:
     return bytes((i, j)) if i <= j else bytes((j, i))
 
 
+@lru_cache(maxsize=None)
 def y_encoding(a: int, c: int, x: int) -> tuple[bytes, int]:
     """Canonical (encoding, sign) of ``y_tree(a, c, x)`` in either mode.
 

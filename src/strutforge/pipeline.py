@@ -5,6 +5,23 @@ A dimension run builds the basis, generates relations, ranks the matrix
 an immutable ResultRecord.  Records are cached append-only in a
 JSON-lines file keyed by (mode, space, k, param, tool_version) so sweeps
 resume for free.
+
+A ``y`` cell is ranked by blocks and never built whole.  Its diagrams
+split by leaf-colour multiset M, and every relation row is homogeneous
+in M (see ``relations``), so the relation matrix is block diagonal and
+its rank is the sum of the block ranks.  A colour permutation s maps
+block M onto block sM: a diagram goes to the diagram with permuted
+colours, up to the sign of its Y, which flips when s takes the Y's
+colours out of cyclic order; and the configuration (a, c*, R) of M goes
+to (sa, sc*, sR) of sM, whose row is the image of the first under that
+signed column bijection.  Rank ignores a signed permutation of the
+columns, and distinct rows stay distinct, so every block of an orbit has
+the same columns, distinct nonzero rows and rank, and
+quotient = sum over orbits of |orbit| * (columns - rank) of one
+representative block (``bases.y_leaf_orbits``).  A block-diagonal rank
+is exact when every block's rank meets its own bound, so the cell is
+certified when every block is.  ``witness`` and the ``relations`` dump
+still build the whole cell.
 """
 
 from __future__ import annotations
@@ -24,11 +41,14 @@ from .bases import (
     DEFAULT_MAX_ELEMENTS,
     enumerate_basis,
     enumerate_y_basis,
+    y_basis_size,
+    y_leaf_orbits,
 )
 from .diagrams import Mode
-from .errors import CacheError, DomainError
+from .errors import CacheError, CapacityError, DomainError
 from .linalg import (
     DEFAULT_PRIMES,
+    RankResult,
     SparseMatrix,
     cokernel_functionals,
     rank_multiprime,
@@ -116,8 +136,8 @@ def build_relations(mode: Mode, space: str, k: int, param: int, basis: Basis,
         rows = y_link_relations(k, param, mode, basis, max_rows)
         return rows, raw
     raw = count_link_configs(k, param, mode) + count_ihx_instances(basis)
-    link = link_relations(k, param, mode, basis, max_rows)
-    ihx = ihx_relations(k, param, mode, basis)
+    link = link_relations(k, param, mode, basis, max_rows, provenance=False)
+    ihx = ihx_relations(k, param, mode, basis, provenance=False)
     seen = {row.entries: row for row in link}
     for row in ihx:
         seen.setdefault(row.entries, row)
@@ -135,24 +155,65 @@ def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
                 f"prime {p} does not exceed the coefficient bound {bound} of this space")
 
 
+def _graded_y(mode: Mode, k: int, n: int, primes: Sequence[int],
+              max_elements: int, max_rows: int) -> tuple[int, int, int, RankResult]:
+    """(columns, raw configurations, distinct nonzero rows, rank) of a y
+    cell, each block count weighted by its orbit size.
+
+    The domain checks and both capacity guards, on the whole cell's exact
+    counts, come before the first block.  Each representative block is
+    ranked on its own; ``primes`` is ``primes[:1]`` when every block is
+    certified, else every prime used, in first-use order.
+    """
+    size = y_basis_size(k, n, mode)
+    if size > max_elements:
+        raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
+    raw = y_link_config_count(k, n, mode)
+    if raw > max_rows:
+        raise CapacityError(f"{raw} configurations exceed the cap {max_rows}")
+    cols = num_rows = rank = 0
+    used: list[int] = []
+    certified = True
+    for leaves, orbit in y_leaf_orbits(k, n):
+        block = enumerate_y_basis(k, n, mode, max_elements, leaves)
+        if not block.elements:
+            continue
+        rows = y_link_relations(k, n, mode, block, max_rows)
+        result = rank_multiprime(SparseMatrix.from_rows(rows, len(block)), primes)
+        cols += orbit * len(block)
+        num_rows += orbit * len(rows)
+        rank += orbit * result.rank
+        certified = certified and result.certified
+        used += [p for p in result.primes if p not in used]
+    return cols, raw, num_rows, RankResult(
+        rank=rank, primes=tuple(primes)[:1] if certified else tuple(used),
+        agreement=True, quotient_dim=cols - rank, certified=certified)
+
+
 def compute_dimension(mode: Mode, space: str, k: int, param: int,
                       primes: Sequence[int] = DEFAULT_PRIMES,
                       max_elements: int = DEFAULT_MAX_ELEMENTS,
                       max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
     """Full pipeline for one cell: basis, relations, certified or
-    multi-prime rank."""
+    multi-prime rank; a ``y`` cell one representative block per orbit
+    of the colour permutations."""
     if len(set(primes)) < 2:
         raise DomainError("need at least two distinct primes")
     _check_prime_bound(space, param, primes)
     start = time.monotonic()
-    basis = build_basis(mode, space, k, param, max_elements)
-    rows, raw = build_relations(mode, space, k, param, basis, max_rows)
-    result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
+    if space == "y":
+        num_cols, raw, num_rows, result = _graded_y(
+            mode, k, param, primes, max_elements, max_rows)
+    else:
+        basis = build_basis(mode, space, k, param, max_elements)
+        rows, raw = build_relations(mode, space, k, param, basis, max_rows)
+        num_cols, num_rows = len(basis), len(rows)
+        result = rank_multiprime(SparseMatrix.from_rows(rows, num_cols), primes)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ResultRecord(
         mode=mode.value, space=space, k=k, param=param,
-        num_diagrams=len(basis), num_relations_raw=raw,
-        num_relations_effective=len(rows), rank=result.rank,
+        num_diagrams=num_cols, num_relations_raw=raw,
+        num_relations_effective=num_rows, rank=result.rank,
         quotient_dim=result.quotient_dim, primes=result.primes,
         elapsed_ms=elapsed_ms, tool_version=TOOL_VERSION,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),

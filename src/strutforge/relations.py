@@ -12,7 +12,11 @@ the sum over strut types {c, x} in R of
 mult({c, x}) * sign(a, c, x) * [Y{a, c, x} + (R - {c, x})], where
 sign(a, c, x) is the parity of the cyclic order (a, c, x) against sorted
 order and is 0 when two of a, c, x are equal.  No diagram is built or
-canonicalized.
+canonicalized.  Every term has the leaves a + R, whatever c and x are,
+so each row is homogeneous in its leaf-colour multiset M = a + R, and
+the rows of one block M come from its own configurations alone: the a
+in M and the R with leaves M - a (``y_link_relations`` on a block
+basis).
 
 The full-space rows are assembled on canonical encodings too.  A link
 configuration is a marked tree (a leg color plus a rooted expression
@@ -26,7 +30,8 @@ looked up in one place.  Coefficients are attachment multiplicities
 times the canonical antisymmetry signs, so one fixed grafting convention
 reproduces the relations exactly.  ``expand_along`` builds its row with
 the same link-row assembly as ``link_relations``.  Provenance text is
-built only for rows kept after dedup.
+built only for rows kept after dedup, and only when asked for: the
+dumps ask, ``pipeline.build_relations`` does not.
 
 The graft-then-canonicalize constructions of all these rows, with a
 concrete diagram per term, live in ``tests/brute_force.py``
@@ -45,6 +50,7 @@ from typing import Callable, Iterator, Optional
 from .bases import (
     Basis,
     BasisSpec,
+    _strut_multisets,
     _strut_pairs,
     forest_counts,
     forest_encodings,
@@ -158,48 +164,80 @@ def y_link_config_count(k: int, n: int, mode: Mode) -> int:
     return num_specials * math.comb(strut_type_count(k, mode) + n, n + 1)
 
 
+def _y_rest_terms(rest: tuple[tuple[int, int], ...]) -> tuple[
+        dict[int, int], dict[int, list[tuple[int, int, list[bytes]]]]]:
+    """(ends, terms) of a rest multiset R of struts, given as sorted end
+    color pairs: the number of ends of each color, and per color c one
+    (x, mult({c, x}), encodings of R minus one {c, x}) per strut type
+    {c, x} in R with x != c.  A {c, c} strut only adds ends: its Y is
+    zero."""
+    encs = [strut_encoding(i, j) for i, j in rest]
+    ends: dict[int, int] = {}
+    terms: dict[int, list] = {}
+    for pos, (i, j) in enumerate(rest):
+        ends[i] = ends.get(i, 0) + 1
+        ends[j] = ends.get(j, 0) + 1
+        if i == j or (pos and rest[pos - 1] == (i, j)):
+            continue
+        mult = rest.count((i, j))
+        others = encs[:pos] + encs[pos + 1:]
+        terms.setdefault(i, []).append((j, mult, others))
+        terms.setdefault(j, []).append((i, mult, others))
+    return ends, terms
+
+
+def _y_row(a: int, c: int, terms: dict[int, list[tuple[int, int, list[bytes]]]],
+           index: dict[bytes, int]) -> tuple[tuple[int, int], ...]:
+    """Sorted entries of the single-Y link row of the special strut
+    (a, c*) and a rest R with these ``_y_rest_terms``:
+    mult({c, x}) * sign(a, c, x) on the column of Y{a, c, x} + (R - {c, x})
+    per strut type {c, x} in R.  Distinct x give distinct Y components,
+    so terms never share a column and no coefficient cancels."""
+    entries = []
+    for x, mult, others in terms.get(c, ()):
+        y_enc, sign = y_encoding(a, c, x)
+        if sign:
+            entries.append((_term_column(index, [y_enc, *others]), mult * sign))
+    entries.sort()
+    return tuple(entries)
+
+
 def _y_link_configs(k: int, n: int, mode: Mode, basis: Basis) -> Iterator[
         tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int]]:
     """(a, c, rest, entries, targets) per configuration, pre-dedup.
 
     ``(a, c)`` is the special strut with distinguished color c, ``rest``
     the n+1 rest struts as sorted end-color pairs, ``entries`` the sorted
-    row and ``targets`` the number of c-colored ends in ``rest``.  Each
-    term is one Y plus struts, so its column is looked up on the sorted
-    component encodings directly.  Distinct x give distinct Y components,
-    so terms never share a column and no coefficient cancels.
+    row (``_y_row``) and ``targets`` the number of c-colored ends in
+    ``rest``.  Each term is one Y plus struts, so its column is looked up
+    on the sorted component encodings directly.
+
+    The whole cell runs over (a, c) and then every multiset R, the order
+    of the dumps.  A block with leaf multiset M runs over the a in M and
+    the R whose ends make up M - a: the configurations whose rows can
+    touch the block, since a row's terms all have the leaves a + R.
     """
-    if basis.spec != BasisSpec(mode, k, "y", n):
+    spec = basis.spec
+    if spec != BasisSpec(mode, k, "y", n, spec.leaves):
         raise DomainError("basis does not match enumerate_y_basis(k, n, mode)")
     index = basis.index
-    # Per rest multiset R and color c: the number of c-colored ends, and
-    # one (x, mult, encodings of R minus one {c, x}) per strut type {c, x}
-    # in R with x != c.  A {c, c} strut only adds ends: its Y is zero.
-    plans = []
-    for rest in itertools.combinations_with_replacement(_strut_pairs(k, mode), n + 1):
-        encs = [strut_encoding(i, j) for i, j in rest]
-        ends: dict[int, int] = {}
-        terms: dict[int, list] = {}
-        for pos, (i, j) in enumerate(rest):
-            ends[i] = ends.get(i, 0) + 1
-            ends[j] = ends.get(j, 0) + 1
-            if i == j or (pos and rest[pos - 1] == (i, j)):
+    if spec.leaves is None:
+        plans = [(rest, *_y_rest_terms(rest)) for rest in
+                 itertools.combinations_with_replacement(_strut_pairs(k, mode), n + 1)]
+        for a, c in _special_struts(k, mode):
+            for rest, ends, terms in plans:
+                yield a, c, rest, _y_row(a, c, terms, index), ends.get(c, 0)
+        return
+    for a, m in enumerate(spec.leaves, 1):
+        if not m:
+            continue
+        ends_left = tuple(e - (c == a) for c, e in enumerate(spec.leaves, 1))
+        plans = [(rest, *_y_rest_terms(rest)) for rest in _strut_multisets(ends_left, mode)]
+        for c in range(1, k + 1):
+            if a == c and mode is Mode.HOMOTOPY:
                 continue
-            mult = rest.count((i, j))
-            others = encs[:pos] + encs[pos + 1:]
-            terms.setdefault(i, []).append((j, mult, others))
-            terms.setdefault(j, []).append((i, mult, others))
-        plans.append((rest, ends, terms))
-    for a, c in _special_struts(k, mode):
-        ys = [y_encoding(a, c, x) for x in range(k + 1)]
-        for rest, ends, terms in plans:
-            entries = []
-            for x, mult, others in terms.get(c, ()):
-                y_enc, sign = ys[x]
-                if sign:
-                    entries.append((_term_column(index, [y_enc, *others]), mult * sign))
-            entries.sort()
-            yield a, c, rest, tuple(entries), ends.get(c, 0)
+            for rest, ends, terms in plans:
+                yield a, c, rest, _y_row(a, c, terms, index), ends.get(c, 0)
 
 
 def iter_y_link_rows(k: int, n: int, mode: Mode, basis: Basis
@@ -235,6 +273,11 @@ def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,
     (a, c, x)).  A term is zero when two of a, c, x are equal: a = x in
     homotopy mode, and the antisymmetry-zero Ys in concordance mode.
     Empty and duplicate rows are dropped; the rows carry no provenance.
+
+    Given a block basis (``enumerate_y_basis`` with ``leaves``), only the
+    configurations of that block are run, and the rows are the block's
+    rows over its own columns.  The configuration cap is checked against
+    the whole cell's count in both cases.
 
     The graft construction (``PreGraftConfig`` over strut(a, c) in
     ``tests/brute_force.py``) builds a diagram, a spliced tree and a
@@ -360,7 +403,8 @@ def _link_row(marked: TreeComponent, marked_leg: int, rest: tuple[bytes, ...],
 
 
 def link_relations(k: int, d: int, mode: Mode, basis: Basis,
-                   max_configs: int = DEFAULT_MAX_ROWS) -> list[RelationRow]:
+                   max_configs: int = DEFAULT_MAX_ROWS,
+                   provenance: bool = True) -> list[RelationRow]:
     """Link relations over the full degree-d space.
 
     Configurations pair a marked component of each degree up to d with a
@@ -372,7 +416,8 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
     The forest is a tuple of canonical component encodings, and the
     canonical grafts onto each distinct component are computed once per
     marked tree (``_link_row``).  The exact configuration count is
-    checked against ``max_configs`` before the first row.
+    checked against ``max_configs`` before the first row.  With
+    ``provenance`` false the rows carry no description.
     """
     total = count_link_configs(k, d, mode)
     if total > max_configs:
@@ -387,8 +432,9 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
             for rest in rest_forests:
                 rows.add_entries(
                     _link_row(m_comp, m_leg, rest, index, grafts, decoded, mode),
-                    lambda: (f"link marked={render_component(m_comp)}@{m_comp.colors[m_leg]}* "
-                             f"rest={{{','.join(render_encoding(e) for e in rest)}}}"))
+                    (lambda: f"link marked={render_component(m_comp)}@{m_comp.colors[m_leg]}* "
+                             f"rest={{{','.join(render_encoding(e) for e in rest)}}}")
+                    if provenance else None)
     return rows.emit()
 
 
@@ -448,7 +494,8 @@ def _ihx_terms(enc: bytes, mode: Mode) -> tuple[tuple[tuple[bytes, int], ...], .
                  for triple in ihx_instances(decode_component(enc)))
 
 
-def ihx_relations(k: int, d: int, mode: Mode, basis: Basis) -> list[RelationRow]:
+def ihx_relations(k: int, d: int, mode: Mode, basis: Basis,
+                  provenance: bool = True) -> list[RelationRow]:
     """Three-term IHX rows, one per (basis diagram, component, internal
     edge); struts and Y-components have no internal edge and contribute
     nothing.
@@ -456,6 +503,7 @@ def ihx_relations(k: int, d: int, mode: Mode, basis: Basis) -> list[RelationRow]
     The rewiring happens inside one component, so the canonical I, H and
     X terms are computed once per distinct component encoding and each
     term's column is looked up with the diagram's other components.
+    With ``provenance`` false the rows carry no description.
     """
     index = basis.index
     triples: dict[bytes, tuple[tuple[tuple[bytes, int], ...], ...]] = {}
@@ -476,7 +524,8 @@ def ihx_relations(k: int, d: int, mode: Mode, basis: Basis) -> list[RelationRow]
                         coeffs[c] = coeffs.get(c, 0) + weight * sign
                 rows.add_entries(
                     tuple(sorted((c, v) for c, v in coeffs.items() if v)),
-                    lambda: f"ihx diagram#{col} component#{idx} edge {render_encoding(enc)}")
+                    (lambda: f"ihx diagram#{col} component#{idx} edge {render_encoding(enc)}")
+                    if provenance else None)
     return rows.emit()
 
 

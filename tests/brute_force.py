@@ -12,6 +12,10 @@ oracle for ``y_link_relations``, ``link_relations`` and ``expand_along``
 in ``strutforge.relations``.  The IHX oracle rewires the decoded basis
 diagrams, for ``ihx_relations`` and ``count_ihx_instances``.
 
+The ungraded single-Y dimension, the oracle for the orbit-graded ``y``
+path of ``strutforge.pipeline.compute_dimension``: the whole basis, the
+whole row set and one rank of the whole matrix.
+
 Echelon pivot order, the oracle for the heap pivot queue of
 ``strutforge.linalg._echelon_block``: every pivot is the minimum over a
 scan of all live rows.
@@ -23,8 +27,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from strutforge import bases
-from strutforge.bases import Basis
+from strutforge import __version__, bases
+from strutforge.bases import DEFAULT_MAX_ELEMENTS, Basis, enumerate_y_basis
 from strutforge.diagrams import (
     MARKED_COLOR,
     Diagram,
@@ -37,10 +41,15 @@ from strutforge.diagrams import (
     render_component,
 )
 from strutforge.errors import DomainError
+from strutforge.linalg import DEFAULT_PRIMES, SparseMatrix, rank_multiprime
+from strutforge.pipeline import ResultRecord
 from strutforge.relations import (
+    DEFAULT_MAX_ROWS,
     RelationRow,
     ihx_instances,
     marked_trees,
+    y_link_config_count,
+    y_link_relations,
 )
 
 
@@ -334,3 +343,19 @@ def echelon_block_min_scan(rows: list[dict[int, int]], p: int) -> list[tuple[int
             if not target:
                 alive.discard(sid)
     return pivots
+
+
+def y_dimension_ungraded(mode: Mode, k: int, n: int, primes=DEFAULT_PRIMES,
+                         max_elements: int = DEFAULT_MAX_ELEMENTS,
+                         max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
+    """The ``dim`` record of a y cell from the whole basis and row set,
+    with ``elapsed_ms`` 0 and an empty timestamp."""
+    basis = enumerate_y_basis(k, n, mode, max_elements)
+    rows = y_link_relations(k, n, mode, basis, max_rows)
+    result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
+    return ResultRecord(
+        mode=mode.value, space="y", k=k, param=n, num_diagrams=len(basis),
+        num_relations_raw=y_link_config_count(k, n, mode),
+        num_relations_effective=len(rows), rank=result.rank,
+        quotient_dim=result.quotient_dim, primes=result.primes, elapsed_ms=0,
+        tool_version=__version__, timestamp="", certified=result.certified)

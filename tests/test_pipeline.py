@@ -4,7 +4,7 @@ import json
 import pytest
 
 from strutforge import __version__
-from strutforge.bases import enumerate_basis, enumerate_y_basis
+from strutforge.bases import enumerate_basis, enumerate_y_basis, y_leaf_orbits
 from strutforge.diagrams import Mode, encoding_trivalent_count
 from strutforge.errors import CacheError, DomainError
 import strutforge.linalg as linalg
@@ -74,15 +74,38 @@ class TestComputeDimension:
             return real(m, p)
 
         monkeypatch.setattr(linalg, "rank_mod_p", counted)
-        certified = compute_dimension(H, "y", 4, 1)
+        # y (3, 0) is one block, Y(1,2,3) alone, in an orbit of size 1.
+        certified = compute_dimension(H, "y", 3, 0)
         assert len(calls) == 1
         calls.clear()
         monkeypatch.setattr(linalg, "rank_mod_p", lambda m, p: counted(m, p) - 1)
-        forced = compute_dimension(H, "y", 4, 1)
+        forced = compute_dimension(H, "y", 3, 0)
         assert len(calls) == 2
         assert not forced.certified
         assert forced.primes == DEFAULT_PRIMES
         assert forced.rank == certified.rank - 1
+
+    def test_each_uncertified_block_ranks_one_more_prime(self, monkeypatch):
+        real = linalg.rank_mod_p
+        calls = []
+
+        def counted(m, p):
+            calls.append(p)
+            return real(m, p)
+
+        ranked = [orbit for leaves, orbit in y_leaf_orbits(4, 1)
+                  if len(enumerate_y_basis(4, 1, H, leaves=leaves))]
+        assert ranked == [12, 4]
+        monkeypatch.setattr(linalg, "rank_mod_p", counted)
+        certified = compute_dimension(H, "y", 4, 1)
+        assert len(calls) == len(ranked)
+        calls.clear()
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda m, p: counted(m, p) - 1)
+        forced = compute_dimension(H, "y", 4, 1)
+        assert len(calls) == 2 * len(ranked)
+        assert not forced.certified
+        assert forced.primes == DEFAULT_PRIMES
+        assert forced.rank == certified.rank - sum(ranked)
 
     def test_deterministic_modulo_timing(self):
         a = compute_dimension(H, "y", 4, 1)

@@ -164,14 +164,21 @@ def enumerate_trees(k: int, deg: int, mode: Mode,
     return [CanonicalDiagram(enc, 1) for enc in encodings]
 
 
-def _partitions(d: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Non-increasing partitions of d."""
+def _partitions(d: int, largest: int | None = None,
+                max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Non-increasing partitions of d, into at most ``max_parts`` parts
+    when given.  Parts are tried largest first, so once ``max_parts``
+    copies of a part fall short of d no smaller part can do, and the
+    recursion is never deeper than ``max_parts``."""
     if d == 0:
         yield ()
         return
     first = d if largest is None else min(d, largest)
     for part in range(first, 0, -1):
-        for rest in _partitions(d - part, part):
+        if max_parts is not None and part * max_parts < d:
+            return
+        for rest in _partitions(d - part, part,
+                                None if max_parts is None else max_parts - 1):
             yield (part,) + rest
 
 
@@ -275,6 +282,30 @@ def y_basis_size(k: int, n: int, mode: Mode) -> int:
     return math.comb(k, 3) * strut_union_count(k, n, mode)
 
 
+def y_link_config_count(k: int, n: int, mode: Mode) -> int:
+    """Raw configuration count behind ``relations.y_link_relations``: an
+    ordered special strut (a, c*) times a multiset of n + 1 rest struts."""
+    num_specials = k * k - (k if mode is Mode.HOMOTOPY else 0)
+    return num_specials * math.comb(strut_type_count(k, mode) + n, n + 1)
+
+
+def check_y_caps(k: int, n: int, mode: Mode, max_elements: float = math.inf,
+                 max_rows: float = math.inf) -> tuple[int, int]:
+    """(basis size, raw configurations) of the whole y cell, after its
+    domain checks and, in this order, the basis and configuration caps.
+
+    Every y path checks the whole cell here before it lists anything; a
+    block of the cell is listed uncapped, once its cell has passed.
+    """
+    size = y_basis_size(k, n, mode)
+    if size > max_elements:
+        raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
+    raw = y_link_config_count(k, n, mode)
+    if raw > max_rows:
+        raise CapacityError(f"{raw} configurations exceed the cap {max_rows}")
+    return size, raw
+
+
 def enumerate_y_basis(k: int, n: int, mode: Mode,
                       max_elements: int = DEFAULT_MAX_ELEMENTS,
                       leaves: Optional[Sequence[int]] = None) -> Basis:
@@ -285,15 +316,13 @@ def enumerate_y_basis(k: int, n: int, mode: Mode,
     triple's Y next to every multiset of ``n`` strut types, built from the
     closed-form encodings.  A block's Y takes three distinct colours of
     ``leaves`` and its struts the remaining ends (``_strut_multisets``).
-    The capacity guard is the exact count of the whole cell, also for a
-    block.
+    The whole cell is capped at ``max_elements`` on its exact count; a
+    block is not capped (``check_y_caps``).
     """
     spec = BasisSpec(mode, k, "y", n, None if leaves is None else tuple(leaves))
-    size = y_basis_size(k, n, mode)
-    if size > max_elements:
-        raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
     if spec.leaves is not None:
         return _build_basis(spec, _y_block_encodings(spec.leaves, mode))
+    check_y_caps(k, n, mode, max_elements)
     ys = [y_encoding(*colors)[0] for colors in itertools.combinations(range(1, k + 1), 3)]
     struts = [strut_encoding(i, j) for i, j in _strut_pairs(k, mode)]
     return _build_basis(spec, [
@@ -340,9 +369,11 @@ def _strut_multisets(ends: Sequence[int], mode: Mode) -> Iterator[tuple[tuple[in
         if not need:
             yield from colour(i + 1, prefix)
             return
-        if need > sum(left[j:]):
+        if j == k:
             return
-        for t in range(min(need, left[j]), -1, -1):
+        # the colours after j take what j does not
+        after = sum(left[j + 1:])
+        for t in range(min(need, left[j]), max(need - after, 0) - 1, -1):
             left[j] -= t
             yield from partners(i, j + 1, need - t, prefix + ((i + 1, j + 1),) * t)
             left[j] += t
@@ -360,9 +391,7 @@ def y_leaf_orbits(k: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     k! / prod_j (number of colours of multiplicity j)! multisets, counting
     multiplicity 0.
     """
-    for part in _partitions(2 * n + 3):
-        if len(part) > k:
-            continue
+    for part in _partitions(2 * n + 3, max_parts=k):
         leaves = part + (0,) * (k - len(part))
         orbit = math.factorial(k)
         for repeats in Counter(leaves).values():

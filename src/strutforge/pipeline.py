@@ -40,12 +40,12 @@ from .bases import (
     Basis,
     DEFAULT_MAX_ELEMENTS,
     enumerate_basis,
+    check_y_caps,
     enumerate_y_basis,
-    y_basis_size,
     y_leaf_orbits,
 )
 from .diagrams import Mode
-from .errors import CacheError, CapacityError, DomainError
+from .errors import CacheError, DomainError
 from .linalg import (
     DEFAULT_PRIMES,
     RankResult,
@@ -162,23 +162,20 @@ def _graded_y(mode: Mode, k: int, n: int, primes: Sequence[int],
 
     The domain checks and both capacity guards, on the whole cell's exact
     counts, come before the first block.  Each representative block is
-    ranked on its own; ``primes`` is ``primes[:1]`` when every block is
-    certified, else every prime used, in first-use order.
+    ranked on its own; ``primes`` is every prime a block's rank came
+    from, in first-use order, so ``primes[:1]`` when every block
+    certified on the first prime.
     """
-    size = y_basis_size(k, n, mode)
-    if size > max_elements:
-        raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
-    raw = y_link_config_count(k, n, mode)
-    if raw > max_rows:
-        raise CapacityError(f"{raw} configurations exceed the cap {max_rows}")
+    size, raw = check_y_caps(k, n, mode, max_elements, max_rows)
     cols = num_rows = rank = 0
     used: list[int] = []
     certified = True
-    for leaves, orbit in y_leaf_orbits(k, n):
-        block = enumerate_y_basis(k, n, mode, max_elements, leaves)
+    # with fewer than three colours no block holds a Y
+    for leaves, orbit in y_leaf_orbits(k, n) if size else ():
+        block = enumerate_y_basis(k, n, mode, leaves=leaves)
         if not block.elements:
             continue
-        rows = y_link_relations(k, n, mode, block, max_rows)
+        rows = y_link_relations(k, n, mode, block)
         result = rank_multiprime(SparseMatrix.from_rows(rows, len(block)), primes)
         cols += orbit * len(block)
         num_rows += orbit * len(rows)
@@ -186,7 +183,7 @@ def _graded_y(mode: Mode, k: int, n: int, primes: Sequence[int],
         certified = certified and result.certified
         used += [p for p in result.primes if p not in used]
     return cols, raw, num_rows, RankResult(
-        rank=rank, primes=tuple(primes)[:1] if certified else tuple(used),
+        rank=rank, primes=tuple(used) or tuple(primes[:1]),
         agreement=True, quotient_dim=cols - rank, certified=certified)
 
 

@@ -52,11 +52,12 @@ from .bases import (
     BasisSpec,
     _strut_multisets,
     _strut_pairs,
+    check_y_caps,
     forest_counts,
     forest_encodings,
     marked_encodings,
-    strut_type_count,
     tree_count,
+    y_link_config_count,
 )
 from .diagrams import (
     Diagram,
@@ -156,12 +157,6 @@ def _special_struts(k: int, mode: Mode) -> Iterator[tuple[int, int]]:
             if a == c and mode is Mode.HOMOTOPY:
                 continue
             yield a, c
-
-
-def y_link_config_count(k: int, n: int, mode: Mode) -> int:
-    """Raw configuration count behind y_link_relations."""
-    num_specials = k * k - (k if mode is Mode.HOMOTOPY else 0)
-    return num_specials * math.comb(strut_type_count(k, mode) + n, n + 1)
 
 
 def _y_rest_terms(rest: tuple[tuple[int, int], ...]) -> tuple[
@@ -276,17 +271,16 @@ def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,
 
     Given a block basis (``enumerate_y_basis`` with ``leaves``), only the
     configurations of that block are run, and the rows are the block's
-    rows over its own columns.  The configuration cap is checked against
-    the whole cell's count in both cases.
+    rows over its own columns.  The whole cell's configuration count is
+    capped at ``max_configs``; a block is not capped (``check_y_caps``).
 
     The graft construction (``PreGraftConfig`` over strut(a, c) in
     ``tests/brute_force.py``) builds a diagram, a spliced tree and a
     canonical form per term to reach the same rows; it is the oracle this
     closed form is checked against.
     """
-    estimate = y_link_config_count(k, n, mode)
-    if estimate > max_configs:
-        raise CapacityError(f"{estimate} configurations exceed the cap {max_configs}")
+    if basis.spec.leaves is None:
+        check_y_caps(k, n, mode, max_rows=max_configs)
     rows = _RowSet()
     for _, _, _, entries, _ in _y_link_configs(k, n, mode, basis):
         rows.add_entries(entries)

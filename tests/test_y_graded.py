@@ -19,7 +19,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from brute_force import y_dimension_ungraded
+import strutforge.linalg as linalg
 from strutforge.bases import (
+    _partitions,
     enumerate_y_basis,
     strut_union_count,
     y_leaf_orbits,
@@ -27,6 +29,7 @@ from strutforge.bases import (
 from strutforge.cli import cli
 from strutforge.diagrams import Mode, encoding_leaf_colors
 from strutforge.errors import CapacityError, DomainError
+from strutforge.linalg import DEFAULT_PRIMES, PRIME_POOL
 from strutforge.pipeline import compute_dimension
 from strutforge.relations import y_link_relations
 
@@ -88,6 +91,41 @@ def test_orbits_cover_every_leaf_multiset(k, n):
     assert sum(orbit for _, orbit in orbits) == math.comb(k + 2 * n + 2, 2 * n + 3)
     for leaves, _ in orbits:
         assert list(leaves) == sorted(leaves, reverse=True) and sum(leaves) == 2 * n + 3
+
+
+@pytest.mark.parametrize("mode,k,n", [(C, 1, 60), (C, 2, 60), (H, 3, 60)])
+def test_small_k_large_n_equals_ungraded(mode, k, n):
+    graded = compute_dimension(mode, "y", k, n)
+    assert dataclasses.replace(graded, elapsed_ms=0, timestamp="") == \
+        y_dimension_ungraded(mode, k, n)
+
+
+def test_orbits_list_only_partitions_into_k_parts():
+    # partitions of d into at most 3 parts: round((d + 3)^2 / 12); the
+    # recursion stays k deep, far below the 1003 of the all-ones partition
+    orbits = list(y_leaf_orbits(3, 500))
+    assert len(orbits) == round(1006 ** 2 / 12)
+    assert sum(orbit for _, orbit in orbits) == math.comb(1005, 2)
+    assert [leaves for leaves, _ in y_leaf_orbits(1, 500)] == [(1003,)]
+
+
+def test_partitions_into_at_most_m_parts():
+    for d in range(12):
+        for m in range(d + 2):
+            assert list(_partitions(d, max_parts=m)) == \
+                [p for p in _partitions(d) if len(p) <= m], (d, m)
+
+
+def test_record_names_the_primes_a_block_rank_came_from(monkeypatch):
+    real = linalg.rank_mod_p
+    # the first prime undershoots, so each block retries on fresh primes
+    # from the pool, which agree and certify it
+    monkeypatch.setattr(linalg, "rank_mod_p",
+                        lambda m, p: real(m, p) - (p == DEFAULT_PRIMES[0]))
+    record = compute_dimension(H, "y", 4, 1)
+    assert record.certified
+    assert record.primes == PRIME_POOL[2:4]
+    assert record.rank == y_dimension_ungraded(H, 4, 1).rank
 
 
 def _never(*_args, **_kwargs):

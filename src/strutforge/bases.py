@@ -245,12 +245,6 @@ def forest_encodings(k: int, d: int, mode: Mode) -> Iterator[tuple[bytes, ...]]:
             yield tuple(itertools.chain.from_iterable(choice))
 
 
-def forests(k: int, d: int, mode: Mode) -> Iterator[tuple[TreeComponent, ...]]:
-    """``forest_encodings`` decoded into concrete components."""
-    for forest in forest_encodings(k, d, mode):
-        yield tuple(decode_component(enc) for enc in forest)
-
-
 def _build_basis(spec: BasisSpec, encodings: Iterable[bytes]) -> Basis:
     ordered = tuple(CanonicalDiagram(enc, 1) for enc in sorted(encodings))
     index = {cd.encoding: i for i, cd in enumerate(ordered)}
@@ -273,15 +267,6 @@ def enumerate_basis(k: int, d: int, mode: Mode,
                                for forest in forest_encodings(k, d, mode)])
 
 
-def y_basis_size(k: int, n: int, mode: Mode) -> int:
-    """Exact size of ``enumerate_y_basis(k, n, mode)``, C(k, 3) Y colour
-    triples times the strut multisets, after its domain checks."""
-    BasisSpec(mode, k, "y", n)
-    if mode is Mode.HOMOTOPY and k < 3:
-        raise DomainError("the homotopy Y-subspace needs k >= 3")
-    return math.comb(k, 3) * strut_union_count(k, n, mode)
-
-
 def y_link_config_count(k: int, n: int, mode: Mode) -> int:
     """Raw configuration count behind ``relations.y_link_relations``: an
     ordered special strut (a, c*) times a multiset of n + 1 rest struts."""
@@ -294,10 +279,15 @@ def check_y_caps(k: int, n: int, mode: Mode, max_elements: float = math.inf,
     """(basis size, raw configurations) of the whole y cell, after its
     domain checks and, in this order, the basis and configuration caps.
 
-    Every y path checks the whole cell here before it lists anything; a
-    block of the cell is listed uncapped, once its cell has passed.
+    The basis is every colour triple's Y next to every strut multiset, so
+    its size is C(k, 3) times ``strut_union_count``.  Every y path checks
+    the whole cell here before it lists anything; a block of the cell is
+    listed uncapped, once its cell has passed.
     """
-    size = y_basis_size(k, n, mode)
+    BasisSpec(mode, k, "y", n)
+    if mode is Mode.HOMOTOPY and k < 3:
+        raise DomainError("the homotopy Y-subspace needs k >= 3")
+    size = math.comb(k, 3) * strut_union_count(k, n, mode)
     if size > max_elements:
         raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
     raw = y_link_config_count(k, n, mode)

@@ -24,17 +24,16 @@ from .pipeline import (
     CSV_HEADER,
     ResultCache,
     build_basis,
+    check_caps,
     compute_witness,
     resolve_cache_dir,
 )
 from .relations import (
     DEFAULT_MAX_ROWS,
     count_ihx_instances,
-    count_link_configs,
     ihx_relations,
     iter_y_link_rows,
     link_relations,
-    y_link_config_count,
 )
 
 _ERRORS = (DomainError, CapacityError, UnluckyPrimeError, CacheError)
@@ -43,7 +42,7 @@ _PRIMES_HELP = ("Comma-separated primes (at least two). The first certifies a "
                 "rank that meets its row/column bound; the second is the "
                 "fallback for an uncertified cell. witness uses the first.")
 
-# Guard for the relations dump, which is a debugging surface.
+# Configuration cap of the relations dump, which is a debugging surface.
 _DUMP_MAX_CONFIGS = 100_000
 
 
@@ -295,30 +294,21 @@ def cmd_relations(mode: str, space: str, k: int, n: Optional[int],
     param = _resolve_space_param(space, n, degree)
     mode_v = _parse_mode(mode)
     try:
-        basis = build_basis(mode_v, space, k, param, _DUMP_MAX_CONFIGS)
+        _, raw = check_caps(mode_v, space, k, param, max_rows=_DUMP_MAX_CONFIGS)
+        basis = build_basis(mode_v, space, k, param)
         if space == "y":
-            raw = y_link_config_count(k, param, mode_v)
-            if raw > _DUMP_MAX_CONFIGS:
-                raise CapacityError(
-                    f"{raw} configurations exceed the dump guard {_DUMP_MAX_CONFIGS}")
-            printed = 0
-            for row, targets in iter_y_link_rows(k, param, mode_v, basis):
-                if targets == 0:
-                    continue
-                printed += 1
-                if dump:
-                    click.echo(f"{row.to_dump_text(basis)}  # {row.provenance}")
-            click.echo(f"raw {raw} effective {printed}")
+            rows = [row for row, targets in iter_y_link_rows(k, param, mode_v, basis)
+                    if targets]
         else:
-            rows = (link_relations(k, param, mode_v, basis, _DUMP_MAX_CONFIGS)
+            rows = (link_relations(k, param, mode_v, basis)
                     + ihx_relations(k, param, mode_v, basis))
-            if dump:
-                for row in rows:
-                    click.echo(f"{row.to_dump_text(basis)}  # {row.provenance}")
-            raw = count_link_configs(k, param, mode_v) + count_ihx_instances(basis)
-            click.echo(f"raw {raw} effective {len(rows)}")
+            raw += count_ihx_instances(basis)
     except _ERRORS as exc:
         raise _fail(exc)
+    if dump:
+        for row in rows:
+            click.echo(f"{row.to_dump_text(basis)}  # {row.provenance}")
+    click.echo(f"raw {raw} effective {len(rows)}")
 
 
 def main() -> None:

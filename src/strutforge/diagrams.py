@@ -118,10 +118,6 @@ class TreeComponent:
         return self.num_leaves - 1
 
     @property
-    def trivalent_count(self) -> int:
-        return len(self.adj) - self.num_leaves
-
-    @property
     def is_strut(self) -> bool:
         return len(self.adj) == 2
 

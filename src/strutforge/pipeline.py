@@ -1,54 +1,59 @@
 """End-to-end dimension pipeline, result records, and the result cache.
 
-A dimension run builds the basis, generates relations, ranks the matrix
-(one prime when that rank certifies itself, more otherwise), and emits
-an immutable ResultRecord.  Records are cached append-only in a
-JSON-lines file keyed by (mode, space, k, param, tool_version) so sweeps
-resume for free.
+Every cell takes one path.  ``check_caps`` runs the domain checks and
+the capacity guards on the cell's exact counts before anything is
+listed; ``dim``, ``witness`` and ``relations`` all call it first.  A
+dimension run then ranks the cell block by block (one prime when a
+block's rank certifies itself, more otherwise), sums the weighted block
+counts and emits an immutable ResultRecord.  Records are cached
+append-only in a JSON-lines file keyed by (mode, space, k, param,
+tool_version) so sweeps resume for free.
 
-A ``y`` cell is ranked by blocks and never built whole.  Its diagrams
-split by leaf-colour multiset M, and every relation row is homogeneous
-in M (see ``relations``), so the relation matrix is block diagonal and
-its rank is the sum of the block ranks.  A colour permutation s maps
-block M onto block sM: a diagram goes to the diagram with permuted
-colours, up to the sign of its Y, which flips when s takes the Y's
-colours out of cyclic order; and the configuration (a, c*, R) of M goes
-to (sa, sc*, sR) of sM, whose row is the image of the first under that
-signed column bijection.  Rank ignores a signed permutation of the
+A ``full`` cell is one block of weight 1.  A ``y`` cell is never built
+whole.  Its diagrams split by leaf-colour multiset M, and every relation
+row is homogeneous in M (see ``relations``), so the relation matrix is
+block diagonal and its rank is the sum of the block ranks.  A colour
+permutation s maps block M onto block sM: a diagram goes to the diagram
+with permuted colours, up to the sign of its Y, which flips when s takes
+the Y's colours out of cyclic order; and the configuration (a, c*, R) of
+M goes to (sa, sc*, sR) of sM, whose row is the image of the first under
+that signed column bijection.  Rank ignores a signed permutation of the
 columns, and distinct rows stay distinct, so every block of an orbit has
-the same columns, distinct nonzero rows and rank, and
-quotient = sum over orbits of |orbit| * (columns - rank) of one
-representative block (``bases.y_leaf_orbits``).  A block-diagonal rank
-is exact when every block's rank meets its own bound, so the cell is
-certified when every block is.  ``witness`` and the ``relations`` dump
-still build the whole cell.
+the same columns, distinct nonzero rows and rank, and the cell ranks one
+representative block per orbit (``bases.y_leaf_orbits``) weighted by the
+orbit's size.  A block-diagonal rank is exact when every block's rank
+meets its own bound, so the cell is certified when every block is.
+``witness`` and the ``relations`` dump need every column, so they build
+the whole cell.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .bases import (
     Basis,
+    BasisSpec,
     DEFAULT_MAX_ELEMENTS,
-    enumerate_basis,
     check_y_caps,
+    enumerate_basis,
     enumerate_y_basis,
+    forest_count,
     y_leaf_orbits,
 )
 from .diagrams import Mode
-from .errors import CacheError, DomainError
+from .errors import CacheError, CapacityError, DomainError
 from .linalg import (
     DEFAULT_PRIMES,
-    RankResult,
     SparseMatrix,
     cokernel_functionals,
     rank_multiprime,
@@ -155,66 +160,85 @@ def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
                 f"prime {p} does not exceed the coefficient bound {bound} of this space")
 
 
-def _graded_y(mode: Mode, k: int, n: int, primes: Sequence[int],
-              max_elements: int, max_rows: int) -> tuple[int, int, int, RankResult]:
-    """(columns, raw configurations, distinct nonzero rows, rank) of a y
-    cell, each block count weighted by its orbit size.
+def check_caps(mode: Mode, space: str, k: int, param: int,
+               max_elements: float = math.inf, max_rows: float = math.inf
+               ) -> tuple[int, int]:
+    """(basis size, raw link configurations) of a cell, after its domain
+    checks and, in this order, the basis and configuration caps, all on
+    exact counts.
 
-    The domain checks and both capacity guards, on the whole cell's exact
-    counts, come before the first block.  Each representative block is
-    ranked on its own; ``primes`` is every prime a block's rank came
-    from, in first-use order, so ``primes[:1]`` when every block
-    certified on the first prime.
+    ``dim``, ``witness`` and ``relations`` run it before they list
+    anything.  A ``y`` cell is checked by ``bases.check_y_caps``; a
+    ``full`` cell counts its forests (``forest_count``), then its link
+    configurations (``count_link_configs``).
     """
-    size, raw = check_y_caps(k, n, mode, max_elements, max_rows)
-    cols = num_rows = rank = 0
-    used: list[int] = []
-    certified = True
-    # with fewer than three colours no block holds a Y
-    for leaves, orbit in y_leaf_orbits(k, n) if size else ():
-        block = enumerate_y_basis(k, n, mode, leaves=leaves)
-        if not block.elements:
-            continue
-        rows = y_link_relations(k, n, mode, block)
-        result = rank_multiprime(SparseMatrix.from_rows(rows, len(block)), primes)
-        cols += orbit * len(block)
-        num_rows += orbit * len(rows)
-        rank += orbit * result.rank
-        certified = certified and result.certified
-        used += [p for p in result.primes if p not in used]
-    return cols, raw, num_rows, RankResult(
-        rank=rank, primes=tuple(used) or tuple(primes[:1]),
-        agreement=True, quotient_dim=cols - rank, certified=certified)
+    if space == "y":
+        return check_y_caps(k, param, mode, max_elements, max_rows)
+    BasisSpec(mode, k, space, param)
+    size = forest_count(k, param, mode)
+    if size > max_elements:
+        raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
+    configs = count_link_configs(k, param, mode)
+    if configs > max_rows:
+        raise CapacityError(f"{configs} link configurations exceed the cap {max_rows}")
+    return size, configs
+
+
+def _blocks(mode: Mode, space: str, k: int, param: int, max_elements: int,
+            max_rows: int) -> Iterator[tuple[int, Basis, list[RelationRow]]]:
+    """(weight, basis, distinct nonzero rows) of the blocks a cell is
+    ranked by: one representative block with columns per orbit of the
+    colour permutations, weighted by the orbit's size, for a ``y`` cell;
+    the whole cell, once, for a ``full`` cell."""
+    if space == "full":
+        basis = build_basis(mode, space, k, param, max_elements)
+        yield 1, basis, build_relations(mode, space, k, param, basis, max_rows)[0]
+        return
+    for leaves, orbit in y_leaf_orbits(k, param):
+        block = enumerate_y_basis(k, param, mode, leaves=leaves)
+        if block.elements:
+            yield orbit, block, y_link_relations(k, param, mode, block)
 
 
 def compute_dimension(mode: Mode, space: str, k: int, param: int,
                       primes: Sequence[int] = DEFAULT_PRIMES,
                       max_elements: int = DEFAULT_MAX_ELEMENTS,
                       max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
-    """Full pipeline for one cell: basis, relations, certified or
-    multi-prime rank; a ``y`` cell one representative block per orbit
-    of the colour permutations."""
+    """Full pipeline for one cell: the guards, then each block's basis,
+    relations and certified or multi-prime rank.
+
+    Columns, distinct nonzero rows and rank are the block counts times
+    their weights.  The raw relation count is the cell's link
+    configurations plus the IHX instances of its columns (none in a
+    ``y`` block).  The cell is certified when every block is, and
+    ``primes`` is every prime a block's rank came from, in first-use
+    order: ``primes[:1]`` when every block certified on the first prime.
+    """
     if len(set(primes)) < 2:
         raise DomainError("need at least two distinct primes")
     _check_prime_bound(space, param, primes)
     start = time.monotonic()
-    if space == "y":
-        num_cols, raw, num_rows, result = _graded_y(
-            mode, k, param, primes, max_elements, max_rows)
-    else:
-        basis = build_basis(mode, space, k, param, max_elements)
-        rows, raw = build_relations(mode, space, k, param, basis, max_rows)
-        num_cols, num_rows = len(basis), len(rows)
-        result = rank_multiprime(SparseMatrix.from_rows(rows, num_cols), primes)
+    _, raw = check_caps(mode, space, k, param, max_elements, max_rows)
+    cols = num_rows = rank = 0
+    used: list[int] = []
+    certified = True
+    for weight, basis, rows in _blocks(mode, space, k, param, max_elements, max_rows):
+        result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
+        raw += weight * count_ihx_instances(basis)
+        cols += weight * len(basis)
+        num_rows += weight * len(rows)
+        rank += weight * result.rank
+        certified = certified and result.certified
+        used += [p for p in result.primes if p not in used]
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ResultRecord(
         mode=mode.value, space=space, k=k, param=param,
-        num_diagrams=num_cols, num_relations_raw=raw,
-        num_relations_effective=num_rows, rank=result.rank,
-        quotient_dim=result.quotient_dim, primes=result.primes,
+        num_diagrams=cols, num_relations_raw=raw,
+        num_relations_effective=num_rows, rank=rank,
+        quotient_dim=cols - rank, primes=tuple(used) or tuple(primes[:1]),
         elapsed_ms=elapsed_ms, tool_version=TOOL_VERSION,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        certified=result.certified,
+        certified=certified,
     )
 
 
@@ -225,6 +249,7 @@ def compute_witness(mode: Mode, space: str, k: int, param: int,
     """Witness document: basis encodings plus the cokernel functionals,
     each a mod-p linear functional vanishing on every relation."""
     _check_prime_bound(space, param, (prime,))
+    check_caps(mode, space, k, param, max_elements, max_rows)
     basis = build_basis(mode, space, k, param, max_elements)
     rows, _ = build_relations(mode, space, k, param, basis, max_rows)
     functionals = cokernel_functionals(

@@ -16,7 +16,8 @@ canonicalized.  Every term has the leaves a + R, whatever c and x are,
 so each row is homogeneous in its leaf-colour multiset M = a + R, and
 the rows of one block M come from its own configurations alone: the a
 in M and the R with leaves M - a (``y_link_relations`` on a block
-basis).
+basis).  One loop over (a, c*, R) serves the whole cell and a block;
+they differ only in the rests R listed for each a.
 
 The full-space rows are assembled on canonical encodings too.  A link
 configuration is a marked tree (a leg color plus a rooted expression
@@ -149,16 +150,6 @@ class _RowSet:
         return [self._rows[key] for key in sorted(self._rows)]
 
 
-def _special_struts(k: int, mode: Mode) -> Iterator[tuple[int, int]]:
-    """Ordered (far color, distinguished color) pairs for the special
-    strut; homotopy mode requires the two to differ."""
-    for a in range(1, k + 1):
-        for c in range(1, k + 1):
-            if a == c and mode is Mode.HOMOTOPY:
-                continue
-            yield a, c
-
-
 def _y_rest_terms(rest: tuple[tuple[int, int], ...]) -> tuple[
         dict[int, int], dict[int, list[tuple[int, int, list[bytes]]]]]:
     """(ends, terms) of a rest multiset R of struts, given as sorted end
@@ -207,31 +198,31 @@ def _y_link_configs(k: int, n: int, mode: Mode, basis: Basis) -> Iterator[
     ``rest``.  Each term is one Y plus struts, so its column is looked up
     on the sorted component encodings directly.
 
-    The whole cell runs over (a, c) and then every multiset R, the order
-    of the dumps.  A block with leaf multiset M runs over the a in M and
-    the R whose ends make up M - a: the configurations whose rows can
-    touch the block, since a row's terms all have the leaves a + R.
+    One loop runs over a, then c, then the rests for a, the order of the
+    dumps.  The whole cell takes every multiset R for every a, listed
+    once.  A block with leaf multiset M takes the a in M and the R whose
+    ends make up M - a: the configurations whose rows can touch the
+    block, since a row's terms all have the leaves a + R.
     """
     spec = basis.spec
     if spec != BasisSpec(mode, k, "y", n, spec.leaves):
         raise DomainError("basis does not match enumerate_y_basis(k, n, mode)")
-    index = basis.index
-    if spec.leaves is None:
-        plans = [(rest, *_y_rest_terms(rest)) for rest in
+    index, leaves = basis.index, spec.leaves
+    if leaves is None:
+        every = [(rest, *_y_rest_terms(rest)) for rest in
                  itertools.combinations_with_replacement(_strut_pairs(k, mode), n + 1)]
-        for a, c in _special_struts(k, mode):
-            for rest, ends, terms in plans:
-                yield a, c, rest, _y_row(a, c, terms, index), ends.get(c, 0)
-        return
-    for a, m in enumerate(spec.leaves, 1):
-        if not m:
+    for a in range(1, k + 1):
+        if leaves is None:
+            rests = every
+        elif leaves[a - 1]:
+            rests = [(rest, *_y_rest_terms(rest)) for rest in _strut_multisets(
+                tuple(e - (c == a) for c, e in enumerate(leaves, 1)), mode)]
+        else:
             continue
-        ends_left = tuple(e - (c == a) for c, e in enumerate(spec.leaves, 1))
-        plans = [(rest, *_y_rest_terms(rest)) for rest in _strut_multisets(ends_left, mode)]
         for c in range(1, k + 1):
             if a == c and mode is Mode.HOMOTOPY:
                 continue
-            for rest, ends, terms in plans:
+            for rest, ends, terms in rests:
                 yield a, c, rest, _y_row(a, c, terms, index), ends.get(c, 0)
 
 

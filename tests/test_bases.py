@@ -11,7 +11,7 @@ from strutforge.bases import (
     enumerate_y_basis,
     _partitions,
     forest_count,
-    forests,
+    forest_encodings,
     strut_union_count,
     tree_components,
     tree_count,
@@ -22,6 +22,7 @@ from strutforge.diagrams import (
     Mode,
     canonicalize,
     canonicalize_component,
+    decode_component,
     decode_diagram,
     encoding_leaf_colors,
 )
@@ -188,6 +189,12 @@ class TestBasisStructure:
             BasisSpec(H, 3, "full", 0)
         with pytest.raises(DomainError):
             BasisSpec(H, 0, "y", 1)
+
+
+def forests(k, d, mode):
+    """``forest_encodings`` decoded into concrete components."""
+    for forest in forest_encodings(k, d, mode):
+        yield tuple(decode_component(enc) for enc in forest)
 
 
 class TestForests:

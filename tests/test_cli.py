@@ -247,6 +247,17 @@ class TestRelationsCommand:
             text = line.split("#")[0].strip()
             RelationRow.from_dump_text(text, basis)
 
+    @pytest.mark.parametrize("args", [
+        ["--space", "y", "--mode", "concordance", "--k", "4", "--n", "1"],
+        ["--space", "full", "--k", "4", "--degree", "3"],
+    ])
+    def test_no_dump_prints_only_the_closing_counts(self, runner, args):
+        dumped = run_ok(runner, "relations", *args)
+        assert len(dumped.splitlines()) > 1
+        closing = dumped.splitlines()[-1]
+        assert closing.startswith("raw ")
+        assert run_ok(runner, "relations", "--no-dump", *args) == closing + "\n"
+
     def test_guard(self, runner):
         result = runner.invoke(cli, ["relations", "--space", "y", "--k", "9",
                                      "--n", "4"])

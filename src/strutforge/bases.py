@@ -6,21 +6,26 @@ full space are generated on encodings: a tree marked at one leaf is a
 leaf color plus a canonical rooted expression built bottom-up from
 strictly ordered sibling pairs, so marked trees need no dedup, and the
 unmarked trees are the canonical forms of the marked ones.  Forests are
-multisets of nonzero trees split by degree partition, listed as tuples of
-component encodings; a full-space basis element joins them sorted.
+multisets of nonzero trees, listed as tuples of component encodings; a
+full-space basis element joins them sorted.
 
-The single-Y space also splits into blocks, one per leaf-colour multiset
-M (the number of leaves of each colour, Y and struts together): a block
+Both spaces split into blocks, one per leaf-colour multiset M (the
+number of leaves of each colour over all components).  A single-Y block
 is a Y on three distinct colours of M next to the struts whose end
-colours make up the rest of M.  A permutation of the colours carries
-each block onto another, so ``y_leaf_orbits`` lists one representative
-block per orbit with the orbit's size.
+colours make up the rest of M.  A full-space block of degree d has
+between d + 1 leaves (one tree) and 2d (all struts); its forests are its
+trees of degree >= 2, grouped by degree and leaf vector, chosen group by
+group, then the struts on the leaves left (``_strut_multisets``).  A
+permutation of the colours carries each block onto another, so
+``leaf_orbits`` lists one representative block per orbit with the
+orbit's size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -48,7 +53,7 @@ DEFAULT_MAX_ELEMENTS = 5_000_000
 @dataclass(frozen=True)
 class BasisSpec:
     """Which space a basis spans: the single-Y subspace with ``param``
-    struts, or the full space of forests of degree ``param``.  A Y basis
+    struts, or the full space of forests of degree ``param``.  A basis
     with ``leaves`` spans only the block of diagrams with that leaf-colour
     multiset: ``leaves[i - 1]`` leaves of colour i."""
 
@@ -67,10 +72,10 @@ class BasisSpec:
         if self.space == "full" and self.param < 1:
             raise DomainError("degree must be >= 1")
         if self.leaves is not None and (
-                self.space != "y" or len(self.leaves) != self.k
-                or min(self.leaves) < 0 or sum(self.leaves) != 2 * self.param + 3):
+                len(self.leaves) != self.k or min(self.leaves) < 0
+                or sum(self.leaves) not in leaf_totals(self.space, self.param)):
             raise DomainError(
-                f"leaves {self.leaves} is not a leaf multiset of this Y space")
+                f"leaves {self.leaves} is not a leaf multiset of this space")
 
 
 @dataclass(frozen=True)
@@ -230,19 +235,73 @@ def forest_count(k: int, d: int, mode: Mode) -> int:
     return forest_counts(k, d, mode)[d] if d >= 0 else 0
 
 
-def forest_encodings(k: int, d: int, mode: Mode) -> Iterator[tuple[bytes, ...]]:
-    """Every multiset of nonzero trees with total degree ``d``, as a tuple
-    of component encodings (degree 0 yields the empty forest).
-
-    Forests come in partition order; inside one, components run by
-    decreasing degree and by encoding within a degree, so equal
+def forest_encodings(k: int, d: int, mode: Mode, leaves: Optional[Sequence[int]] = None
+                     ) -> Iterator[tuple[bytes, ...]]:
+    """Every multiset of nonzero trees with total degree ``d``, or, given
+    ``leaves``, every one with that leaf-colour multiset, as a tuple of
+    component encodings (degree 0 yields the empty forest).  Equal
     components sit next to each other.
+
+    The whole space comes in partition order; inside a forest, components
+    run by decreasing degree and by encoding within a degree.  A block
+    takes its trees of degree >= 2 one group of ``_tree_groups`` at a
+    time, largest degree first, then the struts on the leaves left.  A
+    step is taken only if the rest can still be filled: c = (leaves
+    left) - (degree left) trees remain, each of degree between 1 and the
+    largest degree still to come, and a homotopy tree has distinct
+    colours, so no colour has more than c leaves left.
     """
-    for partition in _partitions(d):
-        pools = [itertools.combinations_with_replacement(tree_encodings(k, deg, mode), m)
-                 for deg, m in Counter(partition).items()]
-        for choice in itertools.product(*pools):
-            yield tuple(itertools.chain.from_iterable(choice))
+    if leaves is None:
+        for partition in _partitions(d):
+            pools = [itertools.combinations_with_replacement(tree_encodings(k, deg, mode), m)
+                     for deg, m in Counter(partition).items()]
+            for choice in itertools.product(*pools):
+                yield tuple(itertools.chain.from_iterable(choice))
+        return
+    groups = [(deg, vec, encs) for deg in range(d, 1, -1)
+              for vec, encs in _tree_groups(k, deg, mode)
+              if all(map(operator.le, vec, leaves))]
+    homotopy = mode is Mode.HOMOTOPY
+    memo: dict = {}
+
+    def fill(first: int, deg_left: int, left: tuple[int, ...]) -> Iterator[tuple[bytes, ...]]:
+        trees = sum(left) - deg_left
+        largest = groups[first][0] if first < len(groups) else 1
+        if not 0 <= trees <= deg_left <= trees * largest or (homotopy and max(left) > trees):
+            return
+        if deg_left == trees:
+            for pairs in _strut_multisets(left, mode, memo):
+                yield tuple(bytes(pair) for pair in pairs)
+            return
+        for g in range(first, len(groups)):
+            deg, vec, encs = groups[g]
+            taken = left
+            for m in range(1, deg_left // deg + 1):
+                taken = tuple(map(operator.sub, taken, vec))
+                if min(taken) < 0:
+                    break
+                for tail in fill(g + 1, deg_left - deg * m, taken):
+                    for choice in itertools.combinations_with_replacement(encs, m):
+                        yield choice + tail
+
+    yield from fill(0, d, tuple(leaves))
+
+
+@lru_cache(maxsize=None)
+def _tree_groups(k: int, deg: int, mode: Mode
+                 ) -> tuple[tuple[tuple[int, ...], tuple[bytes, ...]], ...]:
+    """``tree_encodings`` grouped by leaf vector (``leaf_vector``), as
+    (vector, encodings) pairs."""
+    groups: dict[tuple[int, ...], list[bytes]] = {}
+    for enc in tree_encodings(k, deg, mode):
+        groups.setdefault(leaf_vector(enc, k), []).append(enc)
+    return tuple((vec, tuple(encs)) for vec, encs in groups.items())
+
+
+def leaf_vector(enc: bytes, k: int) -> tuple[int, ...]:
+    """The leaf-colour multiset of an encoding (a component, a diagram
+    or a rooted expression): entry i - 1 counts the leaves of colour i."""
+    return tuple(enc.count(c) for c in range(1, k + 1))
 
 
 def _build_basis(spec: BasisSpec, encodings: Iterable[bytes]) -> Basis:
@@ -252,19 +311,23 @@ def _build_basis(spec: BasisSpec, encodings: Iterable[bytes]) -> Basis:
 
 
 def enumerate_basis(k: int, d: int, mode: Mode,
-                    max_elements: int = DEFAULT_MAX_ELEMENTS) -> Basis:
-    """Ordered basis of all nonzero forests of total degree ``d``.
+                    max_elements: int = DEFAULT_MAX_ELEMENTS,
+                    leaves: Optional[Sequence[int]] = None) -> Basis:
+    """Ordered basis of all nonzero forests of total degree ``d``, or,
+    given ``leaves``, of its block with that leaf-colour multiset.
 
     Distinct forests have distinct sorted component encodings, so the
     capacity guard is the exact ``forest_count``, checked before any
-    forest is listed.
+    forest is listed.  A block is not capped: ``pipeline.check_caps``
+    checks its whole cell first.
     """
-    spec = BasisSpec(mode, k, "full", d)
-    size = forest_count(k, d, mode)
-    if size > max_elements:
-        raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
+    spec = BasisSpec(mode, k, "full", d, None if leaves is None else tuple(leaves))
+    if leaves is None:
+        size = forest_count(k, d, mode)
+        if size > max_elements:
+            raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
     return _build_basis(spec, [diagram_encoding(forest)
-                               for forest in forest_encodings(k, d, mode)])
+                               for forest in forest_encodings(k, d, mode, spec.leaves)])
 
 
 def y_link_config_count(k: int, n: int, mode: Mode) -> int:
@@ -324,14 +387,16 @@ def _y_block_encodings(leaves: tuple[int, ...], mode: Mode) -> Iterator[bytes]:
     """Encodings of the Y-plus-struts diagrams with leaf-colour multiset
     ``leaves``, unordered."""
     support = [c for c, m in enumerate(leaves, 1) if m]
+    memo: dict = {}
     for triple in itertools.combinations(support, 3):
         y = y_encoding(*triple)[0]
         ends = tuple(m - (c in triple) for c, m in enumerate(leaves, 1))
-        for rest in _strut_multisets(ends, mode):
+        for rest in _strut_multisets(ends, mode, memo):
             yield diagram_encoding([y, *(strut_encoding(i, j) for i, j in rest)])
 
 
-def _strut_multisets(ends: Sequence[int], mode: Mode) -> Iterator[tuple[tuple[int, int], ...]]:
+def _strut_multisets(ends: Sequence[int], mode: Mode, memo: Optional[dict] = None
+                     ) -> list[tuple[tuple[int, int], ...]]:
     """Every multiset of nonzero struts with ``ends[i - 1]`` ends of
     colour i, as sorted end-colour pairs (i, j), i <= j.
 
@@ -339,54 +404,76 @@ def _strut_multisets(ends: Sequence[int], mode: Mode) -> Iterator[tuple[tuple[in
     struts are (i, j) with j >= i, so each choice of partners (two ends
     per (i, i) strut, allowed in concordance mode only) is followed by
     the multisets of the larger colours, and the pairs come out sorted.
+    Those depend only on the ends left to the larger colours, so each
+    such suffix of ``ends`` is listed once, into ``memo``.  Callers with
+    the same k may share a memo; one block's calls do.
     """
-    left = list(ends)
-    k = len(left)
+    k = len(ends)
     loops = mode is Mode.CONCORDANCE
+    memo = {} if memo is None else memo
 
-    def colour(i: int, prefix: tuple) -> Iterator[tuple[tuple[int, int], ...]]:
-        while i < k and not left[i]:
-            i += 1
-        if i == k:
-            yield prefix
-            return
-        need, left[i] = left[i], 0
-        for m in range(need // 2 + 1 if loops else 1):
-            yield from partners(i, i + 1, need - 2 * m, prefix + ((i + 1, i + 1),) * m)
-        left[i] = need
+    def listing(left: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+        found = memo.get(left)
+        if found is not None:
+            return found
+        i = k - len(left) + 1  # the colour of left[0]
+        if not left:
+            found = [()]
+        elif not left[0]:
+            found = listing(left[1:])
+        else:
+            found = []
+            rest = list(left[1:])
+            for m in range(left[0] // 2 + 1 if loops else 1):
+                for head in partners(i, 0, left[0] - 2 * m, rest, ((i, i),) * m):
+                    found += [head + tail for tail in listing(tuple(rest))]
+        memo[left] = found
+        return found
 
-    def partners(i: int, j: int, need: int, prefix: tuple) -> Iterator[tuple[tuple[int, int], ...]]:
+    def partners(i: int, j: int, need: int, rest: list[int], head: tuple
+                 ) -> Iterator[tuple[tuple[int, int], ...]]:
+        # ``rest`` holds the ends left to colours i + 1.. when a head is yielded
         if not need:
-            yield from colour(i + 1, prefix)
+            yield head
             return
-        if j == k:
+        while j < len(rest) and not rest[j]:
+            j += 1
+        if j == len(rest):
             return
-        # the colours after j take what j does not
-        after = sum(left[j + 1:])
-        for t in range(min(need, left[j]), max(need - after, 0) - 1, -1):
-            left[j] -= t
-            yield from partners(i, j + 1, need - t, prefix + ((i + 1, j + 1),) * t)
-            left[j] += t
+        # the colours after i + 1 + j take what it does not
+        after = sum(rest[j + 1:])
+        for t in range(min(need, rest[j]), max(need - after, 0) - 1, -1):
+            rest[j] -= t
+            yield from partners(i, j + 1, need - t, rest, head + ((i, i + 1 + j),) * t)
+            rest[j] += t
 
-    return colour(0, ())
+    return listing(tuple(ends))
 
 
-def y_leaf_orbits(k: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def leaf_totals(space: str, param: int) -> range:
+    """Leaf counts of the diagrams of a space: 2n + 3 for a Y next to n
+    struts; d + 1 (one tree) to 2d (all struts) for forests of degree d."""
+    if space == "y":
+        return range(2 * param + 3, 2 * param + 4)
+    return range(param + 1, 2 * param + 1)
+
+
+def leaf_orbits(k: int, space: str, param: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """(representative leaf multiset, orbit size), one per orbit of the
-    colour permutations on the leaf-colour multisets of the Y space with
-    ``n`` struts.
+    colour permutations on the leaf-colour multisets of a space.
 
     A representative gives colour i the multiplicity lambda_i of a
-    partition lambda of 3 + 2n into at most k parts.  Its orbit holds
-    k! / prod_j (number of colours of multiplicity j)! multisets, counting
-    multiplicity 0.
+    partition lambda of a leaf total (``leaf_totals``) into at most k
+    parts.  Its orbit holds k! / prod_j (number of colours of
+    multiplicity j)! multisets, counting multiplicity 0.
     """
-    for part in _partitions(2 * n + 3, max_parts=k):
-        leaves = part + (0,) * (k - len(part))
-        orbit = math.factorial(k)
-        for repeats in Counter(leaves).values():
-            orbit //= math.factorial(repeats)
-        yield leaves, orbit
+    for total in leaf_totals(space, param):
+        for part in _partitions(total, max_parts=k):
+            leaves = part + (0,) * (k - len(part))
+            orbit = math.factorial(k)
+            for repeats in Counter(leaves).values():
+                orbit //= math.factorial(repeats)
+            yield leaves, orbit
 
 
 def strut_type_count(k: int, mode: Mode) -> int:

@@ -3,6 +3,7 @@ witness extraction, and relation dumps."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Optional
@@ -271,12 +272,33 @@ def cmd_witness(mode: str, space: str, k: int, n: Optional[int],
                               prime_list[0], max_basis, max_rows)
     except _ERRORS as exc:
         raise _fail(exc)
-    text = json.dumps(doc)
+    text = _witness_json(doc)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
         click.echo(f"wrote {out}")
     else:
         click.echo(text)
+
+
+def _witness_json(doc: dict) -> str:
+    """``json.dumps(doc)`` of a witness document, with each dense
+    functional written from its runs of zeros (``functionals`` is the
+    document's last key)."""
+    head = json.dumps({key: value for key, value in doc.items() if key != "functionals"})
+    vecs = ", ".join(map(_dense_json, doc["functionals"]))
+    return f'{head[:-1]}, "functionals": [{vecs}]}}'
+
+
+def _dense_json(vec: list[int]) -> str:
+    """``json.dumps(vec)``: the zero runs between nonzero entries, each
+    written as one repeated string."""
+    parts = []
+    start = 0
+    for col in itertools.compress(range(len(vec)), vec):
+        parts.append("0, " * (col - start) + f"{vec[col]}, ")
+        start = col + 1
+    parts.append("0, " * (len(vec) - start))
+    return "[" + "".join(parts)[:-2] + "]"
 
 
 @cli.command("relations")

@@ -163,6 +163,17 @@ class TreeComponent:
         return TreeComponent(tuple(adj), tuple(colors))
 
 
+def _built_component(adj: tuple[tuple[int, ...], ...],
+                     colors: tuple[int, ...]) -> TreeComponent:
+    """A TreeComponent without the structural checks, for tables that
+    are a tree by construction: a parsed encoding, or a splice or
+    rewiring of valid components."""
+    comp = object.__new__(TreeComponent)
+    object.__setattr__(comp, "adj", adj)
+    object.__setattr__(comp, "colors", colors)
+    return comp
+
+
 def strut(a: int, b: int) -> TreeComponent:
     """A single edge with ends colored ``a`` and ``b``."""
     check_color(a)
@@ -335,6 +346,15 @@ def component_encodings(enc: bytes) -> list[bytes]:
     return enc.split(_SEP_BYTE)
 
 
+def recoloured_encoding(enc: bytes, table: bytes, mode: Mode) -> bytes:
+    """Encoding of the nonzero encoded diagram with each leaf color c
+    replaced by ``table[c]``, a permutation of the colors: the translated
+    bytes encode the recolored components, which are canonicalized
+    again."""
+    return diagram_encoding(canonicalize_component(decode_component(part), mode)[0]
+                            for part in component_encodings(enc.translate(table)))
+
+
 def degree(d: Diagram) -> int:
     """Half the vertex count: the sum of (leaf count - 1) per component."""
     if d.is_zero:
@@ -387,7 +407,7 @@ def decode_component(enc: bytes) -> TreeComponent:
     if pos != len(enc):
         raise StructuralError("trailing bytes in component encoding")
     adj[0] = [child]
-    return TreeComponent(tuple(tuple(n) for n in adj), tuple(colors))
+    return _built_component(tuple(tuple(n) for n in adj), tuple(colors))
 
 
 def decode_diagram(enc: bytes, mode: Mode, k: int) -> Diagram:
@@ -429,7 +449,7 @@ def _join_components(marked: TreeComponent, marked_leg: int,
     colors.append(0)
     adj[host_leg] = [w]
     adj[p] = [w if x == host_leg else x for x in adj[p]]
-    return TreeComponent(tuple(tuple(n) for n in adj), tuple(colors))
+    return _built_component(tuple(tuple(n) for n in adj), tuple(colors))
 
 
 def encoding_trivalent_count(enc: bytes) -> int:

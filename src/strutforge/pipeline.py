@@ -9,22 +9,23 @@ counts and emits an immutable ResultRecord.  Records are cached
 append-only in a JSON-lines file keyed by (mode, space, k, param,
 tool_version) so sweeps resume for free.
 
-A ``full`` cell is one block of weight 1.  A ``y`` cell is never built
-whole.  Its diagrams split by leaf-colour multiset M, and every relation
-row is homogeneous in M (see ``relations``), so the relation matrix is
-block diagonal and its rank is the sum of the block ranks.  A colour
-permutation s maps block M onto block sM: a diagram goes to the diagram
-with permuted colours, up to the sign of its Y, which flips when s takes
-the Y's colours out of cyclic order; and the configuration (a, c*, R) of
-M goes to (sa, sc*, sR) of sM, whose row is the image of the first under
-that signed column bijection.  Rank ignores a signed permutation of the
-columns, and distinct rows stay distinct, so every block of an orbit has
-the same columns, distinct nonzero rows and rank, and the cell ranks one
-representative block per orbit (``bases.y_leaf_orbits``) weighted by the
-orbit's size.  A block-diagonal rank is exact when every block's rank
-meets its own bound, so the cell is certified when every block is.
-``witness`` and the ``relations`` dump need every column, so they build
-the whole cell.
+No cell's relations are built whole.  Its diagrams split by leaf-colour
+multiset M, and every relation row is homogeneous in M (see
+``relations``): a link row's terms all have the leaves of its
+configuration, and an IHX rewiring keeps a diagram's leaves.  So the
+relation matrix is block diagonal and its rank is the sum of the block
+ranks.  A colour permutation s maps block M onto block sM: a diagram
+goes to the diagram with permuted colours, up to the signs its
+components pick up on canonicalization, and a configuration of M goes to
+the permuted configuration of sM, whose row is the image of the first
+under that signed column bijection.  Rank ignores a signed permutation
+of the columns, and distinct rows stay distinct, so every block of an
+orbit has the same columns, distinct nonzero rows, IHX instances and
+rank, and the cell ranks one representative block per orbit
+(``bases.leaf_orbits``) weighted by the orbit's size.  A block-diagonal
+rank is exact when every block's rank meets its own bound, so the cell
+is certified when every block is.  ``witness`` reads the same blocks
+(``compute_witness``); only the ``relations`` dump builds a cell whole.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from .bases import (
     enumerate_basis,
     enumerate_y_basis,
     forest_count,
-    y_leaf_orbits,
+    leaf_orbits,
 )
-from .diagrams import Mode
+from .diagrams import Mode, recoloured_encoding
 from .errors import CacheError, CapacityError, DomainError
 from .linalg import (
     DEFAULT_PRIMES,
@@ -124,29 +125,34 @@ class ResultRecord:
 
 
 def build_basis(mode: Mode, space: str, k: int, param: int,
-                max_elements: int = DEFAULT_MAX_ELEMENTS) -> Basis:
+                max_elements: int = DEFAULT_MAX_ELEMENTS,
+                leaves: Optional[Sequence[int]] = None) -> Basis:
+    """The cell's basis, or its block with leaf multiset ``leaves``."""
     if space == "y":
-        return enumerate_y_basis(k, param, mode, max_elements)
+        return enumerate_y_basis(k, param, mode, max_elements, leaves)
     if space == "full":
-        return enumerate_basis(k, param, mode, max_elements)
+        return enumerate_basis(k, param, mode, max_elements, leaves)
     raise DomainError(f"space must be 'y' or 'full', got {space!r}")
 
 
 def build_relations(mode: Mode, space: str, k: int, param: int, basis: Basis,
                     max_rows: int = DEFAULT_MAX_ROWS
                     ) -> tuple[list[RelationRow], int]:
-    """(deduplicated nonzero rows, raw configuration count)."""
+    """(deduplicated nonzero rows, IHX instances) over a cell's or a
+    block's basis.
+
+    The link configurations are counted once per cell, by
+    ``check_caps``; the IHX instances, one per internal edge of a
+    column, here (a Y has none).
+    """
     if space == "y":
-        raw = y_link_config_count(k, param, mode)
-        rows = y_link_relations(k, param, mode, basis, max_rows)
-        return rows, raw
-    raw = count_link_configs(k, param, mode) + count_ihx_instances(basis)
+        return y_link_relations(k, param, mode, basis, max_rows), 0
     link = link_relations(k, param, mode, basis, max_rows, provenance=False)
     ihx = ihx_relations(k, param, mode, basis, provenance=False)
     seen = {row.entries: row for row in link}
     for row in ihx:
         seen.setdefault(row.entries, row)
-    return [seen[key] for key in sorted(seen)], raw
+    return [seen[key] for key in sorted(seen)], count_ihx_instances(basis)
 
 
 def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
@@ -184,20 +190,16 @@ def check_caps(mode: Mode, space: str, k: int, param: int,
     return size, configs
 
 
-def _blocks(mode: Mode, space: str, k: int, param: int, max_elements: int,
-            max_rows: int) -> Iterator[tuple[int, Basis, list[RelationRow]]]:
-    """(weight, basis, distinct nonzero rows) of the blocks a cell is
-    ranked by: one representative block with columns per orbit of the
-    colour permutations, weighted by the orbit's size, for a ``y`` cell;
-    the whole cell, once, for a ``full`` cell."""
-    if space == "full":
-        basis = build_basis(mode, space, k, param, max_elements)
-        yield 1, basis, build_relations(mode, space, k, param, basis, max_rows)[0]
-        return
-    for leaves, orbit in y_leaf_orbits(k, param):
-        block = enumerate_y_basis(k, param, mode, leaves=leaves)
+def _blocks(mode: Mode, space: str, k: int, param: int) -> Iterator[
+        tuple[tuple[int, ...], int, Basis, list[RelationRow], int]]:
+    """(leaf multiset, weight, basis, distinct nonzero rows, IHX
+    instances) of the blocks a cell is ranked by: one representative
+    block with columns per orbit of the colour permutations, weighted by
+    the orbit's size."""
+    for leaves, orbit in leaf_orbits(k, space, param):
+        block = build_basis(mode, space, k, param, leaves=leaves)
         if block.elements:
-            yield orbit, block, y_link_relations(k, param, mode, block)
+            yield (leaves, orbit, block, *build_relations(mode, space, k, param, block))
 
 
 def compute_dimension(mode: Mode, space: str, k: int, param: int,
@@ -209,10 +211,10 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
 
     Columns, distinct nonzero rows and rank are the block counts times
     their weights.  The raw relation count is the cell's link
-    configurations plus the IHX instances of its columns (none in a
-    ``y`` block).  The cell is certified when every block is, and
-    ``primes`` is every prime a block's rank came from, in first-use
-    order: ``primes[:1]`` when every block certified on the first prime.
+    configurations plus the weighted IHX instances of its blocks.  The
+    cell is certified when every block is, and ``primes`` is every prime
+    a block's rank came from, in first-use order: ``primes[:1]`` when
+    every block certified on the first prime.
     """
     if len(set(primes)) < 2:
         raise DomainError("need at least two distinct primes")
@@ -222,9 +224,9 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
     cols = num_rows = rank = 0
     used: list[int] = []
     certified = True
-    for weight, basis, rows in _blocks(mode, space, k, param, max_elements, max_rows):
+    for _, weight, basis, rows, ihx in _blocks(mode, space, k, param):
         result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
-        raw += weight * count_ihx_instances(basis)
+        raw += weight * ihx
         cols += weight * len(basis)
         num_rows += weight * len(rows)
         rank += weight * result.rank
@@ -247,18 +249,95 @@ def compute_witness(mode: Mode, space: str, k: int, param: int,
                     max_elements: int = DEFAULT_MAX_ELEMENTS,
                     max_rows: int = DEFAULT_MAX_ROWS) -> dict:
     """Witness document: basis encodings plus the cokernel functionals,
-    each a mod-p linear functional vanishing on every relation."""
+    each a mod-p linear functional vanishing on every relation, one per
+    non-pivot column of the reduced echelon form, in column order.
+
+    Blocks and cell list their columns in encoding order, and the
+    relation matrix is block diagonal, so the cell's reduced echelon form
+    is its blocks' side by side, and each functional is a block's on that
+    block's columns.  Each orbit's representative block is reduced.  When
+    its rank meets the number of columns its rows touch, every touched
+    column is a pivot, so its functionals are the unit vectors on the
+    untouched columns (``_untouched_columns``), and a colour permutation
+    carries those onto the untouched columns of each block in the orbit.
+    Otherwise each block of the orbit is reduced.
+    """
     _check_prime_bound(space, param, (prime,))
     check_caps(mode, space, k, param, max_elements, max_rows)
     basis = build_basis(mode, space, k, param, max_elements)
-    rows, _ = build_relations(mode, space, k, param, basis, max_rows)
-    functionals = cokernel_functionals(
-        SparseMatrix.from_rows(rows, len(basis)), prime)
+    found: dict[int, dict[int, int]] = {}  # free column -> entries, on the cell's columns
+    for leaves, _, block, rows, _ in _blocks(mode, space, k, param):
+        vecs = cokernel_functionals(SparseMatrix.from_rows(rows, len(block)), prime)
+        untouched = _untouched_columns(block, rows, len(block) - len(vecs))
+        if untouched == []:
+            continue
+        for image in _rearrangements(leaves):
+            if untouched is not None:
+                table = _colour_table(leaves, image)
+                for enc in untouched:
+                    col = basis.index[recoloured_encoding(enc, table, mode)]
+                    found[col] = {col: 1}
+                continue
+            image_block, image_vecs = block, vecs
+            if image != leaves:
+                image_block = build_basis(mode, space, k, param, leaves=image)
+                image_rows = build_relations(mode, space, k, param, image_block)[0]
+                image_vecs = cokernel_functionals(
+                    SparseMatrix.from_rows(image_rows, len(image_block)), prime)
+            for vec in image_vecs:
+                # a functional's free column is its last nonzero entry
+                entries = {basis.index[image_block.elements[c].encoding]: v
+                           for c, v in enumerate(vec) if v}
+                found[max(entries)] = entries
+    functionals = []
+    for free in sorted(found):
+        vec = [0] * len(basis)
+        for c, v in found[free].items():
+            vec[c] = v
+        functionals.append(vec)
     return {
         "basis": [cd.encoding.hex() for cd in basis.elements],
         "prime": prime,
         "functionals": functionals,
     }
+
+
+def _untouched_columns(block: Basis, rows: Sequence[RelationRow],
+                       rank: int) -> Optional[list[bytes]]:
+    """Encodings of the block's columns that no row touches, when
+    ``rank`` equals the number of touched columns, else None."""
+    touched = bytearray(len(block))
+    for row in rows:
+        for c, _ in row.entries:
+            touched[c] = 1
+    if rank != touched.count(1):
+        return None
+    return [block.elements[c].encoding for c in range(len(block)) if not touched[c]]
+
+
+def _rearrangements(leaves: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every distinct rearrangement of ``leaves``: the orbit of a leaf
+    multiset under the colour permutations."""
+    if not leaves:
+        yield ()
+        return
+    for first in sorted(set(leaves)):
+        rest = list(leaves)
+        rest.remove(first)
+        for tail in _rearrangements(tuple(rest)):
+            yield (first,) + tail
+
+
+def _colour_table(leaves: Sequence[int], image: Sequence[int]) -> bytes:
+    """A byte translation table of a colour permutation s with
+    image[s(i) - 1] == leaves[i - 1] for every colour i."""
+    targets: dict[int, list[int]] = {}
+    for c, m in reversed(list(enumerate(image, 1))):
+        targets.setdefault(m, []).append(c)
+    table = bytearray(range(256))
+    for c, m in enumerate(leaves, 1):
+        table[c] = targets[m].pop()
+    return bytes(table)
 
 
 def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:

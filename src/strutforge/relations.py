@@ -34,6 +34,14 @@ the same link-row assembly as ``link_relations``.  Provenance text is
 built only for rows kept after dedup, and only when asked for: the
 dumps ask, ``pipeline.build_relations`` does not.
 
+Grafting the leg of a marked tree onto a leaf of a rest forest F keeps
+the leaves of F and of the expression E hanging off the leg, so every
+term of the row has the leaves E + F, and an IHX rewiring keeps a
+diagram's leaves.  The rows of one block M thus come from the marked
+trees with E in M, each with the rest forests of leaves M - E
+(``link_relations`` on a block basis), and from the IHX instances of
+the block's own columns.
+
 The graft-then-canonicalize constructions of all these rows, with a
 concrete diagram per term, live in ``tests/brute_force.py``
 (``PreGraftConfig`` and ``graft``) as the oracles the rows here,
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
@@ -64,6 +73,7 @@ from .diagrams import (
     Diagram,
     Mode,
     TreeComponent,
+    _built_component,
     _join_components,
     canonicalize_component,
     component_encodings,
@@ -211,12 +221,13 @@ def _y_link_configs(k: int, n: int, mode: Mode, basis: Basis) -> Iterator[
     if leaves is None:
         every = [(rest, *_y_rest_terms(rest)) for rest in
                  itertools.combinations_with_replacement(_strut_pairs(k, mode), n + 1)]
+    memo: dict = {}
     for a in range(1, k + 1):
         if leaves is None:
             rests = every
         elif leaves[a - 1]:
             rests = [(rest, *_y_rest_terms(rest)) for rest in _strut_multisets(
-                tuple(e - (c == a) for c, e in enumerate(leaves, 1)), mode)]
+                tuple(e - (c == a) for c, e in enumerate(leaves, 1)), mode, memo)]
         else:
             continue
         for c in range(1, k + 1):
@@ -400,27 +411,75 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
 
     The forest is a tuple of canonical component encodings, and the
     canonical grafts onto each distinct component are computed once per
-    marked tree (``_link_row``).  The exact configuration count is
-    checked against ``max_configs`` before the first row.  With
-    ``provenance`` false the rows carry no description.
+    marked tree (``_link_row``).  Given a block basis (``enumerate_basis``
+    with ``leaves``), only the block's configurations are run
+    (``_link_configs``), and the rows are the block's rows over its own
+    columns.  The whole cell's exact configuration count is checked
+    against ``max_configs`` before the first row; a block is not capped.
+    With ``provenance`` false the rows carry no description.
     """
-    total = count_link_configs(k, d, mode)
-    if total > max_configs:
-        raise CapacityError(f"{total} link configurations exceed the cap {max_configs}")
+    leaves = basis.spec.leaves
+    if leaves is None:
+        total = count_link_configs(k, d, mode)
+        if total > max_configs:
+            raise CapacityError(f"{total} link configurations exceed the cap {max_configs}")
     index = basis.index
     decoded: dict[bytes, TreeComponent] = {}
     rows = _RowSet()
-    for dm in range(1, d + 1):
-        rest_forests = list(forest_encodings(k, d - dm, mode))
-        for m_comp, m_leg in marked_trees(k, dm, mode):
-            grafts: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
-            for rest in rest_forests:
-                rows.add_entries(
-                    _link_row(m_comp, m_leg, rest, index, grafts, decoded, mode),
-                    (lambda: f"link marked={render_component(m_comp)}@{m_comp.colors[m_leg]}* "
-                             f"rest={{{','.join(render_encoding(e) for e in rest)}}}")
-                    if provenance else None)
+    for m_comp, m_leg, rest_forests in _link_configs(k, d, mode, leaves):
+        grafts: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
+        for rest in rest_forests:
+            rows.add_entries(
+                _link_row(m_comp, m_leg, rest, index, grafts, decoded, mode),
+                (lambda: f"link marked={render_component(m_comp)}@{m_comp.colors[m_leg]}* "
+                         f"rest={{{','.join(render_encoding(e) for e in rest)}}}")
+                if provenance else None)
     return rows.emit()
+
+
+def _link_configs(k: int, d: int, mode: Mode, leaves: Optional[tuple[int, ...]]
+                  ) -> Iterator[tuple[TreeComponent, int, list[tuple[bytes, ...]]]]:
+    """(marked tree, leg, rest forests) of the link configurations, by
+    marked-tree degree.
+
+    The whole cell pairs every marked tree with every forest of the
+    remaining degree.  A row's terms all have the leaves of the rest
+    forest plus those of the expression hanging off the leg, so a block
+    with leaf multiset M takes each marked tree whose expression leaves E
+    fit in M, with the forests of leaf multiset M - E
+    (``_marked_groups``), and skips the marked trees whose leg colour is
+    not in M - E: their rows are empty.
+    """
+    for dm in range(1, d + 1):
+        if leaves is None:
+            rest_forests = list(forest_encodings(k, d - dm, mode))
+            for m_comp, m_leg in marked_trees(k, dm, mode):
+                yield m_comp, m_leg, rest_forests
+            continue
+        for vec, group in _marked_groups(k, dm, mode):
+            left = tuple(map(operator.sub, leaves, vec))
+            if min(left) < 0:
+                continue
+            rest_forests = list(forest_encodings(k, d - dm, mode, left))
+            for m_comp, m_leg in group:
+                if rest_forests and left[m_comp.colors[m_leg] - 1]:
+                    yield m_comp, m_leg, rest_forests
+
+
+@lru_cache(maxsize=None)
+def _marked_groups(k: int, deg: int, mode: Mode) -> tuple[
+        tuple[tuple[int, ...], tuple[tuple[TreeComponent, int], ...]], ...]:
+    """``marked_trees`` grouped by the leaf vector of the expression
+    hanging off the leg (entry i - 1 counts colour i), as (vector,
+    marked trees) pairs, the trees in their order."""
+    groups: dict[tuple[int, ...], list[tuple[TreeComponent, int]]] = {}
+    for comp, leg in marked_trees(k, deg, mode):
+        vec = [0] * k
+        for v, c in comp.leaves():
+            if v != leg:
+                vec[c - 1] += 1
+        groups.setdefault(tuple(vec), []).append((comp, leg))
+    return tuple((vec, tuple(group)) for vec, group in groups.items())
 
 
 def count_link_configs(k: int, d: int, mode: Mode) -> int:
@@ -450,7 +509,7 @@ def _rewire(comp: TreeComponent, u: int, v: int,
     for x, parent in ((at_u[0], u), (at_u[1], u), (at_v[0], v), (at_v[1], v)):
         old = u if u in comp.adj[x] else v
         adj[x] = [parent if t == old else t for t in adj[x]]
-    return TreeComponent(tuple(tuple(n) for n in adj), comp.colors)
+    return _built_component(tuple(tuple(n) for n in adj), comp.colors)
 
 
 def ihx_instances(comp: TreeComponent) -> Iterator[tuple[TreeComponent, TreeComponent, TreeComponent]]:

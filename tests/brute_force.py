@@ -12,9 +12,10 @@ oracle for ``y_link_relations``, ``link_relations`` and ``expand_along``
 in ``strutforge.relations``.  The IHX oracle rewires the decoded basis
 diagrams, for ``ihx_relations`` and ``count_ihx_instances``.
 
-The ungraded single-Y dimension, the oracle for the orbit-graded ``y``
-path of ``strutforge.pipeline.compute_dimension``: the whole basis, the
-whole row set and one rank of the whole matrix.
+The ungraded dimension and witness, the oracles for the orbit-graded
+``compute_dimension`` and ``compute_witness`` of ``strutforge.pipeline``
+on both spaces: the whole basis, the whole row set, and one rank or
+one reduced echelon form of the whole matrix.
 
 Echelon pivot order, the oracle for the heap pivot queue of
 ``strutforge.linalg._echelon_block``: every pivot is the minimum over a
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from strutforge import __version__, bases
-from strutforge.bases import DEFAULT_MAX_ELEMENTS, Basis, enumerate_y_basis
+from strutforge.bases import DEFAULT_MAX_ELEMENTS, Basis
 from strutforge.diagrams import (
     MARKED_COLOR,
     Diagram,
@@ -41,15 +42,20 @@ from strutforge.diagrams import (
     render_component,
 )
 from strutforge.errors import DomainError
-from strutforge.linalg import DEFAULT_PRIMES, SparseMatrix, rank_multiprime
-from strutforge.pipeline import ResultRecord
+from strutforge.linalg import (
+    DEFAULT_PRIMES,
+    SparseMatrix,
+    cokernel_functionals,
+    rank_multiprime,
+)
+from strutforge.pipeline import ResultRecord, build_basis, build_relations
 from strutforge.relations import (
     DEFAULT_MAX_ROWS,
     RelationRow,
+    count_link_configs,
     ihx_instances,
     marked_trees,
     y_link_config_count,
-    y_link_relations,
 )
 
 
@@ -345,17 +351,32 @@ def echelon_block_min_scan(rows: list[dict[int, int]], p: int) -> list[tuple[int
     return pivots
 
 
-def y_dimension_ungraded(mode: Mode, k: int, n: int, primes=DEFAULT_PRIMES,
-                         max_elements: int = DEFAULT_MAX_ELEMENTS,
-                         max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
-    """The ``dim`` record of a y cell from the whole basis and row set,
+def dimension_ungraded(mode: Mode, space: str, k: int, param: int,
+                       primes=DEFAULT_PRIMES,
+                       max_elements: int = DEFAULT_MAX_ELEMENTS,
+                       max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
+    """The ``dim`` record of a cell from the whole basis and row set,
     with ``elapsed_ms`` 0 and an empty timestamp."""
-    basis = enumerate_y_basis(k, n, mode, max_elements)
-    rows = y_link_relations(k, n, mode, basis, max_rows)
+    basis = build_basis(mode, space, k, param, max_elements)
+    rows, ihx = build_relations(mode, space, k, param, basis, max_rows)
+    raw = (y_link_config_count(k, param, mode) if space == "y"
+           else count_link_configs(k, param, mode) + ihx)
     result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
     return ResultRecord(
-        mode=mode.value, space="y", k=k, param=n, num_diagrams=len(basis),
-        num_relations_raw=y_link_config_count(k, n, mode),
-        num_relations_effective=len(rows), rank=result.rank,
+        mode=mode.value, space=space, k=k, param=param, num_diagrams=len(basis),
+        num_relations_raw=raw, num_relations_effective=len(rows), rank=result.rank,
         quotient_dim=result.quotient_dim, primes=result.primes, elapsed_ms=0,
         tool_version=__version__, timestamp="", certified=result.certified)
+
+
+def witness_ungraded(mode: Mode, space: str, k: int, param: int,
+                     prime: int = DEFAULT_PRIMES[0]) -> dict:
+    """The ``witness`` document of a cell from the reduced echelon form
+    of its whole relation matrix."""
+    basis = build_basis(mode, space, k, param)
+    rows, _ = build_relations(mode, space, k, param, basis)
+    return {
+        "basis": [cd.encoding.hex() for cd in basis.elements],
+        "prime": prime,
+        "functionals": cokernel_functionals(SparseMatrix.from_rows(rows, len(basis)), prime),
+    }

@@ -1,0 +1,103 @@
+"""The orbit-graded ``full`` dimension against the ungraded oracle, and
+the block generators against the whole cell.
+
+``compute_dimension`` ranks one leaf-multiset block per orbit of the
+colour permutations; ``brute_force.dimension_ungraded`` ranks the whole
+cell.  The keyed forest generator (``forest_encodings`` with
+``leaves``) and the block bases and rows must list exactly the whole
+cell's forests, columns and rows with that leaf multiset.
+"""
+
+import dataclasses
+import itertools
+from collections import Counter
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from brute_force import dimension_ungraded
+import strutforge.pipeline as pipeline
+from strutforge.bases import (
+    enumerate_basis,
+    forest_count,
+    forest_encodings,
+    leaf_orbits,
+    leaf_totals,
+    leaf_vector,
+)
+from strutforge.diagrams import Mode
+from strutforge.pipeline import build_relations, compute_dimension
+
+H = Mode.HOMOTOPY
+C = Mode.CONCORDANCE
+
+GRADED_CELLS = ([(H, k, d) for k in range(1, 6) for d in range(1, 5)]
+                + [(C, k, d) for k in range(1, 4) for d in range(1, 5)])
+
+
+@pytest.mark.parametrize("mode,k,d", GRADED_CELLS)
+def test_graded_record_equals_ungraded(mode, k, d):
+    graded = compute_dimension(mode, "full", k, d)
+    assert dataclasses.replace(graded, elapsed_ms=0, timestamp="") == \
+        dimension_ungraded(mode, "full", k, d)
+
+
+@lru_cache(maxsize=None)
+def whole_cell(mode, k, d):
+    """The whole cell's basis, and its forests, columns and rows grouped
+    by leaf multiset."""
+    forests, cols, rows = {}, {}, {}
+    for forest in forest_encodings(k, d, mode):
+        forests.setdefault(leaf_vector(b"".join(forest), k), []).append(tuple(sorted(forest)))
+    basis = enumerate_basis(k, d, mode)
+    for cd in basis.elements:
+        cols.setdefault(leaf_vector(cd.encoding, k), []).append(cd.encoding)
+    for row in build_relations(mode, "full", k, d, basis)[0]:
+        first = basis.elements[row.entries[0][0]].encoding
+        rows.setdefault(leaf_vector(first, k), set()).add(row.entries)
+    return basis, forests, cols, rows
+
+
+def leaf_multisets(k, d):
+    for total in leaf_totals("full", d):
+        for combo in itertools.combinations_with_replacement(range(1, k + 1), total):
+            counts = Counter(combo)
+            yield tuple(counts[c] for c in range(1, k + 1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([(H, k, d) for k in range(1, 6) for d in range(1, 5)]
+                       + [(C, k, d) for k in range(1, 4) for d in range(1, 4)]))
+def test_blocks_partition_the_cell(cell):
+    mode, k, d = cell
+    basis, forests, cols, rows = whole_cell(mode, k, d)
+    for leaves in leaf_multisets(k, d):
+        keyed = [tuple(sorted(forest)) for forest in forest_encodings(k, d, mode, leaves)]
+        assert sorted(keyed) == sorted(forests.get(leaves, ())), leaves
+        block = enumerate_basis(k, d, mode, leaves=leaves)
+        assert [cd.encoding for cd in block.elements] == cols.get(leaves, []), leaves
+        mapped = {tuple((basis.index[block.elements[c].encoding], v) for c, v in row.entries)
+                  for row in build_relations(mode, "full", k, d, block)[0]}
+        assert mapped == rows.get(leaves, set()), leaves
+    weighted = sum(orbit * len(enumerate_basis(k, d, mode, leaves=leaves))
+                   for leaves, orbit in leaf_orbits(k, "full", d))
+    assert weighted == len(basis) == forest_count(k, d, mode)
+
+
+def test_ihx_instances_are_counted_once_per_block(monkeypatch):
+    ungraded = dimension_ungraded(H, "full", 5, 4)
+    real = pipeline.count_ihx_instances
+    counted = []
+
+    def spy(basis):
+        counted.append(basis.spec.leaves)
+        return real(basis)
+
+    monkeypatch.setattr(pipeline, "count_ihx_instances", spy)
+    record = compute_dimension(H, "full", 5, 4)
+    assert record.num_relations_raw == ungraded.num_relations_raw
+    blocks = [leaves for leaves, _ in leaf_orbits(5, "full", 4)
+              if len(enumerate_basis(5, 4, H, leaves=leaves))]
+    # one call per ranked block, none on the whole basis
+    assert counted == blocks and None not in counted

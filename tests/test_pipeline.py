@@ -4,7 +4,7 @@ import json
 import pytest
 
 from strutforge import __version__
-from strutforge.bases import enumerate_basis, enumerate_y_basis, y_leaf_orbits
+from strutforge.bases import enumerate_basis, enumerate_y_basis, leaf_orbits
 from strutforge.diagrams import Mode, encoding_trivalent_count
 from strutforge.errors import CacheError, DomainError
 import strutforge.linalg as linalg
@@ -93,7 +93,7 @@ class TestComputeDimension:
             calls.append(p)
             return real(m, p)
 
-        ranked = [orbit for leaves, orbit in y_leaf_orbits(4, 1)
+        ranked = [orbit for leaves, orbit in leaf_orbits(4, "y", 1)
                   if len(enumerate_y_basis(4, 1, H, leaves=leaves))]
         assert ranked == [12, 4]
         monkeypatch.setattr(linalg, "rank_mod_p", counted)

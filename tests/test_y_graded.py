@@ -2,7 +2,7 @@
 block generators against the whole-cell basis and rows.
 
 ``compute_dimension`` ranks one leaf-multiset block per orbit of the
-colour permutations; ``brute_force.y_dimension_ungraded`` ranks the
+colour permutations; ``brute_force.dimension_ungraded`` ranks the
 whole cell.  The block generators (``enumerate_y_basis`` and
 ``y_link_relations`` on a block) must list exactly the whole cell's
 columns and rows with that leaf multiset.
@@ -18,13 +18,13 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from brute_force import y_dimension_ungraded
+from brute_force import dimension_ungraded
 import strutforge.linalg as linalg
 from strutforge.bases import (
     _partitions,
     enumerate_y_basis,
+    leaf_orbits,
     strut_union_count,
-    y_leaf_orbits,
 )
 from strutforge.cli import cli
 from strutforge.diagrams import Mode, encoding_leaf_colors
@@ -63,7 +63,7 @@ def whole_cell(mode, k, n):
 def test_graded_record_equals_ungraded(mode, k, n):
     graded = compute_dimension(mode, "y", k, n)
     assert dataclasses.replace(graded, elapsed_ms=0, timestamp="") == \
-        y_dimension_ungraded(mode, k, n)
+        dimension_ungraded(mode, "y", k, n)
 
 
 @settings(max_examples=12, deadline=None)
@@ -81,13 +81,13 @@ def test_blocks_partition_the_cell(cell):
                   for row in y_link_relations(k, n, mode, block)}
         assert mapped == rows.get(leaves, set()), leaves
     weighted = sum(orbit * len(enumerate_y_basis(k, n, mode, leaves=leaves))
-                   for leaves, orbit in y_leaf_orbits(k, n))
+                   for leaves, orbit in leaf_orbits(k, "y", n))
     assert weighted == len(basis) == math.comb(k, 3) * strut_union_count(k, n, mode)
 
 
 @pytest.mark.parametrize("k,n", [(1, 0), (3, 0), (4, 2), (9, 5), (12, 6)])
 def test_orbits_cover_every_leaf_multiset(k, n):
-    orbits = list(y_leaf_orbits(k, n))
+    orbits = list(leaf_orbits(k, "y", n))
     assert sum(orbit for _, orbit in orbits) == math.comb(k + 2 * n + 2, 2 * n + 3)
     for leaves, _ in orbits:
         assert list(leaves) == sorted(leaves, reverse=True) and sum(leaves) == 2 * n + 3
@@ -97,16 +97,16 @@ def test_orbits_cover_every_leaf_multiset(k, n):
 def test_small_k_large_n_equals_ungraded(mode, k, n):
     graded = compute_dimension(mode, "y", k, n)
     assert dataclasses.replace(graded, elapsed_ms=0, timestamp="") == \
-        y_dimension_ungraded(mode, k, n)
+        dimension_ungraded(mode, "y", k, n)
 
 
 def test_orbits_list_only_partitions_into_k_parts():
     # partitions of d into at most 3 parts: round((d + 3)^2 / 12); the
     # recursion stays k deep, far below the 1003 of the all-ones partition
-    orbits = list(y_leaf_orbits(3, 500))
+    orbits = list(leaf_orbits(3, "y", 500))
     assert len(orbits) == round(1006 ** 2 / 12)
     assert sum(orbit for _, orbit in orbits) == math.comb(1005, 2)
-    assert [leaves for leaves, _ in y_leaf_orbits(1, 500)] == [(1003,)]
+    assert [leaves for leaves, _ in leaf_orbits(1, "y", 500)] == [(1003,)]
 
 
 def test_partitions_into_at_most_m_parts():
@@ -125,7 +125,7 @@ def test_record_names_the_primes_a_block_rank_came_from(monkeypatch):
     record = compute_dimension(H, "y", 4, 1)
     assert record.certified
     assert record.primes == PRIME_POOL[2:4]
-    assert record.rank == y_dimension_ungraded(H, 4, 1).rank
+    assert record.rank == dimension_ungraded(H, "y", 4, 1).rank
 
 
 def _never(*_args, **_kwargs):

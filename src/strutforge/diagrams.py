@@ -264,7 +264,10 @@ def _encode_rooted(comp: TreeComponent, v: int, parent: int) -> tuple[bytes, int
     return _NODE_BYTE + enc_a + enc_b, 0
 
 
-@lru_cache(maxsize=1 << 18)
+# Bounded small: most components a run canonicalizes are graft results
+# seen once, and keeping 1 << 18 of them doubled the peak memory of a
+# full k=7 d=6 ``dim``.
+@lru_cache(maxsize=1 << 12)
 def canonicalize_component(comp: TreeComponent, mode: Mode) -> tuple[bytes, int]:
     """Canonical (encoding, sign) of one component under antisymmetry.
 

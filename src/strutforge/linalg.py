@@ -1,10 +1,10 @@
 """Exact rank and cokernel of sparse integer relation matrices.
 
-One per-block echelon kernel serves both functionals of the quotient:
-the rows are reduced mod p, split into column-connected blocks, and each
-block is brought to echelon form with a shortest-row pivot policy.  The
-rank is the number of pivots; the cokernel functionals are read off the
-same pivots after back-substitution to the reduced row echelon form.
+One echelon kernel serves both functionals of the quotient: the rows
+are reduced mod p and brought to echelon form with a shortest-row pivot
+policy, the pivots taken from one heap per matrix.  The rank is the
+number of pivots; the cokernel functionals are read off the same pivots
+after back-substitution to the reduced row echelon form.
 Ranks are computed modulo ~2**31 primes, keeping elimination in machine
 words.  A modular rank can only undershoot the rational one, and the
 rational rank never exceeds min(#nonzero rows, #columns some row
@@ -102,33 +102,9 @@ class RankResult:
             raise DomainError("rank and quotient dimension must be >= 0")
 
 
-def _column_blocks(rows: list[dict[int, int]]) -> dict[int, list[dict[int, int]]]:
-    """Group rows into connected blocks of columns (union-find); columns
-    never sharing a row can be eliminated independently."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for row in rows:
-        cols = list(row)
-        for col in cols:
-            parent.setdefault(col, col)
-        root = find(cols[0])
-        for col in cols[1:]:
-            parent[find(col)] = root
-    blocks: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
-        blocks.setdefault(find(next(iter(row))), []).append(row)
-    return blocks
-
-
 def _echelon_block(rows: list[dict[int, int]], p: int) -> list[tuple[int, dict[int, int]]]:
-    """Sparse Gaussian elimination of one block over F_p: the
-    (pivot column, monic pivot row) pairs in pivot order.
+    """Sparse Gaussian elimination over F_p: the (pivot column, monic
+    pivot row) pairs in pivot order.
 
     Pivot policy: shortest remaining row, then lowest leading column,
     then insertion order (Markowitz-lite, fully deterministic).  A pivot
@@ -138,7 +114,10 @@ def _echelon_block(rows: list[dict[int, int]], p: int) -> list[tuple[int, dict[i
     Candidates come from a heap keyed on (length, leading column, row
     id); every updated row is pushed again under its new key, and a
     popped entry is skipped when its row is already a pivot or its key
-    is stale, so the first live entry is the policy's minimum.
+    is stale, so the first live entry is the policy's minimum.  Rows
+    whose columns never meet, directly or through other rows, never
+    update each other, so each such group of rows gets the pivots it
+    would get on its own, interleaved in one heap.
     """
     col_rows: dict[int, set[int]] = {}
     for rid, row in enumerate(rows):
@@ -193,12 +172,9 @@ def _check_prime(m: SparseMatrix, p: int) -> None:
 
 
 def _echelon(m: SparseMatrix, p: int) -> list[tuple[int, dict[int, int]]]:
-    """Echelon pivots of the whole matrix over F_p, block by block."""
+    """Echelon pivots of the whole matrix over F_p."""
     _check_prime(m, p)
-    pivots = []
-    for _, block in sorted(_column_blocks(_rows_mod_p(m, p)).items()):
-        pivots.extend(_echelon_block(block, p))
-    return pivots
+    return _echelon_block(_rows_mod_p(m, p), p)
 
 
 def rank_mod_p(m: SparseMatrix, p: int) -> int:

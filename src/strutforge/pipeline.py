@@ -57,6 +57,7 @@ from .linalg import (
     DEFAULT_PRIMES,
     SparseMatrix,
     cokernel_functionals,
+    is_prime,
     rank_multiprime,
 )
 from .relations import (
@@ -156,11 +157,13 @@ def build_relations(mode: Mode, space: str, k: int, param: int, basis: Basis,
 
 
 def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
-    """Reject, before any work, a prime that does not exceed the largest
-    coefficient the cell's relation rows can have; the rank routines
-    check the actual rows again."""
+    """Reject, before any work, a "prime" that is not prime or does not
+    exceed the largest coefficient the cell's relation rows can have; the
+    rank routines check again only the primes they use."""
     bound = coefficient_bound(space, param)
     for p in primes:
+        if not is_prime(p):
+            raise DomainError(f"{p} is not a prime")
         if p <= bound:
             raise DomainError(
                 f"prime {p} does not exceed the coefficient bound {bound} of this space")

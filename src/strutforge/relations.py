@@ -21,18 +21,22 @@ they differ only in the rests R listed for each a.
 
 The full-space rows are assembled on canonical encodings too.  A link
 configuration is a marked tree (a leg color plus a rooted expression
-from ``bases``) and a rest forest given as a tuple of component
-encodings; an IHX row rewires one component of a basis encoding.  A
-graft or a rewiring changes one component and leaves the others as they
-are, so each distinct (marked tree, host component) pair is grafted and
-canonicalized once, and each distinct component's I, H and X terms once.
-A term's column is the basis index of the sorted component encodings,
-looked up in one place.  Coefficients are attachment multiplicities
-times the canonical antisymmetry signs, so one fixed grafting convention
-reproduces the relations exactly.  ``expand_along`` builds its row with
-the same link-row assembly as ``link_relations``.  Provenance text is
-built only for rows kept after dedup, and only when asked for: the
-dumps ask, ``pipeline.build_relations`` does not.
+from ``bases``, the leg at vertex 0) and a rest forest given as a tuple
+of component encodings; an IHX row rewires one component of a basis
+encoding.  A graft or a rewiring changes one component and leaves the
+others as they are, and depends only on that component and the mode.
+So the grafts of a (marked tree, host component) pair
+(``_graft_terms``) and the I, H and X terms of a component
+(``_ihx_terms``) are memoized by value in bounded caches, which every
+block and cell of a process shares: each is computed once while it
+stays in its cache.  A term's column is the basis index of the sorted
+component encodings, looked up in one place.  Coefficients are
+attachment multiplicities times the canonical antisymmetry signs, so one
+fixed grafting convention reproduces the relations exactly.
+``expand_along`` builds its row with the same link-row assembly as
+``link_relations``.  Provenance text is built only for rows kept after
+dedup, and only when asked for: the dumps ask,
+``pipeline.build_relations`` does not.
 
 Grafting the leg of a marked tree onto a leaf of a rest forest F keeps
 the leaves of F and of the expression E hanging off the leg, so every
@@ -345,32 +349,27 @@ def _term_column(index: dict[bytes, int], components: list[bytes]) -> int:
             "match this generator's space") from None
 
 
-def _graft_terms(marked: TreeComponent, marked_leg: int, host: bytes,
-                 decoded: dict[bytes, TreeComponent],
+@lru_cache(maxsize=1 << 16)
+def _graft_terms(marked: TreeComponent, host: bytes,
                  mode: Mode) -> tuple[tuple[bytes, int], ...]:
     """(encoding, summed sign) of the canonical components made by grafting
-    the marked leg above each same-colored leaf of the host component
-    ``host``, zeros dropped.  ``decoded`` memoizes the host components."""
-    color = marked.colors[marked_leg]
-    if color not in host:
-        return ()
-    comp = decoded.get(host)
-    if comp is None:
-        comp = decoded[host] = decode_component(host)
+    the marked leg, vertex 0, above each same-colored leaf of the host
+    component with canonical encoding ``host``, zeros dropped.  The key
+    leaves out k: a graft does not depend on it.
+    """
+    color = marked.colors[0]
+    comp = decode_component(host)
     terms: dict[bytes, int] = {}
     for v, c in comp.leaves():
         if c == color:
-            enc, sign = canonicalize_component(
-                _join_components(marked, marked_leg, comp, v), mode)
+            enc, sign = canonicalize_component(_join_components(marked, 0, comp, v), mode)
             if sign:
                 terms[enc] = terms.get(enc, 0) + sign
     return tuple((enc, sign) for enc, sign in terms.items() if sign)
 
 
-def _link_row(marked: TreeComponent, marked_leg: int, rest: tuple[bytes, ...],
-              index: dict[bytes, int],
-              grafts: dict[bytes, tuple[tuple[bytes, int], ...]],
-              decoded: dict[bytes, TreeComponent], mode: Mode,
+def _link_row(marked: TreeComponent, rest: tuple[bytes, ...],
+              index: dict[bytes, int], mode: Mode,
               scale: int = 1) -> tuple[tuple[int, int], ...]:
     """Sorted entries of the link row that grafts the marked leg above
     every same-colored leaf of the rest forest, times ``scale``.
@@ -378,16 +377,14 @@ def _link_row(marked: TreeComponent, marked_leg: int, rest: tuple[bytes, ...],
     ``rest`` is a tuple of canonical component encodings with equal ones
     adjacent.  Grafting onto one component leaves the others as they
     are, so a component repeated m times contributes its graft terms m
-    times.  ``grafts`` memoizes ``_graft_terms`` per host component for
-    this marked tree, and ``decoded`` the decoded hosts.
+    times.  A component without the leg's colour takes no graft and is
+    skipped before the ``_graft_terms`` cache.
     """
     coeffs: dict[int, int] = {}
     for pos, host in enumerate(rest):
-        if pos and rest[pos - 1] == host:
+        if pos and rest[pos - 1] == host or marked.colors[0] not in host:
             continue
-        terms = grafts.get(host)
-        if terms is None:
-            terms = grafts[host] = _graft_terms(marked, marked_leg, host, decoded, mode)
+        terms = _graft_terms(marked, host, mode)
         if not terms:
             continue
         mult = rest.count(host) * scale
@@ -410,13 +407,14 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
     vanish).
 
     The forest is a tuple of canonical component encodings, and the
-    canonical grafts onto each distinct component are computed once per
-    marked tree (``_link_row``).  Given a block basis (``enumerate_basis``
-    with ``leaves``), only the block's configurations are run
-    (``_link_configs``), and the rows are the block's rows over its own
-    columns.  The whole cell's exact configuration count is checked
-    against ``max_configs`` before the first row; a block is not capped.
-    With ``provenance`` false the rows carry no description.
+    canonical grafts of a marked tree onto one component are computed
+    once while the pair stays in ``_graft_terms``' cache (``_link_row``).
+    Given a block basis (``enumerate_basis`` with ``leaves``), only the
+    block's configurations are run (``_link_configs``), and the rows are
+    the block's rows over its own columns.  The whole cell's exact
+    configuration count is checked against ``max_configs`` before the
+    first row; a block is not capped.  With ``provenance`` false the rows
+    carry no description.
     """
     leaves = basis.spec.leaves
     if leaves is None:
@@ -424,23 +422,21 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
         if total > max_configs:
             raise CapacityError(f"{total} link configurations exceed the cap {max_configs}")
     index = basis.index
-    decoded: dict[bytes, TreeComponent] = {}
     rows = _RowSet()
-    for m_comp, m_leg, rest_forests in _link_configs(k, d, mode, leaves):
-        grafts: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
+    for m_comp, rest_forests in _link_configs(k, d, mode, leaves):
         for rest in rest_forests:
             rows.add_entries(
-                _link_row(m_comp, m_leg, rest, index, grafts, decoded, mode),
-                (lambda: f"link marked={render_component(m_comp)}@{m_comp.colors[m_leg]}* "
+                _link_row(m_comp, rest, index, mode),
+                (lambda: f"link marked={render_component(m_comp)}@{m_comp.colors[0]}* "
                          f"rest={{{','.join(render_encoding(e) for e in rest)}}}")
                 if provenance else None)
     return rows.emit()
 
 
 def _link_configs(k: int, d: int, mode: Mode, leaves: Optional[tuple[int, ...]]
-                  ) -> Iterator[tuple[TreeComponent, int, list[tuple[bytes, ...]]]]:
-    """(marked tree, leg, rest forests) of the link configurations, by
-    marked-tree degree.
+                  ) -> Iterator[tuple[TreeComponent, list[tuple[bytes, ...]]]]:
+    """(marked tree, rest forests) of the link configurations, by
+    marked-tree degree; the marked leg is vertex 0 (``marked_trees``).
 
     The whole cell pairs every marked tree with every forest of the
     remaining degree.  A row's terms all have the leaves of the rest
@@ -453,32 +449,31 @@ def _link_configs(k: int, d: int, mode: Mode, leaves: Optional[tuple[int, ...]]
     for dm in range(1, d + 1):
         if leaves is None:
             rest_forests = list(forest_encodings(k, d - dm, mode))
-            for m_comp, m_leg in marked_trees(k, dm, mode):
-                yield m_comp, m_leg, rest_forests
+            for m_comp, _ in marked_trees(k, dm, mode):
+                yield m_comp, rest_forests
             continue
         for vec, group in _marked_groups(k, dm, mode):
             left = tuple(map(operator.sub, leaves, vec))
             if min(left) < 0:
                 continue
             rest_forests = list(forest_encodings(k, d - dm, mode, left))
-            for m_comp, m_leg in group:
-                if rest_forests and left[m_comp.colors[m_leg] - 1]:
-                    yield m_comp, m_leg, rest_forests
+            for m_comp in group:
+                if rest_forests and left[m_comp.colors[0] - 1]:
+                    yield m_comp, rest_forests
 
 
 @lru_cache(maxsize=None)
 def _marked_groups(k: int, deg: int, mode: Mode) -> tuple[
-        tuple[tuple[int, ...], tuple[tuple[TreeComponent, int], ...]], ...]:
+        tuple[tuple[int, ...], tuple[TreeComponent, ...]], ...]:
     """``marked_trees`` grouped by the leaf vector of the expression
     hanging off the leg (entry i - 1 counts colour i), as (vector,
     marked trees) pairs, the trees in their order."""
-    groups: dict[tuple[int, ...], list[tuple[TreeComponent, int]]] = {}
-    for comp, leg in marked_trees(k, deg, mode):
+    groups: dict[tuple[int, ...], list[TreeComponent]] = {}
+    for comp, _ in marked_trees(k, deg, mode):
         vec = [0] * k
-        for v, c in comp.leaves():
-            if v != leg:
-                vec[c - 1] += 1
-        groups.setdefault(tuple(vec), []).append((comp, leg))
+        for _, c in comp.leaves()[1:]:
+            vec[c - 1] += 1
+        groups.setdefault(tuple(vec), []).append(comp)
     return tuple((vec, tuple(group)) for vec, group in groups.items())
 
 
@@ -531,6 +526,7 @@ def ihx_instances(comp: TreeComponent) -> Iterator[tuple[TreeComponent, TreeComp
         yield term_i, term_h, term_x
 
 
+@lru_cache(maxsize=1 << 14)
 def _ihx_terms(enc: bytes, mode: Mode) -> tuple[tuple[tuple[bytes, int], ...], ...]:
     """Canonical (encoding, sign) of the I, H and X terms of each internal
     edge of the component with canonical encoding ``enc``."""
@@ -545,22 +541,20 @@ def ihx_relations(k: int, d: int, mode: Mode, basis: Basis,
     nothing.
 
     The rewiring happens inside one component, so the canonical I, H and
-    X terms are computed once per distinct component encoding and each
-    term's column is looked up with the diagram's other components.
+    X terms of a component encoding are computed once while it stays in
+    ``_ihx_terms``' cache, and each term's column is looked up with the
+    diagram's other components.
     With ``provenance`` false the rows carry no description.
     """
     index = basis.index
-    triples: dict[bytes, tuple[tuple[tuple[bytes, int], ...], ...]] = {}
     rows = _RowSet()
     for col, element in enumerate(basis.elements):
         parts = component_encodings(element.encoding)
         for idx, enc in enumerate(parts):
             if encoding_trivalent_count(enc) < 2:
                 continue
-            if enc not in triples:
-                triples[enc] = _ihx_terms(enc, mode)
             others = parts[:idx] + parts[idx + 1:]
-            for triple in triples[enc]:
+            for triple in _ihx_terms(enc, mode):
                 coeffs: dict[int, int] = {}
                 for (term, sign), weight in zip(triple, (1, -1, 1)):
                     if sign:
@@ -585,7 +579,8 @@ def expand_along(d: Diagram, c: int, fixed: int, basis: Basis) -> RelationRow:
     """The link-relation row that cuts a Y-component with legs
     {c, fixed, x} into the special strut (fixed, c*) plus the residual
     strut (c, x), then grafts the distinguished end back onto every
-    c-colored leg.
+    c-colored leg.  The special strut is ``strut(c, fixed)``, its
+    distinguished end at vertex 0 like every marked tree's leg.
 
     The rest forest is the canonical encodings of the other components
     plus the residual strut, and the row is scaled by the other
@@ -611,6 +606,6 @@ def expand_along(d: Diagram, c: int, fixed: int, basis: Basis) -> RelationRow:
         raise DomainError(f"no Y-component with legs including {c} and {fixed}")
     others = canon[:idx] + canon[idx + 1:]
     rest = tuple(sorted([enc for enc, _ in others] + [strut_encoding(c, third)]))
-    entries = _link_row(strut(fixed, c), 1, rest, basis.index, {}, {}, d.mode,
+    entries = _link_row(strut(c, fixed), rest, basis.index, d.mode,
                         math.prod(sign for _, sign in others))
     return RelationRow(entries, f"expand along {c} fixing {fixed}")

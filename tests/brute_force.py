@@ -19,7 +19,9 @@ one reduced echelon form of the whole matrix.
 
 Echelon pivot order, the oracle for the heap pivot queue of
 ``strutforge.linalg._echelon_block``: every pivot is the minimum over a
-scan of all live rows.
+scan of all live rows.  And the echelon pivots taken block by block
+over the column-connected blocks of the rows, the oracle for the one
+heap per matrix of ``strutforge.linalg._echelon``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from strutforge.errors import DomainError
 from strutforge.linalg import (
     DEFAULT_PRIMES,
     SparseMatrix,
+    _echelon_block,
+    _rows_mod_p,
     cokernel_functionals,
     rank_multiprime,
 )
@@ -348,6 +352,40 @@ def echelon_block_min_scan(rows: list[dict[int, int]], p: int) -> list[tuple[int
                     col_rows[c].discard(sid)
             if not target:
                 alive.discard(sid)
+    return pivots
+
+
+def _column_blocks(rows: list[dict[int, int]]) -> dict[int, list[dict[int, int]]]:
+    """Group rows into connected blocks of columns (union-find); columns
+    never sharing a row can be eliminated independently."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for row in rows:
+        cols = list(row)
+        for col in cols:
+            parent.setdefault(col, col)
+        root = find(cols[0])
+        for col in cols[1:]:
+            parent[find(col)] = root
+    blocks: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        blocks.setdefault(find(next(iter(row))), []).append(row)
+    return blocks
+
+
+def echelon_by_column_blocks(m: SparseMatrix, p: int) -> list[tuple[int, dict[int, int]]]:
+    """Echelon pivots over F_p with the rows split into column-connected
+    blocks first, each block eliminated on its own and the pivots
+    concatenated block by block."""
+    pivots = []
+    for _, block in sorted(_column_blocks(_rows_mod_p(m, p)).items()):
+        pivots.extend(_echelon_block(block, p))
     return pivots
 
 

@@ -12,13 +12,16 @@ its vertex orientations and component order.
 
 import functools
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from strutforge.bases import enumerate_basis, enumerate_y_basis
 from strutforge.cli import cli
-from strutforge.diagrams import Diagram, Mode, strut
+from strutforge.diagrams import Diagram, Mode, canonicalize_component, strut
 from strutforge.relations import (
+    _graft_terms,
+    _ihx_terms,
     count_ihx_instances,
     count_link_configs,
     expand_along,
@@ -87,6 +90,29 @@ class TestRowsOnEncodings:
             cli, ["relations", "--space", "full", "--k", "4", "--degree", "3"])
         assert result.exit_code == 0, result.output
         assert result.output.splitlines() == expected
+
+
+MEMOS = (canonicalize_component, _graft_terms, _ihx_terms)
+
+
+class TestSharedMemos:
+    """The graft, IHX and canonical-form caches outlive a block and a
+    cell, so one process meets the same marked tree, host component or
+    component in both modes."""
+
+    @pytest.mark.parametrize("k,d", [(3, 4), (4, 3)])
+    @pytest.mark.parametrize("modes", [(C, H), (H, C)])
+    def test_both_modes_in_one_process(self, k, d, modes):
+        for mode in modes:
+            oracle_cell(k, d, mode)
+        for memo in MEMOS:
+            memo.cache_clear()
+        for mode in modes:
+            assert_matches_oracle(k, d, mode)
+
+    def test_memos_are_bounded(self):
+        for memo in MEMOS:
+            assert memo.cache_info().maxsize is not None
 
 
 def expand_along_by_graft(d, c, fixed, basis):

@@ -85,3 +85,12 @@ def test_witness_domain_error_comes_before_any_listing(no_listing, space, param)
 def test_relations_guards_come_before_any_listing(no_listing, args, message):
     result = CliRunner().invoke(cli, ["relations", *args])
     assert result.exit_code == 1 and message in result.output
+
+
+def test_non_prime_is_refused_before_any_listing(no_listing):
+    # The first prime certifies every block of this cell, so the second
+    # is never used by the rank and must be checked up front.
+    with pytest.raises(DomainError, match="2147483646 is not a prime"):
+        compute_dimension(H, "full", 5, 4, primes=(2147483647, 2147483646))
+    with pytest.raises(DomainError, match="2147483646 is not a prime"):
+        compute_witness(H, "full", 5, 4, prime=2147483646)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strutforge.linalg as linalg
-from brute_force import echelon_block_min_scan
+from brute_force import echelon_block_min_scan, echelon_by_column_blocks
 from strutforge.bases import enumerate_basis, enumerate_y_basis
 from strutforge.diagrams import Mode, decode_diagram
 from strutforge.errors import DomainError, UnluckyPrimeError
@@ -312,3 +312,10 @@ def test_heap_pivot_order_matches_min_scan(m):
         rows = linalg._rows_mod_p(m, p)
         expected = echelon_block_min_scan([dict(r) for r in rows], p)
         assert linalg._echelon_block(rows, p) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_sparse_matrix())
+def test_one_heap_pivots_match_column_blocks(m):
+    for p in (P, 5):
+        assert sorted(linalg._echelon(m, p)) == sorted(echelon_by_column_blocks(m, p))

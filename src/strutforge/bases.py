@@ -46,8 +46,7 @@ from .diagrams import (
     y_encoding,
 )
 from .errors import CapacityError, DomainError
-
-DEFAULT_MAX_ELEMENTS = 5_000_000
+from .records import DEFAULT_MAX_ELEMENTS
 
 
 @dataclass(frozen=True)

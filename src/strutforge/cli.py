@@ -3,38 +3,32 @@ witness extraction, and relation dumps."""
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
+import os
+import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import click
 
 from . import __version__
-from .bases import DEFAULT_MAX_ELEMENTS
-from .counting import count_report, crossing_n, ratio_limit
-from .diagrams import Mode
 from .errors import (
     CacheError,
     CapacityError,
     DomainError,
     UnluckyPrimeError,
 )
-from .linalg import DEFAULT_PRIMES, is_prime
-from .pipeline import (
+from .records import (
     CSV_HEADER,
-    ResultCache,
-    build_basis,
-    check_caps,
-    compute_witness,
-    resolve_cache_dir,
-)
-from .relations import (
+    DEFAULT_MAX_ELEMENTS,
     DEFAULT_MAX_ROWS,
-    count_ihx_instances,
-    ihx_relations,
-    iter_y_link_rows,
-    link_relations,
+    DEFAULT_PRIMES,
+    Mode,
+    ResultCache,
+    is_prime,
+    resolve_cache_dir,
 )
 
 _ERRORS = (DomainError, CapacityError, UnluckyPrimeError, CacheError)
@@ -114,6 +108,7 @@ def cli() -> None:
               default="table", show_default=True)
 def cmd_count(k: int, n: int, fmt: str) -> None:
     """Exact diagram/relation counts u, r, their ratio, and u - r."""
+    from .counting import count_report, ratio_limit
     try:
         report = count_report(n, k)
         limit = ratio_limit(k)
@@ -144,6 +139,7 @@ def cmd_count(k: int, n: int, fmt: str) -> None:
 @click.option("--k", type=int, required=True, help="Number of colors.")
 def cmd_crossing(k: int) -> None:
     """Strut count where relations stop outnumbering diagrams."""
+    from .counting import crossing_n
     try:
         root, ceiling = crossing_n(k)
     except _ERRORS as exc:
@@ -238,7 +234,11 @@ def cmd_sweep(mode: str, space: str, k_range: str, n_range: Optional[str],
     prime_list = _parse_primes(primes)
     cache = ResultCache(resolve_cache_dir(cache_dir))
     mode_v = _parse_mode(mode)
-    with open(out, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise click.FileError(out, exc.strerror) from exc
+    with fh:
         fh.write(CSV_HEADER + "\n")
         fh.flush()
         for k in ks:
@@ -256,6 +256,12 @@ def cmd_sweep(mode: str, space: str, k_range: str, n_range: Optional[str],
     click.echo(f"wrote {out}")
 
 
+def compute_witness(*args):
+    """``pipeline.compute_witness``, importing the engine on first use."""
+    from . import pipeline
+    return pipeline.compute_witness(*args)
+
+
 @cli.command("witness")
 @_common_dim_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -267,26 +273,65 @@ def cmd_witness(mode: str, space: str, k: int, n: Optional[int],
     """Basis encodings plus the functionals vanishing on all relations."""
     param = _resolve_space_param(space, n, degree)
     prime_list = _parse_primes(primes)
+    if out:
+        _check_out_dir(out)
     try:
         doc = compute_witness(_parse_mode(mode), space, k, param,
                               prime_list[0], max_basis, max_rows)
     except _ERRORS as exc:
         raise _fail(exc)
-    text = _witness_json(doc)
+    parts = itertools.chain(_witness_parts(doc), ["\n"])
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        _write_replacing(out, parts)
         click.echo(f"wrote {out}")
     else:
-        click.echo(text)
+        sys.stdout.writelines(parts)
+
+
+def _check_out_dir(out: str) -> None:
+    """Refuse, before any work, an output path whose directory is missing
+    or not writable."""
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        raise click.FileError(out, os.strerror(errno.ENOENT))
+    if not os.access(directory, os.W_OK):
+        raise click.FileError(out, os.strerror(errno.EACCES))
+
+
+def _write_replacing(out: str, parts: Iterator[str]) -> None:
+    """Write ``parts`` to a new file beside ``out``, then rename it to
+    ``out``, so that a failed or killed write leaves no partial file."""
+    path = Path(out)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(parts)
+            os.replace(tmp, out)
+        except BaseException:
+            tmp.unlink()
+            raise
+    except OSError as exc:
+        raise click.FileError(out, exc.strerror) from exc
+
+
+def _witness_parts(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc)`` of a witness document in pieces: the head, then
+    each dense functional written from its runs of zeros (``functionals``
+    is the document's last key), then the close."""
+    head = json.dumps({key: value for key, value in doc.items() if key != "functionals"})
+    yield f'{head[:-1]}, "functionals": ['
+    for i, vec in enumerate(doc["functionals"]):
+        if i:
+            yield ", "
+        yield _dense_json(vec)
+    yield "]}"
 
 
 def _witness_json(doc: dict) -> str:
-    """``json.dumps(doc)`` of a witness document, with each dense
-    functional written from its runs of zeros (``functionals`` is the
-    document's last key)."""
-    head = json.dumps({key: value for key, value in doc.items() if key != "functionals"})
-    vecs = ", ".join(map(_dense_json, doc["functionals"]))
-    return f'{head[:-1]}, "functionals": [{vecs}]}}'
+    """``json.dumps(doc)`` of a witness document: its streamed pieces joined."""
+    return "".join(_witness_parts(doc))
 
 
 def _dense_json(vec: list[int]) -> str:
@@ -313,18 +358,20 @@ def cmd_relations(mode: str, space: str, k: int, n: Optional[int],
     Each dumped line is '<coeff>*<column encoding hex> ...  # <provenance>';
     the row part re-parses via RelationRow.from_dump_text.
     """
+    from . import pipeline, relations
     param = _resolve_space_param(space, n, degree)
     mode_v = _parse_mode(mode)
     try:
-        _, raw = check_caps(mode_v, space, k, param, max_rows=_DUMP_MAX_CONFIGS)
-        basis = build_basis(mode_v, space, k, param)
+        _, raw = pipeline.check_caps(mode_v, space, k, param,
+                                     max_rows=_DUMP_MAX_CONFIGS)
+        basis = pipeline.build_basis(mode_v, space, k, param)
         if space == "y":
-            rows = [row for row, targets in iter_y_link_rows(k, param, mode_v, basis)
-                    if targets]
+            rows = [row for row, targets
+                    in relations.iter_y_link_rows(k, param, mode_v, basis) if targets]
         else:
-            rows = (link_relations(k, param, mode_v, basis)
-                    + ihx_relations(k, param, mode_v, basis))
-            raw += count_ihx_instances(basis)
+            rows = (relations.link_relations(k, param, mode_v, basis)
+                    + relations.ihx_relations(k, param, mode_v, basis))
+            raw += relations.count_ihx_instances(basis)
     except _ERRORS as exc:
         raise _fail(exc)
     if dump:

@@ -11,12 +11,12 @@ negative, i.e. the zero vector of the diagram space.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError
+from .records import Mode
 
 # Colors fit in one byte well below the structural marker bytes.
 MAX_COLORS = 62
@@ -28,20 +28,6 @@ _NODE_BYTE = bytes([_NODE])
 # Separator between component encodings inside a diagram encoding.
 _SEP = 0xFF
 _SEP_BYTE = bytes([_SEP])
-
-
-class Mode(enum.Enum):
-    """Which diagram space a computation lives in.
-
-    In homotopy mode a component with two leaves of the same color is
-    zero; concordance mode keeps such components.
-    """
-
-    HOMOTOPY = "homotopy"
-    CONCORDANCE = "concordance"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def check_color(c: int) -> int:

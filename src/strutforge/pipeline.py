@@ -1,13 +1,15 @@
-"""End-to-end dimension pipeline, result records, and the result cache.
+"""End-to-end dimension pipeline: the guards, then a cell's blocks,
+ranks and witness functionals.
 
 Every cell takes one path.  ``check_caps`` runs the domain checks and
 the capacity guards on the cell's exact counts before anything is
 listed; ``dim``, ``witness`` and ``relations`` all call it first.  A
 dimension run then ranks the cell block by block (one prime when a
 block's rank certifies itself, more otherwise), sums the weighted block
-counts and emits an immutable ResultRecord.  Records are cached
-append-only in a JSON-lines file keyed by (mode, space, k, param,
-tool_version) so sweeps resume for free.
+counts and emits an immutable ResultRecord.  The records, the run
+defaults and the JSON-lines result cache live in ``records``, which
+imports no engine module; this module re-exports their names, and
+``ResultCache.get_or_compute`` imports it only on a cache miss.
 
 No cell's relations are built whole.  Its diagrams split by leaf-colour
 multiset M, and every relation row is homogeneous in M (see
@@ -30,38 +32,39 @@ is certified when every block is.  ``witness`` reads the same blocks
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import sys
 import time
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from . import __version__ as TOOL_VERSION
 from .bases import (
     Basis,
     BasisSpec,
-    DEFAULT_MAX_ELEMENTS,
     check_y_caps,
     enumerate_basis,
     enumerate_y_basis,
     forest_count,
     leaf_orbits,
 )
-from .diagrams import Mode, recoloured_encoding
-from .errors import CacheError, CapacityError, DomainError
-from .linalg import (
+from .diagrams import recoloured_encoding
+from .errors import CapacityError, DomainError
+from .linalg import SparseMatrix, cokernel_functionals, rank_multiprime
+# The records layer's names stay importable from here as well.
+from .records import (
+    CACHE_ENV_VAR,
+    CACHE_FILENAME,
+    CSV_HEADER,
+    DEFAULT_MAX_ELEMENTS,
+    DEFAULT_MAX_ROWS,
     DEFAULT_PRIMES,
-    SparseMatrix,
-    cokernel_functionals,
+    TOOL_VERSION,
+    Mode,
+    ResultCache,
+    ResultRecord,
     is_prime,
-    rank_multiprime,
+    resolve_cache_dir,
 )
 from .relations import (
-    DEFAULT_MAX_ROWS,
     RelationRow,
     coefficient_bound,
     count_ihx_instances,
@@ -71,58 +74,6 @@ from .relations import (
     y_link_config_count,
     y_link_relations,
 )
-
-CSV_HEADER = ("mode,space,k,param,num_diagrams,num_relations_raw,"
-              "num_relations_effective,rank,quotient_dim,primes,elapsed_ms,"
-              "tool_version,timestamp")
-
-CACHE_ENV_VAR = "STRUTFORGE_CACHE_DIR"
-CACHE_FILENAME = "results.jsonl"
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    """One cached dimension computation; immutable once written."""
-
-    mode: str
-    space: str
-    k: int
-    param: int
-    num_diagrams: int
-    num_relations_raw: int
-    num_relations_effective: int
-    rank: int
-    quotient_dim: int
-    primes: tuple[int, ...]
-    elapsed_ms: int
-    tool_version: str
-    timestamp: str
-    # The rank met linalg.rank_bound, which proves it exact over Q;
-    # records written before this field existed load as False.
-    certified: bool = False
-
-    def key(self) -> tuple:
-        return (self.mode, self.space, self.k, self.param, self.tool_version)
-
-    def to_json(self) -> str:
-        data = asdict(self)
-        data["primes"] = list(self.primes)
-        return json.dumps(data)
-
-    @classmethod
-    def from_json(cls, line: str) -> "ResultRecord":
-        data = json.loads(line)
-        data["primes"] = tuple(data["primes"])
-        return cls(**data)
-
-    def csv_row(self) -> str:
-        return ",".join([
-            self.mode, self.space, str(self.k), str(self.param),
-            str(self.num_diagrams), str(self.num_relations_raw),
-            str(self.num_relations_effective), str(self.rank),
-            str(self.quotient_dim), ";".join(str(p) for p in self.primes),
-            str(self.elapsed_ms), self.tool_version, self.timestamp,
-        ])
 
 
 def build_basis(mode: Mode, space: str, k: int, param: int,
@@ -341,109 +292,3 @@ def _colour_table(leaves: Sequence[int], image: Sequence[int]) -> bytes:
     for c, m in enumerate(leaves, 1):
         table[c] = targets[m].pop()
     return bytes(table)
-
-
-def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
-    """Cache directory precedence: flag, then the environment variable,
-    then ./cache."""
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.cwd() / "cache"
-
-
-class ResultCache:
-    """Append-only JSON-lines store of ResultRecords.
-
-    The first record matching (mode, space, k, param, tool_version) wins,
-    so re-computations never shadow history.  The file is parsed into a
-    key -> record dict once per process and parsed again only when its
-    (size, mtime) differs from what this process last read or wrote; an
-    append adds its own record to the dict when the file had not changed
-    before the write.
-
-    Each record is written with one write call.  A writer killed mid-write
-    leaves a torn record: an unparseable last line without its newline.
-    Loading skips it with a warning.  The next append closes it off with a
-    newline and a blank line before its own record, and loading skips an
-    unparseable line followed by a blank line silently.  Any other
-    unparseable line raises CacheError.
-    """
-
-    def __init__(self, directory: Path):
-        self.directory = Path(directory)
-        self.path = self.directory / CACHE_FILENAME
-        self._records: dict[tuple, ResultRecord] = {}
-        self._stamp: Optional[tuple[int, int]] = None
-
-    def _load(self) -> None:
-        records: dict[tuple, ResultRecord] = {}
-        try:
-            with self.path.open("r", encoding="utf-8") as fh:
-                st = os.fstat(fh.fileno())
-                for raw in fh:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = ResultRecord.from_json(line)
-                    except json.JSONDecodeError:
-                        if not raw.endswith("\n"):
-                            print(f"warning: skipping the torn last line of {self.path}",
-                                  file=sys.stderr)
-                            break
-                        if next(fh, "") != "\n":
-                            raise
-                        continue
-                    records.setdefault(record.key(), record)
-        except (OSError, json.JSONDecodeError, TypeError, KeyError) as exc:
-            raise CacheError(f"unreadable cache {self.path}: {exc}") from exc
-        self._records, self._stamp = records, (st.st_size, st.st_mtime_ns)
-
-    def lookup(self, mode: Mode, space: str, k: int, param: int,
-               tool_version: str = TOOL_VERSION) -> Optional[ResultRecord]:
-        try:
-            st = self.path.stat()
-        except FileNotFoundError:
-            self._records, self._stamp = {}, (0, 0)
-        except OSError as exc:
-            raise CacheError(f"unreadable cache {self.path}: {exc}") from exc
-        else:
-            if (st.st_size, st.st_mtime_ns) != self._stamp:
-                self._load()
-        return self._records.get((mode.value, space, k, param, tool_version))
-
-    def append(self, record: ResultRecord) -> None:
-        data = (record.to_json() + "\n").encode("utf-8")
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a+b", buffering=0) as fh:
-                end = fh.seek(0, os.SEEK_END)
-                if end:
-                    fh.seek(end - 1)
-                    if fh.read(1) != b"\n":
-                        data = b"\n\n" + data
-                written = fh.write(data)
-                st = os.fstat(fh.fileno())
-        except OSError as exc:
-            raise CacheError(f"cannot write cache {self.path}: {exc}") from exc
-        if written != len(data):
-            raise CacheError(f"short write to cache {self.path}")
-        if self._stamp is not None and end == self._stamp[0]:
-            self._records.setdefault(record.key(), record)
-            self._stamp = (st.st_size, st.st_mtime_ns)
-
-    def get_or_compute(self, mode: Mode, space: str, k: int, param: int,
-                       primes: Sequence[int] = DEFAULT_PRIMES,
-                       max_elements: int = DEFAULT_MAX_ELEMENTS,
-                       max_rows: int = DEFAULT_MAX_ROWS) -> tuple[ResultRecord, bool]:
-        """(record, was_cached)."""
-        hit = self.lookup(mode, space, k, param)
-        if hit is not None:
-            return hit, True
-        record = compute_dimension(mode, space, k, param, primes,
-                                   max_elements, max_rows)
-        self.append(record)
-        return record, False

@@ -91,8 +91,7 @@ from .diagrams import (
     y_encoding,
 )
 from .errors import CapacityError, DomainError
-
-DEFAULT_MAX_ROWS = 20_000_000
+from .records import DEFAULT_MAX_ROWS
 
 
 def _normalized(entries: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:

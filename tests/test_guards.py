@@ -21,8 +21,7 @@ def _never(*_args, **_kwargs):
 @pytest.fixture
 def no_listing(monkeypatch):
     for target in ("pipeline.build_basis", "pipeline.enumerate_y_basis",
-                   "bases.forest_encodings", "relations.forest_encodings",
-                   "cli.build_basis"):
+                   "bases.forest_encodings", "relations.forest_encodings"):
         monkeypatch.setattr(f"strutforge.{target}", _never)
 
 

@@ -1,0 +1,139 @@
+"""A command loads only the layers it runs.
+
+``--version``, a cache-hit ``dim`` and a fully cached ``sweep`` import
+``strutforge.records`` and no engine module; a cache miss imports the
+pipeline.  The package exports its names lazily, every name moved into
+``records`` is the same object under its old module, and every module
+attribute that ``perfbench/traced_op.py`` patches still resolves.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import strutforge
+from strutforge.diagrams import Mode
+from strutforge.pipeline import ResultCache
+
+ROOT = Path(__file__).resolve().parents[1]
+ENGINE = {f"strutforge.{name}" for name in
+          ("bases", "diagrams", "relations", "linalg", "pipeline", "counting")}
+
+# Runs the CLI as ``python -m strutforge.cli`` would, then writes the
+# strutforge modules it loaded to the file named by the first argument.
+RUN_CLI = """
+import json, runpy, sys
+out, sys.argv = sys.argv[1], ["strutforge", *sys.argv[2:]]
+try:
+    runpy.run_module("strutforge.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+else:
+    code = 0
+with open(out, "w") as fh:
+    json.dump(sorted(m for m in sys.modules if m.startswith("strutforge")), fh)
+sys.exit(code)
+"""
+
+
+def loaded_modules(tmp_path, *args):
+    out = tmp_path / "modules.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI, str(out), *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(out.read_text())), proc
+
+
+def test_version_loads_no_engine(tmp_path):
+    modules, proc = loaded_modules(tmp_path, "--version")
+    assert strutforge.__version__ in proc.stdout
+    assert modules == {"strutforge", "strutforge.errors", "strutforge.records"}
+
+
+def test_cache_hit_dim_loads_no_engine(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["dim", "--space", "y", "--k", "4", "--n", "1", "--cache-dir", str(cache)]
+    modules, proc = loaded_modules(tmp_path, *args)
+    assert "(cache hit)" not in proc.stderr
+    assert "strutforge.pipeline" in modules
+    modules, proc = loaded_modules(tmp_path, *args)
+    assert "(cache hit)" in proc.stderr
+    assert json.loads(proc.stdout)["num_diagrams"] == 24
+    assert not modules & ENGINE
+
+
+def test_cached_sweep_loads_no_engine(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    for k in (3, 4):
+        for n in (0, 1):
+            cache.get_or_compute(Mode.HOMOTOPY, "y", k, n)
+    out = tmp_path / "sweep.csv"
+    modules, _ = loaded_modules(tmp_path, "sweep", "--space", "y", "--k-range", "3:4",
+                                "--n-range", "0:1", "--out", str(out),
+                                "--cache-dir", str(tmp_path / "cache"))
+    assert len(out.read_text().splitlines()) == 1 + 4
+    assert not modules & ENGINE
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from strutforge import *", namespace)
+    assert set(strutforge.__all__) <= set(namespace)
+    assert set(strutforge.__all__) <= set(dir(strutforge))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError):
+        strutforge.no_such_name
+
+
+@pytest.mark.parametrize("module,names", [
+    ("diagrams", ("Mode",)),
+    ("bases", ("DEFAULT_MAX_ELEMENTS",)),
+    ("relations", ("DEFAULT_MAX_ROWS",)),
+    ("linalg", ("DEFAULT_PRIMES", "PRIME_POOL", "is_prime")),
+    ("pipeline", ("Mode", "DEFAULT_MAX_ELEMENTS", "DEFAULT_MAX_ROWS", "DEFAULT_PRIMES",
+                  "is_prime", "CSV_HEADER", "CACHE_ENV_VAR", "CACHE_FILENAME",
+                  "ResultRecord", "resolve_cache_dir", "ResultCache")),
+])
+def test_moved_names_are_the_same_objects(module, names):
+    from strutforge import records
+    old = importlib.import_module(f"strutforge.{module}")
+    for name in names:
+        assert getattr(old, name) is getattr(records, name), (module, name)
+
+
+def test_package_names_are_their_modules_objects():
+    for module, names in strutforge._EXPORTS.items():
+        source = importlib.import_module(f"strutforge.{module}")
+        for name in names:
+            assert getattr(strutforge, name) is getattr(source, name), name
+
+
+def test_traced_cache_miss_and_hit_reach_the_patched_names(tmp_path):
+    # traced_op.install() looks up every attribute it patches, so a name
+    # that moved away fails the run; the spans show that a miss reaches
+    # the patched pipeline.compute_dimension and a hit does not.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    args = ["dim", "--space", "y", "--k", "3", "--n", "1",
+            "--cache-dir", str(tmp_path / "cache")]
+    spans = []
+    for _ in range(2):
+        out = tmp_path / "trace.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "traced_op.py"), str(out), *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(out.read_text(encoding="utf-8"))
+        spans.append((set(trace["self_s"]), trace["counts"].get("pipeline.lookup_hits", 0)))
+    (miss, miss_hits), (hit, hit_hits) = spans
+    assert {"pipeline.compute_dimension", "pipeline.cache_lookup",
+            "pipeline.cache_append"} <= miss and miss_hits == 0
+    assert "pipeline.compute_dimension" not in hit and hit_hits == 1

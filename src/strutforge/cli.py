@@ -257,9 +257,9 @@ def cmd_sweep(mode: str, space: str, k_range: str, n_range: Optional[str],
 
 
 def compute_witness(*args):
-    """``pipeline.compute_witness``, importing the engine on first use."""
+    """``pipeline.sparse_witness``, importing the engine on first use."""
     from . import pipeline
-    return pipeline.compute_witness(*args)
+    return pipeline.sparse_witness(*args)
 
 
 @cli.command("witness")
@@ -317,33 +317,30 @@ def _write_replacing(out: str, parts: Iterator[str]) -> None:
 
 
 def _witness_parts(doc: dict) -> Iterator[str]:
-    """``json.dumps(doc)`` of a witness document in pieces: the head, then
-    each dense functional written from its runs of zeros (``functionals``
-    is the document's last key), then the close."""
+    """``json.dumps`` of a witness document with dense functionals, in
+    pieces, from the document with sparse ones: the head, then each
+    functional (``functionals`` is the document's last key), then the
+    close.  A functional's zero runs are slices of one string, so the
+    cost is the bytes written."""
     head = json.dumps({key: value for key, value in doc.items() if key != "functionals"})
     yield f'{head[:-1]}, "functionals": ['
-    for i, vec in enumerate(doc["functionals"]):
-        if i:
-            yield ", "
-        yield _dense_json(vec)
+    n = len(doc["basis"])
+    zeros = "0, " * n
+    for i, entries in enumerate(doc["functionals"]):
+        parts = []
+        start = 0
+        for col, value in entries:
+            parts += (zeros[:3 * (col - start)], f"{value}, ")
+            start = col + 1
+        parts.append(zeros[:3 * (n - start)])
+        yield (", [" if i else "[") + "".join(parts)[:-2] + "]"
     yield "]}"
 
 
 def _witness_json(doc: dict) -> str:
-    """``json.dumps(doc)`` of a witness document: its streamed pieces joined."""
+    """``json.dumps`` of the dense witness document: its streamed pieces
+    joined."""
     return "".join(_witness_parts(doc))
-
-
-def _dense_json(vec: list[int]) -> str:
-    """``json.dumps(vec)``: the zero runs between nonzero entries, each
-    written as one repeated string."""
-    parts = []
-    start = 0
-    for col in itertools.compress(range(len(vec)), vec):
-        parts.append("0, " * (col - start) + f"{vec[col]}, ")
-        start = col + 1
-    parts.append("0, " * (len(vec) - start))
-    return "[" + "".join(parts)[:-2] + "]"
 
 
 @cli.command("relations")

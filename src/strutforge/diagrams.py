@@ -257,31 +257,35 @@ def _encode_rooted(comp: TreeComponent, v: int, parent: int) -> tuple[bytes, int
 def canonicalize_component(comp: TreeComponent, mode: Mode) -> tuple[bytes, int]:
     """Canonical (encoding, sign) of one component under antisymmetry.
 
-    Roots the tree at every leaf, encodes each rooting, and keeps the
-    lexicographically least.  Rootings that reach the minimum with both
-    signs witness an orientation-reversing self-isomorphism: the component
-    is zero.  In homotopy mode a repeated leaf color is zero outright.
+    Roots the tree at each leaf of the least color, encodes each rooting,
+    and keeps the lexicographically least: an encoding starts with its
+    root's color, so no other rooting can reach the minimum.  A rooting
+    with a sign-0 subtree, or rootings that reach the minimum with both
+    signs, witness an orientation-reversing self-isomorphism, which maps
+    least-color leaves to least-color leaves: the component is zero.  In
+    homotopy mode a repeated leaf color is zero outright.
     """
-    if mode is Mode.HOMOTOPY:
-        cols = [c for c in comp.colors if c > 0]
-        if len(set(cols)) != len(cols):
-            return b"", 0
+    cols = [c for c in comp.colors if c > 0]
+    if mode is Mode.HOMOTOPY and len(set(cols)) != len(cols):
+        return b"", 0
+    least = min(cols)
     best: Optional[bytes] = None
     best_signs: set[int] = set()
-    for v, color in comp.leaves():
+    for v, color in enumerate(comp.colors):
+        if color != least:
+            continue
         sub_enc, sub_sign = _encode_rooted(comp, comp.adj[v][0], v)
         if sub_sign == 0:
             return b"", 0
-        enc = bytes([color]) + sub_enc
-        if best is None or enc < best:
-            best = enc
+        if best is None or sub_enc < best:
+            best = sub_enc
             best_signs = {sub_sign}
-        elif enc == best:
+        elif sub_enc == best:
             best_signs.add(sub_sign)
     assert best is not None
     if len(best_signs) == 2:
         return b"", 0
-    return best, best_signs.pop()
+    return bytes([least]) + best, best_signs.pop()
 
 
 def strut_encoding(i: int, j: int) -> bytes:
@@ -339,9 +343,12 @@ def recoloured_encoding(enc: bytes, table: bytes, mode: Mode) -> bytes:
     """Encoding of the nonzero encoded diagram with each leaf color c
     replaced by ``table[c]``, a permutation of the colors: the translated
     bytes encode the recolored components, which are canonicalized
-    again."""
-    return diagram_encoding(canonicalize_component(decode_component(part), mode)[0]
-                            for part in component_encodings(enc.translate(table)))
+    again.  A strut needs only its ends ordered: a permutation keeps
+    them distinct or equal, as they were."""
+    return diagram_encoding(
+        strut_encoding(*part) if len(part) == 2
+        else canonicalize_component(decode_component(part), mode)[0]
+        for part in component_encodings(enc.translate(table)))
 
 
 def degree(d: Diagram) -> int:

@@ -27,7 +27,7 @@ rank, and the cell ranks one representative block per orbit
 (``bases.leaf_orbits``) weighted by the orbit's size.  A block-diagonal
 rank is exact when every block's rank meets its own bound, so the cell
 is certified when every block is.  ``witness`` reads the same blocks
-(``compute_witness``); only the ``relations`` dump builds a cell whole.
+(``sparse_witness``); only the ``relations`` dump builds a cell whole.
 """
 
 from __future__ import annotations
@@ -198,13 +198,14 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
     )
 
 
-def compute_witness(mode: Mode, space: str, k: int, param: int,
-                    prime: int = DEFAULT_PRIMES[0],
-                    max_elements: int = DEFAULT_MAX_ELEMENTS,
-                    max_rows: int = DEFAULT_MAX_ROWS) -> dict:
-    """Witness document: basis encodings plus the cokernel functionals,
-    each a mod-p linear functional vanishing on every relation, one per
-    non-pivot column of the reduced echelon form, in column order.
+def sparse_witness(mode: Mode, space: str, k: int, param: int,
+                   prime: int = DEFAULT_PRIMES[0],
+                   max_elements: int = DEFAULT_MAX_ELEMENTS,
+                   max_rows: int = DEFAULT_MAX_ROWS) -> dict:
+    """Witness document with sparse functionals: basis encodings plus
+    the cokernel functionals, each a mod-p linear functional vanishing on
+    every relation, one per non-pivot column of the reduced echelon form,
+    in column order, given as its sorted (column, value) entries.
 
     Blocks and cell list their columns in encoding order, and the
     relation matrix is block diagonal, so the cell's reduced echelon form
@@ -219,7 +220,7 @@ def compute_witness(mode: Mode, space: str, k: int, param: int,
     _check_prime_bound(space, param, (prime,))
     check_caps(mode, space, k, param, max_elements, max_rows)
     basis = build_basis(mode, space, k, param, max_elements)
-    found: dict[int, dict[int, int]] = {}  # free column -> entries, on the cell's columns
+    found: dict[int, list[tuple[int, int]]] = {}  # free column -> entries, on the cell's columns
     for leaves, _, block, rows, _ in _blocks(mode, space, k, param):
         vecs = cokernel_functionals(SparseMatrix.from_rows(rows, len(block)), prime)
         untouched = _untouched_columns(block, rows, len(block) - len(vecs))
@@ -230,7 +231,7 @@ def compute_witness(mode: Mode, space: str, k: int, param: int,
                 table = _colour_table(leaves, image)
                 for enc in untouched:
                     col = basis.index[recoloured_encoding(enc, table, mode)]
-                    found[col] = {col: 1}
+                    found[col] = [(col, 1)]
                 continue
             image_block, image_vecs = block, vecs
             if image != leaves:
@@ -240,20 +241,30 @@ def compute_witness(mode: Mode, space: str, k: int, param: int,
                     SparseMatrix.from_rows(image_rows, len(image_block)), prime)
             for vec in image_vecs:
                 # a functional's free column is its last nonzero entry
-                entries = {basis.index[image_block.elements[c].encoding]: v
-                           for c, v in enumerate(vec) if v}
-                found[max(entries)] = entries
-    functionals = []
-    for free in sorted(found):
-        vec = [0] * len(basis)
-        for c, v in found[free].items():
-            vec[c] = v
-        functionals.append(vec)
+                entries = sorted((basis.index[image_block.elements[c].encoding], v)
+                                 for c, v in enumerate(vec) if v)
+                found[entries[-1][0]] = entries
     return {
         "basis": [cd.encoding.hex() for cd in basis.elements],
         "prime": prime,
-        "functionals": functionals,
+        "functionals": [found[free] for free in sorted(found)],
     }
+
+
+def compute_witness(mode: Mode, space: str, k: int, param: int,
+                    prime: int = DEFAULT_PRIMES[0],
+                    max_elements: int = DEFAULT_MAX_ELEMENTS,
+                    max_rows: int = DEFAULT_MAX_ROWS) -> dict:
+    """``sparse_witness`` with each functional a dense list of one value
+    per basis column."""
+    doc = sparse_witness(mode, space, k, param, prime, max_elements, max_rows)
+    functionals = []
+    for entries in doc["functionals"]:
+        vec = [0] * len(doc["basis"])
+        for c, v in entries:
+            vec[c] = v
+        functionals.append(vec)
+    return {**doc, "functionals": functionals}
 
 
 def _untouched_columns(block: Basis, rows: Sequence[RelationRow],

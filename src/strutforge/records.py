@@ -145,13 +145,13 @@ def _check_fields(data: object) -> None:
     ResultRecord: an object with every field but ``certified``, no
     other field, and a list of primes."""
     if not isinstance(data, dict):
-        raise ValueError(f"a line is a JSON {type(data).__name__}, not an object")
+        raise ValueError(f"a JSON {type(data).__name__}, not an object")
     names = data.keys()
     if not (_REQUIRED <= names and names <= _FIELDS):
-        raise ValueError(f"a line has unknown fields {sorted(names - _FIELDS)} "
-                         f"and lacks fields {sorted(_REQUIRED - names)}")
+        raise ValueError(f"unknown fields {sorted(names - _FIELDS)} "
+                         f"and missing fields {sorted(_REQUIRED - names)}")
     if not isinstance(data["primes"], list):
-        raise ValueError("a line's primes are not a list")
+        raise ValueError("primes not a list")
 
 
 def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
@@ -191,44 +191,61 @@ class ResultCache:
         # key -> the served ResultRecord, or the parsed line not yet served
         self._records: dict[tuple, ResultRecord | dict] = {}
         self._stamp: Optional[tuple[int, int]] = None
+        # the CacheError message when the file at ``_stamp`` failed to load
+        self._error: Optional[str] = None
 
     def _load(self) -> None:
         records: dict[tuple, dict] = {}
+        st = None
         try:
             with self.path.open("r", encoding="utf-8") as fh:
                 st = os.fstat(fh.fileno())
+                lineno = 0
                 for raw in fh:
+                    lineno += 1
                     line = raw.strip()
                     if not line:
                         continue
                     try:
                         data = json.loads(line)
-                    except json.JSONDecodeError:
+                    except json.JSONDecodeError as exc:
                         if not raw.endswith("\n"):
                             print(f"warning: skipping the torn last line of {self.path}",
                                   file=sys.stderr)
                             break
                         if next(fh, "") != "\n":
-                            raise
+                            raise ValueError(f"line {lineno}: {exc.msg}") from exc
+                        lineno += 1
                         continue
-                    _check_fields(data)
-                    records.setdefault((data["mode"], data["space"], data["k"],
-                                        data["param"], data["tool_version"]), data)
-        except (OSError, ValueError, TypeError) as exc:
-            raise CacheError(f"unreadable cache {self.path}: {exc}") from exc
+                    try:
+                        _check_fields(data)
+                        records.setdefault((data["mode"], data["space"], data["k"],
+                                            data["param"], data["tool_version"]), data)
+                    except (ValueError, TypeError) as exc:
+                        raise ValueError(f"line {lineno}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            message = f"unreadable cache {self.path}: {exc}"
+            if st is not None:
+                # the same file fails the same way: keep the error, not the parse
+                self._records, self._stamp = {}, (st.st_size, st.st_mtime_ns)
+                self._error = message
+            raise CacheError(message) from exc
         self._records, self._stamp = records, (st.st_size, st.st_mtime_ns)
+        self._error = None
 
     def lookup(self, mode: Mode, space: str, k: int, param: int,
                tool_version: str = TOOL_VERSION) -> Optional[ResultRecord]:
         try:
             st = self.path.stat()
         except FileNotFoundError:
-            self._records, self._stamp = {}, (0, 0)
+            self._records, self._stamp, self._error = {}, (0, 0), None
         except OSError as exc:
             raise CacheError(f"unreadable cache {self.path}: {exc}") from exc
         else:
             if (st.st_size, st.st_mtime_ns) != self._stamp:
                 self._load()
+            elif self._error is not None:
+                raise CacheError(self._error)
         key = (mode.value, space, k, param, tool_version)
         record = self._records.get(key)
         if isinstance(record, dict):
@@ -252,7 +269,7 @@ class ResultCache:
             raise CacheError(f"cannot write cache {self.path}: {exc}") from exc
         if written != len(data):
             raise CacheError(f"short write to cache {self.path}")
-        if self._stamp is not None and end == self._stamp[0]:
+        if self._error is None and self._stamp is not None and end == self._stamp[0]:
             self._records.setdefault(record.key(), record)
             self._stamp = (st.st_size, st.st_mtime_ns)
 

@@ -1,5 +1,9 @@
 """Brute-force oracles for the fast paths in ``strutforge``.
 
+The canonical form of a component from a rooting at every leaf, the
+oracle for ``strutforge.diagrams.canonicalize_component``, which roots
+only at the leaves of the least color.
+
 Tree enumeration, the oracle for the rooted-expression generator in
 ``strutforge.bases``: every unitrivalent tree shape is grown by leaf
 insertion, colored in all mode-legal ways, canonicalized and
@@ -37,6 +41,7 @@ from strutforge.diagrams import (
     Diagram,
     Mode,
     TreeComponent,
+    _encode_rooted,
     _join_components,
     canonicalize,
     canonicalize_component,
@@ -61,6 +66,32 @@ from strutforge.relations import (
     marked_trees,
     y_link_config_count,
 )
+
+
+def canonicalize_component_all_leaves(comp: TreeComponent, mode: Mode) -> tuple[bytes, int]:
+    """Canonical (encoding, sign) of one component: the least encoding
+    over the rootings at every leaf.  Rootings that reach the minimum with
+    both signs, or a sign-0 subtree, make the component zero, and so does
+    a repeated leaf color in homotopy mode."""
+    if mode is Mode.HOMOTOPY:
+        cols = [c for c in comp.colors if c > 0]
+        if len(set(cols)) != len(cols):
+            return b"", 0
+    best: Optional[bytes] = None
+    best_signs: set[int] = set()
+    for v, color in comp.leaves():
+        sub_enc, sub_sign = _encode_rooted(comp, comp.adj[v][0], v)
+        if sub_sign == 0:
+            return b"", 0
+        enc = bytes([color]) + sub_enc
+        if best is None or enc < best:
+            best = enc
+            best_signs = {sub_sign}
+        elif enc == best:
+            best_signs.add(sub_sign)
+    if len(best_signs) == 2:
+        return b"", 0
+    return best, best_signs.pop()
 
 
 def tree_shapes(num_leaves: int) -> list[dict[int, list[int]]]:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,19 +10,28 @@ from strutforge.diagrams import (
     TreeComponent,
     canonicalize,
     canonicalize_component,
+    component_encodings,
     decode_component,
     decode_diagram,
     degree,
     diagram,
+    diagram_encoding,
     encoding_leaf_colors,
     encoding_trivalent_count,
+    recoloured_encoding,
     strut,
     strut_count,
     y_tree,
 )
 from strutforge.errors import DomainError, StructuralError
+from strutforge.pipeline import build_basis
 
-from brute_force import graft, tree_shapes
+from brute_force import (
+    canonicalize_component_all_leaves,
+    colored_trees,
+    graft,
+    tree_shapes,
+)
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
@@ -259,3 +270,42 @@ def test_degree_additive_over_disjoint_union(a, b):
     db = diagram(b, C, 4)
     dab = diagram(list(a) + list(b), C, 4)
     assert degree(dab) == degree(da) + degree(db)
+
+
+# Rooting at the least-color leaves only, against the all-leaves oracle.
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([H, C]), random_component(max_leaves=6, k=5),
+       st.randoms(use_true_random=False), st.data())
+def test_least_color_rooting_matches_the_all_leaves_oracle(mode, comp, rng, data):
+    perm = list(range(len(comp.adj)))
+    rng.shuffle(perm)
+    comp = comp.relabeled(perm)
+    for v in range(len(comp.adj)):
+        if len(comp.adj[v]) == 3 and data.draw(st.booleans()):
+            comp = comp.with_flip(v)
+    assert canonicalize_component(comp, mode) == canonicalize_component_all_leaves(comp, mode)
+
+
+@pytest.mark.parametrize("mode,k", [(H, 5), (C, 3)])
+def test_least_color_rooting_on_every_small_tree(mode, k):
+    zeros = 0
+    for deg in range(1, 5):
+        for comp in colored_trees(k, deg, mode):
+            expected = canonicalize_component_all_leaves(comp, mode)
+            assert canonicalize_component(comp, mode) == expected
+            zeros += expected[1] == 0
+    # only concordance repeats a color, so only there can two branches be equal
+    assert zeros > 0 if mode is C else zeros == 0
+
+
+@pytest.mark.parametrize("mode,k,d", [(H, 4, 3), (H, 4, 4), (C, 3, 4), (C, 2, 5)])
+def test_recoloured_encoding_is_decode_and_canonicalize(mode, k, d):
+    encodings = [cd.encoding for cd in build_basis(mode, "full", k, d).elements]
+    for perm in itertools.permutations(range(1, k + 1)):
+        table = bytes([0, *perm, *range(k + 1, 256)])
+        for enc in encodings:
+            recolored = [TreeComponent(comp.adj, tuple(perm[c - 1] if c else 0
+                                                       for c in comp.colors))
+                         for comp in map(decode_component, component_encodings(enc))]
+            assert recoloured_encoding(enc, table, mode) == diagram_encoding(
+                canonicalize_component_all_leaves(comp, mode)[0] for comp in recolored)

@@ -1,13 +1,16 @@
 """The cache file is checked line by line when it loads, although a
 line's ResultRecord is built only when a lookup serves it: a line that
 is not a record raises CacheError at load, whichever key is looked up,
-and the first line with a key is the one served."""
+and the first line with a key is the one served.  The error names the
+bad line, and a file that failed is not parsed again until it changes."""
 
 import json
 
 import pytest
+from click.testing import CliRunner
 
 from strutforge import __version__
+from strutforge.cli import cli
 from strutforge.diagrams import Mode
 from strutforge.errors import CacheError
 from strutforge.pipeline import ResultCache, ResultRecord
@@ -70,3 +73,41 @@ def test_a_line_that_is_not_utf8_raises_at_load(tmp_path):
     (tmp_path / "results.jsonl").write_bytes(line().encode() + b"\n\xff\xfe\n")
     with pytest.raises(CacheError, match="unreadable cache"):
         ResultCache(tmp_path).lookup(H, "y", 3, 0)
+
+
+def history_with_a_bad_middle_line(directory):
+    lines = [line(k=10 + i) for i in range(5000)]
+    lines[2499] = "{not json"
+    return cache_with(directory, *lines)
+
+
+def test_an_unparseable_line_is_named_by_its_line_number(tmp_path):
+    cache = history_with_a_bad_middle_line(tmp_path)
+    with pytest.raises(CacheError, match="unreadable cache") as info:
+        cache.lookup(H, "y", 3, 0)
+    assert ": line 2500: " in str(info.value)
+    assert "column" not in str(info.value)
+    cache_with(tmp_path, line())
+    assert cache.lookup(H, "y", 3, 0) == ResultRecord.from_json(line())
+
+
+def test_a_bad_cache_loads_once_over_a_sweep(monkeypatch, tmp_path):
+    (tmp_path / "cache").mkdir()
+    history_with_a_bad_middle_line(tmp_path / "cache")
+    loads = []
+    load = ResultCache._load
+
+    def counted(self):
+        loads.append(self.path)
+        load(self)
+
+    monkeypatch.setattr(ResultCache, "_load", counted)
+    out = tmp_path / "s.csv"
+    result = CliRunner().invoke(cli, ["sweep", "--space", "y", "--k-range", "3:6",
+                                      "--n-range", "0:2", "--out", str(out),
+                                      "--cache-dir", str(tmp_path / "cache")])
+    assert result.exit_code == 0, result.output
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 12
+    assert all(row.split(",")[8] == "error:CacheError" for row in rows)
+    assert len(loads) == 1

@@ -1,11 +1,12 @@
 """The orbit-graded ``witness`` against the ungraded oracle, byte for byte.
 
-``compute_witness`` reduces one representative block per orbit and
+``sparse_witness`` reduces one representative block per orbit and
 carries its unit functionals across the orbit; when a representative's
 rank falls short of the columns its rows touch, it reduces every block
 of the orbit.  No cell reaches that branch, so one test forces it.  The
-CLI writes the dense functionals from their zero runs, which must give
-``json.dumps``'s bytes.
+functionals stay sparse until the CLI writes them, and the dense JSON it
+writes from their entries must give ``json.dumps``'s bytes of the dense
+document; ``compute_witness`` is that dense document.
 """
 
 import json
@@ -16,9 +17,9 @@ from hypothesis import given, strategies as st
 
 from brute_force import witness_ungraded
 import strutforge.pipeline as pipeline
-from strutforge.cli import _dense_json, _witness_json, cli
+from strutforge.cli import _witness_json, cli
 from strutforge.diagrams import Mode
-from strutforge.pipeline import compute_witness
+from strutforge.pipeline import compute_witness, sparse_witness
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
@@ -27,17 +28,22 @@ WITNESS_CELLS = [(H, "y", 6, 2), (C, "y", 4, 2), (H, "full", 5, 4),
                  (H, "full", 4, 3), (C, "full", 3, 4), (C, "full", 2, 5)]
 
 
+def _check_written_bytes(mode, space, k, param):
+    text = _witness_json(sparse_witness(mode, space, k, param))
+    assert text == json.dumps(witness_ungraded(mode, space, k, param))
+    assert compute_witness(mode, space, k, param)["functionals"] == \
+        json.loads(text)["functionals"]
+
+
 @pytest.mark.parametrize("mode,space,k,param", WITNESS_CELLS)
 def test_witness_bytes_equal_the_ungraded_oracle(mode, space, k, param):
-    assert _witness_json(compute_witness(mode, space, k, param)) == \
-        json.dumps(witness_ungraded(mode, space, k, param))
+    _check_written_bytes(mode, space, k, param)
 
 
 @pytest.mark.parametrize("mode,space,k,param", WITNESS_CELLS)
 def test_per_block_reduction_gives_the_same_bytes(monkeypatch, mode, space, k, param):
     monkeypatch.setattr(pipeline, "_untouched_columns", lambda *_: None)
-    assert _witness_json(compute_witness(mode, space, k, param)) == \
-        json.dumps(witness_ungraded(mode, space, k, param))
+    _check_written_bytes(mode, space, k, param)
 
 
 def test_cli_writes_the_oracle_bytes(tmp_path):
@@ -48,6 +54,41 @@ def test_cli_writes_the_oracle_bytes(tmp_path):
     assert out.read_text(encoding="utf-8") == json.dumps(witness_ungraded(C, "full", 3, 3)) + "\n"
 
 
-@given(st.lists(st.sampled_from([0, 0, 0, 1, 7, 2147483646])))
-def test_dense_functional_text_is_json(vec):
-    assert _dense_json(vec) == json.dumps(vec)
+def test_cli_never_builds_dense_functionals(monkeypatch, tmp_path):
+    def dense(*_args, **_kwargs):
+        raise AssertionError("the CLI built dense functionals")
+
+    monkeypatch.setattr(pipeline, "compute_witness", dense)
+    out = tmp_path / "w.json"
+    result = CliRunner().invoke(cli, ["witness", "--space", "full", "--k", "4",
+                                      "--degree", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_text(encoding="utf-8") == json.dumps(witness_ungraded(H, "full", 4, 3)) + "\n"
+
+
+PRIME = 2147483647
+
+
+@st.composite
+def sparse_document(draw):
+    n = draw(st.integers(0, 40))
+    functionals = []
+    if n:
+        for _ in range(draw(st.integers(0, 4))):
+            cols = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+            functionals.append([(c, draw(st.integers(1, PRIME - 1))) for c in cols])
+    return n, functionals
+
+
+@given(sparse_document())
+def test_written_functionals_are_json_of_the_dense_vectors(document):
+    n, functionals = document
+    basis = ["0102"] * n
+    dense = []
+    for entries in functionals:
+        vec = [0] * n
+        for c, v in entries:
+            vec[c] = v
+        dense.append(vec)
+    assert _witness_json({"basis": basis, "prime": PRIME, "functionals": functionals}) == \
+        json.dumps({"basis": basis, "prime": PRIME, "functionals": dense})

@@ -337,12 +337,6 @@ def _witness_parts(doc: dict) -> Iterator[str]:
     yield "]}"
 
 
-def _witness_json(doc: dict) -> str:
-    """``json.dumps`` of the dense witness document: its streamed pieces
-    joined."""
-    return "".join(_witness_parts(doc))
-
-
 @cli.command("relations")
 @_space_options
 @_cell_options

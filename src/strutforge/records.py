@@ -3,7 +3,10 @@ cache hit needs, and nothing of the engine.
 
 A cell's dimension is an immutable ResultRecord.  Records are cached
 append-only in a JSON-lines file keyed by (mode, space, k, param,
-tool_version), so sweeps resume for free.  This module imports only
+tool_version), so sweeps resume for free.  Loading the file recognises
+the lines ``ResultRecord.to_json`` writes with one regular expression,
+built from the record's fields, and parses only other lines as JSON; a
+record is decoded when a lookup serves it.  This module imports only
 ``errors`` and the standard library; a ``dim`` or ``sweep`` whose every
 cell is a cache hit, and ``--version``, load no engine module.  Only a
 cache miss imports ``pipeline`` to compute the cell.
@@ -12,10 +15,12 @@ cache miss imports ``pipeline`` to compute the cell.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import os
+import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -154,6 +159,35 @@ def _check_fields(data: object) -> None:
         raise ValueError("primes not a list")
 
 
+# The JSON of each field type as ``json.dumps`` writes it, restricted to
+# text that ``json.loads`` reads back as the same value: strings without
+# escapes or control characters, and integers of at most 18 digits, far
+# below Python's int-string limit.  ``%s`` opens the value's group.
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_VALUE = {"str": r'"(%s[^"\\\x00-\x1f]*)"', "int": rf"(%s{_INT})",
+          "bool": "(%strue|false)", "tuple[int, ...]": rf"(%s\[(?:{_INT}(?:, {_INT})*)?\])"}
+# The fields of ResultRecord.key(), which keeps them in field order.
+_KEY_FIELDS = ("mode", "space", "k", "param", "tool_version")
+
+
+@functools.cache
+def _line_pattern() -> re.Pattern:
+    """The lines ``ResultRecord.to_json`` writes: every field in field
+    order with ``json.dumps``'s separators, a defaulted field optional.
+    A line it matches is a record that ``json.loads`` and
+    ``_check_fields`` accept, and its groups are the key's values as
+    text; any other line takes the full check.  Built on the first cache
+    load, not at import."""
+    parts = []
+    for i, f in enumerate(fields(ResultRecord)):
+        value = _VALUE[f.type] % ("" if f.name in _KEY_FIELDS else "?:")
+        part = f'{", " if i else ""}"{f.name}": {value}'
+        if f.default is not MISSING:
+            part = f"(?:{part})?"
+        parts.append(part)
+    return re.compile(r"\{%s\}" % "".join(parts))
+
+
 def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
     """Cache directory precedence: flag, then the environment variable,
     then ./cache."""
@@ -173,8 +207,10 @@ class ResultCache:
     key -> record dict once per process and parsed again only when its
     (size, mtime) differs from what this process last read or wrote; an
     append adds its own record to the dict when the file had not changed
-    before the write.  Loading checks every line's JSON and field names;
-    a line's ResultRecord is built only when ``lookup`` serves it.
+    before the write.  Loading keeps a line that ``_line_pattern``
+    matches, the writer's own spelling of a record, as text under its
+    key; any other line is parsed and its fields checked.  A line's
+    ResultRecord is decoded only when ``lookup`` serves it.
 
     Each record is written with one write call.  A writer killed mid-write
     leaves a torn record: an unparseable last line without its newline.
@@ -188,14 +224,15 @@ class ResultCache:
     def __init__(self, directory: Path):
         self.directory = Path(directory)
         self.path = self.directory / CACHE_FILENAME
-        # key -> the served ResultRecord, or the parsed line not yet served
-        self._records: dict[tuple, ResultRecord | dict] = {}
+        # key -> the served ResultRecord, or its line not yet served
+        self._records: dict[tuple, ResultRecord | str] = {}
         self._stamp: Optional[tuple[int, int]] = None
         # the CacheError message when the file at ``_stamp`` failed to load
         self._error: Optional[str] = None
 
     def _load(self) -> None:
-        records: dict[tuple, dict] = {}
+        records: dict[tuple, str] = {}
+        record_line = _line_pattern().fullmatch
         st = None
         try:
             with self.path.open("r", encoding="utf-8") as fh:
@@ -205,6 +242,11 @@ class ResultCache:
                     lineno += 1
                     line = raw.strip()
                     if not line:
+                        continue
+                    match = record_line(line)
+                    if match is not None:
+                        mode, space, k, param, version = match.groups()
+                        records.setdefault((mode, space, int(k), int(param), version), line)
                         continue
                     try:
                         data = json.loads(line)
@@ -220,7 +262,7 @@ class ResultCache:
                     try:
                         _check_fields(data)
                         records.setdefault((data["mode"], data["space"], data["k"],
-                                            data["param"], data["tool_version"]), data)
+                                            data["param"], data["tool_version"]), line)
                     except (ValueError, TypeError) as exc:
                         raise ValueError(f"line {lineno}: {exc}") from exc
         except (OSError, ValueError) as exc:
@@ -248,9 +290,8 @@ class ResultCache:
                 raise CacheError(self._error)
         key = (mode.value, space, k, param, tool_version)
         record = self._records.get(key)
-        if isinstance(record, dict):
-            record = self._records[key] = ResultRecord(
-                **{**record, "primes": tuple(record["primes"])})
+        if isinstance(record, str):
+            record = self._records[key] = ResultRecord.from_json(record)
         return record
 
     def append(self, record: ResultRecord) -> None:

@@ -4,7 +4,9 @@
 ``strutforge.records`` and no engine module; a cache miss imports the
 pipeline.  The package exports its names lazily, every name moved into
 ``records`` is the same object under its old module, and every module
-attribute that ``perfbench/traced_op.py`` patches still resolves.
+attribute that ``perfbench/traced_op.py`` patches still resolves.  The
+cache's line pattern is compiled by the first cache load, so start-up
+and a command that loads no cache file do not pay for it.
 """
 
 import importlib
@@ -25,7 +27,8 @@ ENGINE = {f"strutforge.{name}" for name in
           ("bases", "diagrams", "relations", "linalg", "pipeline", "counting")}
 
 # Runs the CLI as ``python -m strutforge.cli`` would, then writes the
-# strutforge modules it loaded to the file named by the first argument.
+# strutforge modules it loaded, and how many times it built the cache's
+# line pattern, to the file named by the first argument.
 RUN_CLI = """
 import json, runpy, sys
 out, sys.argv = sys.argv[1], ["strutforge", *sys.argv[2:]]
@@ -35,20 +38,27 @@ except SystemExit as exc:
     code = exc.code
 else:
     code = 0
+records = sys.modules.get("strutforge.records")
 with open(out, "w") as fh:
-    json.dump(sorted(m for m in sys.modules if m.startswith("strutforge")), fh)
+    json.dump({"modules": sorted(m for m in sys.modules if m.startswith("strutforge")),
+               "pattern_builds": records and records._line_pattern.cache_info().misses}, fh)
 sys.exit(code)
 """
 
 
-def loaded_modules(tmp_path, *args):
+def run_cli(tmp_path, *args):
     out = tmp_path / "modules.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", RUN_CLI, str(out), *args],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(out.read_text())), proc
+    return json.loads(out.read_text()), proc
+
+
+def loaded_modules(tmp_path, *args):
+    run, proc = run_cli(tmp_path, *args)
+    return set(run["modules"]), proc
 
 
 def test_version_loads_no_engine(tmp_path):
@@ -67,6 +77,22 @@ def test_cache_hit_dim_loads_no_engine(tmp_path):
     assert "(cache hit)" in proc.stderr
     assert json.loads(proc.stdout)["num_diagrams"] == 24
     assert not modules & ENGINE
+
+
+def test_only_a_cache_load_builds_the_line_pattern(tmp_path):
+    assert run_cli(tmp_path, "--version")[0]["pattern_builds"] == 0
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    imported = subprocess.run(
+        [sys.executable, "-c", "import strutforge.records as r; "
+         "print(r._line_pattern.cache_info().misses)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert imported.stdout.strip() == "0", imported.stderr
+    args = ["dim", "--space", "y", "--k", "3", "--n", "1",
+            "--cache-dir", str(tmp_path / "cache")]
+    run, proc = run_cli(tmp_path, *args)
+    assert "(cache hit)" not in proc.stderr and run["pattern_builds"] == 0
+    run, proc = run_cli(tmp_path, *args)
+    assert "(cache hit)" in proc.stderr and run["pattern_builds"] == 1
 
 
 def test_cached_sweep_loads_no_engine(tmp_path):

@@ -2,20 +2,29 @@
 line's ResultRecord is built only when a lookup serves it: a line that
 is not a record raises CacheError at load, whichever key is looked up,
 and the first line with a key is the one served.  The error names the
-bad line, and a file that failed is not parsed again until it changes."""
+bad line, and a file that failed is not parsed again until it changes.
+A line spelled as the writer spells it is recognised by a pattern
+instead of parsed; whatever the spelling, the cache serves and fails as
+it does with ``json.loads`` on every line."""
 
 import json
+import re
+from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from strutforge import __version__
+from strutforge import __version__, records
 from strutforge.cli import cli
 from strutforge.diagrams import Mode
 from strutforge.errors import CacheError
 from strutforge.pipeline import ResultCache, ResultRecord
+from strutforge.records import _check_fields, _line_pattern
 
 H = Mode.HOMOTOPY
+KEY = ("mode", "space", "k", "param", "tool_version")
 
 FIELDS = {
     "mode": "homotopy", "space": "y", "k": 3, "param": 0, "num_diagrams": 1,
@@ -111,3 +120,197 @@ def test_a_bad_cache_loads_once_over_a_sweep(monkeypatch, tmp_path):
     assert len(rows) == 12
     assert all(row.split(",")[8] == "error:CacheError" for row in rows)
     assert len(loads) == 1
+
+
+# The recogniser: ``_load`` keeps a line that ``_line_pattern`` matches
+# without parsing it, so every line it matches must be one that
+# ``json.loads`` and ``_check_fields`` accept with the same key, and the
+# record served from it must be ``ResultRecord.from_json`` of the line.
+# Any other spelling takes the full check and fails or loads as before.
+
+def served(directory, key):
+    """repr of the record a fresh cache serves for ``key``, or the text
+    of the CacheError it raises."""
+    mode, *rest = key
+    try:
+        return repr(ResultCache(directory).lookup(SimpleNamespace(value=mode), *rest))
+    except CacheError as exc:
+        return f"CacheError: {exc}"
+
+
+def json_only(directory, text, key):
+    """What a one-line cache holding ``text`` serves under ``json.loads``
+    and ``_check_fields`` alone, as ``served`` reports it."""
+    prefix = f"CacheError: unreadable cache {directory / 'results.jsonl'}: line 1: "
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return prefix + exc.msg
+    try:
+        _check_fields(data)
+        line_key = tuple(data[name] for name in KEY)
+        hash(line_key)
+    except (ValueError, TypeError) as exc:
+        return prefix + str(exc)
+    return repr(ResultRecord.from_json(text) if line_key == key else None)
+
+
+# Strings the writer carries unescaped, such strings with one character
+# that JSON escapes or that is not ASCII, and full Unicode with quotes,
+# backslashes and control characters; integers that fit the pattern and
+# integers up to 10**30.
+PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                   blacklist_characters='"\\'), max_size=8)
+SPECIAL = '"\\\x00\x1f\x7f\x85\xe9\u2028\U0001f600'
+TEXTS = (PLAIN_TEXT,
+         PLAIN_TEXT | st.builds(lambda a, c, b: a + c + b, PLAIN_TEXT, st.sampled_from(SPECIAL),
+                                PLAIN_TEXT),
+         st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(SPECIAL),
+                 max_size=12))
+INTS = (st.integers(min_value=1 - 10**18, max_value=10**18 - 1),
+        st.integers(min_value=-10**30, max_value=10**30)
+        | st.sampled_from([10**18 - 1, 10**18, 1 - 10**18, -10**18]))
+NOT_A_FIELD_VALUE = (st.none() | st.booleans() | INTS[1]
+                     | st.floats(allow_nan=False, allow_infinity=False)
+                     | st.text(max_size=3) | st.lists(INTS[1], max_size=2)
+                     | st.dictionaries(st.text(max_size=2), INTS[1], max_size=1))
+
+
+@st.composite
+def record_fields(draw):
+    """The fields of a ResultRecord, ``certified`` true, false or absent;
+    each record draws its strings from one of TEXTS and its integers from
+    one of INTS."""
+    ints = draw(st.sampled_from(INTS))
+    values = {"str": draw(st.sampled_from(TEXTS)), "int": ints,
+              "tuple[int, ...]": st.lists(ints, max_size=4)}
+    data = {f.name: draw(values[f.type]) for f in fields(ResultRecord)
+            if f.name != "certified"}
+    certified = draw(st.sampled_from([True, False, None]))
+    if certified is not None:
+        data["certified"] = certified
+    return data
+
+
+@st.composite
+def spelled_lines(draw):
+    """(line, fields): a record, sometimes broken by one change, in the
+    writer's spelling or in another: compact or padded separators,
+    reordered keys, non-ASCII raw or every character ``\\u``-escaped, or
+    strings written raw without escapes, which ``json.loads`` may refuse."""
+    data = draw(record_fields())
+    change = draw(st.sampled_from(["none"] * 4 + ["drop", "extra", "retype"]))
+    if change == "drop":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif change == "extra":
+        data[draw(st.text(max_size=4).filter(lambda name: name not in data))] = 1
+    elif change == "retype":
+        data[draw(st.sampled_from(sorted(data)))] = draw(NOT_A_FIELD_VALUE)
+    order, item_sep, key_sep, pad = list(data), ", ", ": ", ""
+    if draw(st.booleans()):
+        order = draw(st.permutations(sorted(data))) if draw(st.booleans()) else order
+        item_sep = draw(st.sampled_from([", ", ",", " ,\t", ",  "]))
+        key_sep = draw(st.sampled_from([": ", ":", " : "]))
+        pad = draw(st.sampled_from(["", " "]))
+    strings = draw(st.sampled_from(["ascii", "unicode", "escaped", "raw"]))
+
+    def value(v):
+        if strings == "escaped" and isinstance(v, str):
+            units = v.encode("utf-16-be")
+            return '"' + "".join(f"\\u{units[i] << 8 | units[i + 1]:04x}"
+                                 for i in range(0, len(units), 2)) + '"'
+        if strings == "raw" and isinstance(v, str) and not {"\n", "\r"} & set(v):
+            return f'"{v}"'
+        return json.dumps(v, separators=(item_sep, key_sep), ensure_ascii=strings == "ascii")
+
+    body = item_sep.join(f"{json.dumps(key)}{key_sep}{value(data[key])}" for key in order)
+    return f"{pad}{{{pad}{body}{pad}}}{pad}", data
+
+
+@settings(max_examples=500, deadline=None)
+@given(spelled=spelled_lines())
+def test_a_one_line_cache_serves_what_json_loads_reads(tmp_path_factory, spelled):
+    text, data = spelled
+    directory = tmp_path_factory.mktemp("line")
+    (directory / "results.jsonl").write_text(text + "\n", encoding="utf-8")
+    key = tuple(data.get(name) for name in KEY)
+    expected = json_only(directory, text, key)
+    assert served(directory, key) == expected
+    if _line_pattern().fullmatch(text.strip()):
+        assert not expected.startswith("CacheError")
+
+
+def fits(value):
+    """Whether the pattern takes ``value`` as ``json.dumps`` writes it."""
+    if isinstance(value, int):
+        return -10**18 < value < 10**18
+    return json.dumps(value) == f'"{value}"'
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=record_fields())
+def test_the_pattern_matches_every_written_line_that_needs_no_escape(data):
+    record = ResultRecord(**{**data, "primes": tuple(data["primes"])})
+    match = _line_pattern().fullmatch(record.to_json())
+    values = [v for v in asdict(record).values() if not isinstance(v, (bool, tuple))]
+    assert (match is not None) == all(map(fits, values + list(record.primes)))
+    if match:
+        mode, space, k, param, version = match.groups()
+        assert (mode, space, int(k), int(param), version) == record.key()
+
+
+@pytest.mark.parametrize("name", ["mode", "space", "tool_version", "timestamp"])
+def test_a_raw_special_character_loads_as_json_loads_reads_it(tmp_path, name):
+    # The writer's spelling but for one string written without escapes.
+    for char in SPECIAL:
+        value = f"a{char}b"
+        text = line().replace(json.dumps(FIELDS[name]), f'"{value}"', 1)
+        (tmp_path / "results.jsonl").write_text(text + "\n", encoding="utf-8")
+        key = tuple({**FIELDS, name: value}[field] for field in KEY)
+        assert served(tmp_path, key) == json_only(tmp_path, text, key), repr(char)
+
+
+def test_an_over_long_integer_loads_as_json_loads_reads_it(monkeypatch, tmp_path):
+    # No integer the pattern accepts is near Python's int-string limit,
+    # so an over-long one fails (or loads) exactly as json.loads has it.
+    cache_with(tmp_path, line().replace('"elapsed_ms": 0', '"elapsed_ms": ' + "9" * 4400))
+    key = ("homotopy", "y", 3, 0, __version__)
+    recognised = served(tmp_path, key)
+    monkeypatch.setattr(records, "_line_pattern", lambda: re.compile("(?!)"))
+    assert recognised == served(tmp_path, key)
+
+
+def test_other_spellings_load_as_json_loads_reads_them(monkeypatch, tmp_path):
+    # Writer lines, other spellings of records, a "k": "3" line, a repeated
+    # key and a torn last line: the cache serves every key as the same
+    # load does with a recogniser that matches nothing, i.e. with
+    # json.loads on every line.
+    served_by = {(k, n): line(k=k, param=n) for k in range(3, 6) for n in range(3)}
+    served_by[6, 0] = json.dumps(FIELDS | {"k": 6}, separators=(",", ":"))
+    served_by[7, 0] = json.dumps(dict(reversed((FIELDS | {"k": 7}).items())))
+    served_by[8, 0] = line(k=8).replace('"space": "y"', '"space": "\\u0079"')
+    served_by[9, 0] = json.dumps(FIELDS | {"k": 9, "timestamp": "heute é"}, ensure_ascii=False)
+    served_by["3", 0] = line(k="3")
+    lines = [*served_by.values(), line(k=4, param=1, rank=0), line(k=10)[:-5]]
+    (tmp_path / "results.jsonl").write_text("\n".join(lines), encoding="utf-8")
+    keys = [(H, "y", k, n, __version__) for k, n in [*served_by, (10, 0)]]
+
+    def serve_all():
+        cache = ResultCache(tmp_path)
+        return [repr(cache.lookup(*key)) for key in keys]
+
+    matched = []
+    pattern = _line_pattern()
+
+    def fullmatch(text):
+        matched.append(pattern.fullmatch(text) is not None)
+        return pattern.fullmatch(text)
+
+    monkeypatch.setattr(records, "_line_pattern", lambda: SimpleNamespace(fullmatch=fullmatch))
+    recognised = serve_all()
+    # the writer's lines, the raw non-ASCII one and the repeat are recognised
+    assert matched == [True] * 9 + [False, False, False, True, False, True, False]
+    monkeypatch.setattr(records, "_line_pattern", lambda: re.compile("(?!)"))
+    assert recognised == serve_all()
+    assert recognised == [repr(ResultRecord.from_json(text)) for text in served_by.values()] \
+        + ["None"]

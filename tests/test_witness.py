@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from brute_force import witness_ungraded
 import strutforge.pipeline as pipeline
-from strutforge.cli import _witness_json, cli
+from strutforge.cli import _witness_parts, cli
 from strutforge.diagrams import Mode
 from strutforge.pipeline import compute_witness, sparse_witness
 
@@ -26,6 +26,12 @@ C = Mode.CONCORDANCE
 
 WITNESS_CELLS = [(H, "y", 6, 2), (C, "y", 4, 2), (H, "full", 5, 4),
                  (H, "full", 4, 3), (C, "full", 3, 4), (C, "full", 2, 5)]
+
+
+def _witness_json(doc):
+    """``json.dumps`` of the dense witness document: the CLI's streamed
+    pieces joined."""
+    return "".join(_witness_parts(doc))
 
 
 def _check_written_bytes(mode, space, k, param):

@@ -141,22 +141,30 @@ class ResultRecord:
         ])
 
 
-_FIELDS = frozenset(f.name for f in fields(ResultRecord))
+_FIELD_TYPES = {f.name: f.type for f in fields(ResultRecord)}
+_FIELDS = frozenset(_FIELD_TYPES)
 _REQUIRED = _FIELDS - {"certified"}
+# The parsed JSON type of each field type, and its name in an error.
+_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+               "bool": (bool, "a boolean"), "tuple[int, ...]": (list, "a list of integers")}
 
 
 def _check_fields(data: object) -> None:
     """Raise ValueError unless ``data``, one parsed cache line, holds a
     ResultRecord: an object with every field but ``certified``, no
-    other field, and a list of primes."""
+    other field, and each value of its field's type: a string, an
+    integer that is not a boolean, a boolean, or a list of such
+    integers for ``primes``."""
     if not isinstance(data, dict):
         raise ValueError(f"a JSON {type(data).__name__}, not an object")
     names = data.keys()
     if not (_REQUIRED <= names and names <= _FIELDS):
         raise ValueError(f"unknown fields {sorted(names - _FIELDS)} "
                          f"and missing fields {sorted(_REQUIRED - names)}")
-    if not isinstance(data["primes"], list):
-        raise ValueError("primes not a list")
+    for name, value in data.items():
+        kind, what = _JSON_TYPES[_FIELD_TYPES[name]]
+        if type(value) is not kind or (kind is list and any(type(p) is not int for p in value)):
+            raise ValueError(f"{name} not {what}")
 
 
 # The JSON of each field type as ``json.dumps`` writes it, restricted to
@@ -209,7 +217,7 @@ class ResultCache:
     append adds its own record to the dict when the file had not changed
     before the write.  Loading keeps a line that ``_line_pattern``
     matches, the writer's own spelling of a record, as text under its
-    key; any other line is parsed and its fields checked.  A line's
+    key; any other line is parsed and its fields and their types checked.  A line's
     ResultRecord is decoded only when ``lookup`` serves it.
 
     Each record is written with one write call.  A writer killed mid-write
@@ -259,12 +267,15 @@ class ResultCache:
                             raise ValueError(f"line {lineno}: {exc.msg}") from exc
                         lineno += 1
                         continue
+                    except ValueError as exc:
+                        # parsed, but an integer too long to convert
+                        raise ValueError(f"line {lineno}: {exc}") from exc
                     try:
                         _check_fields(data)
-                        records.setdefault((data["mode"], data["space"], data["k"],
-                                            data["param"], data["tool_version"]), line)
-                    except (ValueError, TypeError) as exc:
+                    except ValueError as exc:
                         raise ValueError(f"line {lineno}: {exc}") from exc
+                    records.setdefault((data["mode"], data["space"], data["k"],
+                                        data["param"], data["tool_version"]), line)
         except (OSError, ValueError) as exc:
             message = f"unreadable cache {self.path}: {exc}"
             if st is not None:

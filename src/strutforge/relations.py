@@ -4,47 +4,41 @@ Three generators: the single-Y link rows, the general grafting form over
 the full space (any marked component attached above every same-colored
 leg), and the three-term IHX rewiring at internal edges.
 
-A single-Y link row comes from a special strut (a, c*) and a multiset R
-of n+1 rest struts.  Grafting the distinguished end c above a c-colored
-end of a rest strut {c, x} always yields the Y{a, c, x} oriented (a, c, x)
-next to R - {c, x}, so the row is computed in closed form on encodings:
-the sum over strut types {c, x} in R of
-mult({c, x}) * sign(a, c, x) * [Y{a, c, x} + (R - {c, x})], where
-sign(a, c, x) is the parity of the cyclic order (a, c, x) against sorted
-order and is 0 when two of a, c, x are equal.  No diagram is built or
-canonicalized.  Every term has the leaves a + R, whatever c and x are,
-so each row is homogeneous in its leaf-colour multiset M = a + R, and
-the rows of one block M come from its own configurations alone: the a
-in M and the R with leaves M - a (``y_link_relations`` on a block
-basis).  One loop over (a, c*, R) serves the whole cell and a block;
-they differ only in the rests R listed for each a.
-
-The full-space rows are assembled on canonical encodings too.  A link
-configuration is a marked tree (a leg color plus a rooted expression
-from ``bases``, the leg at vertex 0) and a rest forest given as a tuple
-of component encodings; an IHX row rewires one component of a basis
-encoding.  A graft or a rewiring changes one component and leaves the
-others as they are, and depends only on that component and the mode.
-So the grafts of a (marked tree, host component) pair
-(``_graft_terms``) and the I, H and X terms of a component
+Every link row comes from one builder, ``_link_row``, on canonical
+encodings.  A link configuration is a marked tree and a rest forest.
+The marked tree is a marked encoding from ``bases``: the leg's colour
+byte followed by the rooted expression hanging off the leg, which
+decodes with the leg at vertex 0.  The rest forest is a tuple of
+component encodings, and ``_rest_hosts`` lists, per leaf colour, its
+distinct components with a leaf of that colour, once per rest for every
+marked tree grafted onto it.  A graft changes one component and leaves
+the others as they are, and depends only on that component, the marked
+tree and the mode, so the grafts of a (marked tree, host component)
+pair (``_graft_terms``) and the I, H and X terms of a component
 (``_ihx_terms``) are memoized by value in bounded caches, which every
-block and cell of a process shares: each is computed once while it
-stays in its cache.  A term's column is the basis index of the sorted
+block, cell and space of a process shares: each is computed once while
+it stays in its cache.  A term's column is the basis index of the sorted
 component encodings, looked up in one place.  Coefficients are
 attachment multiplicities times the canonical antisymmetry signs, so one
 fixed grafting convention reproduces the relations exactly.
-``expand_along`` builds its row with the same link-row assembly as
-``link_relations``.  Provenance text is built only for rows kept after
-dedup, and only when asked for: the dumps ask,
+
+A single-Y row is the link row whose marked tree is the special strut
+(a, c*), the marked encoding ``bytes((c, a))``, over a rest R of n+1
+struts.  Grafting it above the c-end of a rest strut {c, x} gives
+Y{a, c, x} oriented (a, c, x), which ``_graft_terms`` reads off
+``y_encoding`` without decoding either strut; the term is zero when two
+of a, c, x are equal.  ``expand_along`` builds its row the same way,
+from the special strut ``bytes((c, fixed))``.  Provenance text is built
+only for rows kept after dedup, and only when asked for: the dumps ask,
 ``pipeline.build_relations`` does not.
 
 Grafting the leg of a marked tree onto a leaf of a rest forest F keeps
 the leaves of F and of the expression E hanging off the leg, so every
 term of the row has the leaves E + F, and an IHX rewiring keeps a
 diagram's leaves.  The rows of one block M thus come from the marked
-trees with E in M, each with the rest forests of leaves M - E
-(``link_relations`` on a block basis), and from the IHX instances of
-the block's own columns.
+trees with E in M, each with the rest forests of leaves M - E (for a Y
+row: the a in M and the R with leaves M - a), and from the IHX instances
+of the block's own columns.
 
 The graft-then-canonicalize constructions of all these rows, with a
 concrete diagram per term, live in ``tests/brute_force.py``
@@ -69,11 +63,13 @@ from .bases import (
     check_y_caps,
     forest_counts,
     forest_encodings,
+    leaf_vector,
     marked_encodings,
     tree_count,
     y_link_config_count,
 )
 from .diagrams import (
+    _NODE,
     Diagram,
     Mode,
     TreeComponent,
@@ -86,7 +82,6 @@ from .diagrams import (
     encoding_trivalent_count,
     render_component,
     render_encoding,
-    strut,
     strut_encoding,
     y_encoding,
 )
@@ -163,53 +158,16 @@ class _RowSet:
         return [self._rows[key] for key in sorted(self._rows)]
 
 
-def _y_rest_terms(rest: tuple[tuple[int, int], ...]) -> tuple[
-        dict[int, int], dict[int, list[tuple[int, int, list[bytes]]]]]:
-    """(ends, terms) of a rest multiset R of struts, given as sorted end
-    color pairs: the number of ends of each color, and per color c one
-    (x, mult({c, x}), encodings of R minus one {c, x}) per strut type
-    {c, x} in R with x != c.  A {c, c} strut only adds ends: its Y is
-    zero."""
-    encs = [strut_encoding(i, j) for i, j in rest]
-    ends: dict[int, int] = {}
-    terms: dict[int, list] = {}
-    for pos, (i, j) in enumerate(rest):
-        ends[i] = ends.get(i, 0) + 1
-        ends[j] = ends.get(j, 0) + 1
-        if i == j or (pos and rest[pos - 1] == (i, j)):
-            continue
-        mult = rest.count((i, j))
-        others = encs[:pos] + encs[pos + 1:]
-        terms.setdefault(i, []).append((j, mult, others))
-        terms.setdefault(j, []).append((i, mult, others))
-    return ends, terms
-
-
-def _y_row(a: int, c: int, terms: dict[int, list[tuple[int, int, list[bytes]]]],
-           index: dict[bytes, int]) -> tuple[tuple[int, int], ...]:
-    """Sorted entries of the single-Y link row of the special strut
-    (a, c*) and a rest R with these ``_y_rest_terms``:
-    mult({c, x}) * sign(a, c, x) on the column of Y{a, c, x} + (R - {c, x})
-    per strut type {c, x} in R.  Distinct x give distinct Y components,
-    so terms never share a column and no coefficient cancels."""
-    entries = []
-    for x, mult, others in terms.get(c, ()):
-        y_enc, sign = y_encoding(a, c, x)
-        if sign:
-            entries.append((_term_column(index, [y_enc, *others]), mult * sign))
-    entries.sort()
-    return tuple(entries)
-
-
 def _y_link_configs(k: int, n: int, mode: Mode, basis: Basis) -> Iterator[
         tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int]]:
     """(a, c, rest, entries, targets) per configuration, pre-dedup.
 
     ``(a, c)`` is the special strut with distinguished color c, ``rest``
     the n+1 rest struts as sorted end-color pairs, ``entries`` the sorted
-    row (``_y_row``) and ``targets`` the number of c-colored ends in
-    ``rest``.  Each term is one Y plus struts, so its column is looked up
-    on the sorted component encodings directly.
+    link row of the marked strut ``bytes((c, a))`` over the rest
+    (``_link_row``) and ``targets`` the number of c-colored ends in
+    ``rest``.  A rest's ends and hosts are found once and serve every
+    (a, c).
 
     One loop runs over a, then c, then the rests for a, the order of the
     dumps.  The whole cell takes every multiset R for every a, listed
@@ -222,22 +180,26 @@ def _y_link_configs(k: int, n: int, mode: Mode, basis: Basis) -> Iterator[
         raise DomainError("basis does not match enumerate_y_basis(k, n, mode)")
     index, leaves = basis.index, spec.leaves
     if leaves is None:
-        every = [(rest, *_y_rest_terms(rest)) for rest in
-                 itertools.combinations_with_replacement(_strut_pairs(k, mode), n + 1)]
+        every = []
+        for rest in itertools.combinations_with_replacement(_strut_pairs(k, mode), n + 1):
+            encs = tuple(map(bytes, rest))
+            every.append((rest, leaf_vector(b"".join(encs), k), _rest_hosts(encs)))
     memo: dict = {}
     for a in range(1, k + 1):
         if leaves is None:
             rests = every
         elif leaves[a - 1]:
-            rests = [(rest, *_y_rest_terms(rest)) for rest in _strut_multisets(
-                tuple(e - (c == a) for c, e in enumerate(leaves, 1)), mode, memo)]
+            ends = tuple(e - (c == a) for c, e in enumerate(leaves, 1))
+            rests = [(rest, ends, _rest_hosts(tuple(map(bytes, rest))))
+                     for rest in _strut_multisets(ends, mode, memo)]
         else:
             continue
         for c in range(1, k + 1):
             if a == c and mode is Mode.HOMOTOPY:
                 continue
-            for rest, ends, terms in rests:
-                yield a, c, rest, _y_row(a, c, terms, index), ends.get(c, 0)
+            special = bytes((c, a))
+            for rest, ends, hosts in rests:
+                yield a, c, rest, _link_row(special, hosts, index, mode), ends[c - 1]
 
 
 def iter_y_link_rows(k: int, n: int, mode: Mode, basis: Basis
@@ -245,12 +207,9 @@ def iter_y_link_rows(k: int, n: int, mode: Mode, basis: Basis
     """One (row, attachment targets) pair per configuration, pre-dedup,
     with provenance ``y-link special={a}-{c}* rest={i-j,...}``.
 
-    This is the dump path.  Rows come from the closed form of
-    y_link_relations, before sign normalization and dedup: one term
-    mult({c, x}) * sign(a, c, x) per strut type {c, x} of the rest, with
-    sign(a, c, x) the parity of the cyclic order (a, c, x) against sorted
-    order, and no term when two of a, c, x are equal.  The provenance is
-    written from the color pairs.  The row is empty when no term survives;
+    This is the dump path: the link rows of y_link_relations before sign
+    normalization and dedup.  The provenance is written from the color
+    pairs.  The row is empty when no term survives;
     the target count is zero exactly for the overcounted configurations
     whose distinguished color appears on no rest strut.
     """
@@ -261,13 +220,14 @@ def iter_y_link_rows(k: int, n: int, mode: Mode, basis: Basis
 
 def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,
                      max_configs: int = DEFAULT_MAX_ROWS) -> list[RelationRow]:
-    """Link relations inside the single-Y subspace, in closed form.
+    """Link relations inside the single-Y subspace.
 
     One candidate row per special strut (a, c*) and multiset R of n+1 rest
-    struts.  Grafting the distinguished end above a c-colored end of a
-    rest strut {c, x} gives the term Y{a, c, x} plus R - {c, x}, so the
-    row is the sum over strut types {c, x} in R of
-    mult({c, x}) * sign(a, c, x) * [Y{a, c, x} + (R - {c, x})],
+    struts: the link row whose marked tree is the special strut,
+    ``bytes((c, a))``, over the rest R.  Grafting the distinguished end
+    above a c-colored end of a rest strut {c, x} gives the term
+    Y{a, c, x} plus R - {c, x}, so the row is the sum over strut types
+    {c, x} in R of mult({c, x}) * sign(a, c, x) * [Y{a, c, x} + (R - {c, x})],
     where sign(a, c, x) is +1 when (a, c, x) is a cyclic rotation of its
     sorted order and -1 otherwise (the graft orients the new vertex
     (a, c, x)).  A term is zero when two of a, c, x are equal: a = x in
@@ -281,8 +241,8 @@ def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,
 
     The graft construction (``PreGraftConfig`` over strut(a, c) in
     ``tests/brute_force.py``) builds a diagram, a spliced tree and a
-    canonical form per term to reach the same rows; it is the oracle this
-    closed form is checked against.
+    canonical form per term to reach the same rows; it is the oracle
+    these rows are checked against.
     """
     if basis.spec.leaves is None:
         check_y_caps(k, n, mode, max_rows=max_configs)
@@ -324,18 +284,16 @@ def count_effective_relations(k: int, n: int,
 
 
 @lru_cache(maxsize=None)
-def marked_trees(k: int, deg: int, mode: Mode) -> tuple[tuple[TreeComponent, int], ...]:
-    """All (tree, marked leaf) configurations of one degree, up to
-    isomorphism of the marked tree, in (leg color, expression) order.
-
-    A marked tree is its leg color plus the canonical rooted expression at
-    the leg (``bases.marked_encodings``), so each configuration is decoded
-    once with the leg at vertex 0.  Marked trees equal to their own
-    negative are never generated.  Homotopy mode keeps the leg color off
-    the other legs: a repeated color on the marked component survives
-    every graft and kills the row.
+def marked_trees(k: int, deg: int, mode: Mode) -> tuple[bytes, ...]:
+    """All marked trees of one degree, up to isomorphism, in (leg color,
+    expression) order, as marked encodings (``bases.marked_encodings``):
+    the leg's color byte followed by the canonical rooted expression
+    hanging off the leg.  Decoding one puts the leg at vertex 0.  Marked
+    trees equal to their own negative are never generated.  Homotopy
+    mode keeps the leg color off the other legs: a repeated color on the
+    marked component survives every graft and kills the row.
     """
-    return tuple((decode_component(enc), 0) for enc in marked_encodings(k, deg, mode))
+    return tuple(marked_encodings(k, deg, mode))
 
 
 def _term_column(index: dict[bytes, int], components: list[bytes]) -> int:
@@ -349,49 +307,66 @@ def _term_column(index: dict[bytes, int], components: list[bytes]) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _graft_terms(marked: TreeComponent, host: bytes,
+def _graft_terms(marked: bytes, host: bytes,
                  mode: Mode) -> tuple[tuple[bytes, int], ...]:
     """(encoding, summed sign) of the canonical components made by grafting
-    the marked leg, vertex 0, above each same-colored leaf of the host
-    component with canonical encoding ``host``, zeros dropped.  The key
-    leaves out k: a graft does not depend on it.
+    the leg of the marked tree ``marked`` above each same-colored leaf of
+    the host component with canonical encoding ``host``, zeros dropped.
+    The key leaves out k: a graft does not depend on it.
+
+    ``host`` has a leaf of the leg's color (``_rest_hosts``).  The marked
+    strut (c*, a) grafted on the strut {c, x} is Y{a, c, x} oriented
+    (a, c, x), read off ``y_encoding``; any other pair is decoded, joined
+    and canonicalized.
     """
-    color = marked.colors[0]
-    comp = decode_component(host)
+    color = marked[0]
+    if len(marked) == len(host) == 2:
+        enc, sign = y_encoding(marked[1], color, host[1] if host[0] == color else host[0])
+        return ((enc, sign),) if sign else ()
+    m_comp, comp = decode_component(marked), decode_component(host)
     terms: dict[bytes, int] = {}
     for v, c in comp.leaves():
         if c == color:
-            enc, sign = canonicalize_component(_join_components(marked, 0, comp, v), mode)
+            enc, sign = canonicalize_component(_join_components(m_comp, 0, comp, v), mode)
             if sign:
                 terms[enc] = terms.get(enc, 0) + sign
     return tuple((enc, sign) for enc, sign in terms.items() if sign)
 
 
-def _link_row(marked: TreeComponent, rest: tuple[bytes, ...],
+def _rest_hosts(rest: tuple[bytes, ...]) -> dict[int, list[tuple[bytes, int, list[bytes]]]]:
+    """Where a marked leg of each color can graft onto the rest forest
+    ``rest``, a tuple of canonical component encodings with equal ones
+    adjacent: per leaf color c, one (host, multiplicity, other
+    components) per distinct component with a c-leaf."""
+    hosts: dict[int, list[tuple[bytes, int, list[bytes]]]] = {}
+    for pos, host in enumerate(rest):
+        if pos and rest[pos - 1] == host:
+            continue
+        site = (host, rest.count(host), list(rest[:pos] + rest[pos + 1:]))
+        for color in set(host) - {_NODE}:
+            hosts.setdefault(color, []).append(site)
+    return hosts
+
+
+def _link_row(marked: bytes, hosts: dict[int, list[tuple[bytes, int, list[bytes]]]],
               index: dict[bytes, int], mode: Mode,
               scale: int = 1) -> tuple[tuple[int, int], ...]:
-    """Sorted entries of the link row that grafts the marked leg above
-    every same-colored leaf of the rest forest, times ``scale``.
+    """Sorted entries of the link row that grafts the leg of the marked
+    tree ``marked`` above every same-colored leaf of the rest forest with
+    these ``_rest_hosts``, times ``scale``.
 
-    ``rest`` is a tuple of canonical component encodings with equal ones
-    adjacent.  Grafting onto one component leaves the others as they
-    are, so a component repeated m times contributes its graft terms m
-    times.  A component without the leg's colour takes no graft and is
-    skipped before the ``_graft_terms`` cache.
+    A host repeated m times in the rest contributes its graft terms m
+    times.  No two terms share a column, so no coefficient is summed
+    here: a graft raises its host's degree, so R - h1 + g1 = R - h2 + g2
+    forces h1 = h2, and ``_graft_terms`` already sums the equal grafts
+    onto one host.
     """
-    coeffs: dict[int, int] = {}
-    for pos, host in enumerate(rest):
-        if pos and rest[pos - 1] == host or marked.colors[0] not in host:
-            continue
-        terms = _graft_terms(marked, host, mode)
-        if not terms:
-            continue
-        mult = rest.count(host) * scale
-        others = list(rest[:pos] + rest[pos + 1:])
-        for enc, sign in terms:
-            col = _term_column(index, others + [enc])
-            coeffs[col] = coeffs.get(col, 0) + mult * sign
-    return tuple(sorted((c, v) for c, v in coeffs.items() if v))
+    entries = []
+    for host, mult, others in hosts.get(marked[0], ()):
+        for enc, sign in _graft_terms(marked, host, mode):
+            entries.append((_term_column(index, others + [enc]), mult * scale * sign))
+    entries.sort()
+    return tuple(entries)
 
 
 def link_relations(k: int, d: int, mode: Mode, basis: Basis,
@@ -422,20 +397,22 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
             raise CapacityError(f"{total} link configurations exceed the cap {max_configs}")
     index = basis.index
     rows = _RowSet()
-    for m_comp, rest_forests in _link_configs(k, d, mode, leaves):
-        for rest in rest_forests:
+    for marked, rests in _link_configs(k, d, mode, leaves):
+        for rest, hosts in rests:
             rows.add_entries(
-                _link_row(m_comp, rest, index, mode),
-                (lambda: f"link marked={render_component(m_comp)}@{m_comp.colors[0]}* "
+                _link_row(marked, hosts, index, mode),
+                (lambda: f"link marked={render_component(decode_component(marked))}"
+                         f"@{marked[0]}* "
                          f"rest={{{','.join(render_encoding(e) for e in rest)}}}")
                 if provenance else None)
     return rows.emit()
 
 
 def _link_configs(k: int, d: int, mode: Mode, leaves: Optional[tuple[int, ...]]
-                  ) -> Iterator[tuple[TreeComponent, list[tuple[bytes, ...]]]]:
+                  ) -> Iterator[tuple[bytes, list[tuple[tuple[bytes, ...], dict]]]]:
     """(marked tree, rest forests) of the link configurations, by
-    marked-tree degree; the marked leg is vertex 0 (``marked_trees``).
+    marked-tree degree, each rest forest with its ``_rest_hosts``, found
+    once for every marked tree that meets it.
 
     The whole cell pairs every marked tree with every forest of the
     remaining degree.  A row's terms all have the leaves of the rest
@@ -447,32 +424,31 @@ def _link_configs(k: int, d: int, mode: Mode, leaves: Optional[tuple[int, ...]]
     """
     for dm in range(1, d + 1):
         if leaves is None:
-            rest_forests = list(forest_encodings(k, d - dm, mode))
-            for m_comp, _ in marked_trees(k, dm, mode):
-                yield m_comp, rest_forests
+            rests = [(rest, _rest_hosts(rest)) for rest in forest_encodings(k, d - dm, mode)]
+            for marked in marked_trees(k, dm, mode):
+                yield marked, rests
             continue
         for vec, group in _marked_groups(k, dm, mode):
             left = tuple(map(operator.sub, leaves, vec))
             if min(left) < 0:
                 continue
-            rest_forests = list(forest_encodings(k, d - dm, mode, left))
-            for m_comp in group:
-                if rest_forests and left[m_comp.colors[0] - 1]:
-                    yield m_comp, rest_forests
+            legs = [marked for marked in group if left[marked[0] - 1]]
+            if legs:
+                rests = [(rest, _rest_hosts(rest))
+                         for rest in forest_encodings(k, d - dm, mode, left)]
+                for marked in legs:
+                    yield marked, rests
 
 
 @lru_cache(maxsize=None)
 def _marked_groups(k: int, deg: int, mode: Mode) -> tuple[
-        tuple[tuple[int, ...], tuple[TreeComponent, ...]], ...]:
+        tuple[tuple[int, ...], tuple[bytes, ...]], ...]:
     """``marked_trees`` grouped by the leaf vector of the expression
-    hanging off the leg (entry i - 1 counts colour i), as (vector,
-    marked trees) pairs, the trees in their order."""
-    groups: dict[tuple[int, ...], list[TreeComponent]] = {}
-    for comp, _ in marked_trees(k, deg, mode):
-        vec = [0] * k
-        for _, c in comp.leaves()[1:]:
-            vec[c - 1] += 1
-        groups.setdefault(tuple(vec), []).append(comp)
+    hanging off the leg (``leaf_vector``), as (vector, marked trees)
+    pairs, the trees in their order."""
+    groups: dict[tuple[int, ...], list[bytes]] = {}
+    for marked in marked_trees(k, deg, mode):
+        groups.setdefault(leaf_vector(marked[1:], k), []).append(marked)
     return tuple((vec, tuple(group)) for vec, group in groups.items())
 
 
@@ -578,8 +554,8 @@ def expand_along(d: Diagram, c: int, fixed: int, basis: Basis) -> RelationRow:
     """The link-relation row that cuts a Y-component with legs
     {c, fixed, x} into the special strut (fixed, c*) plus the residual
     strut (c, x), then grafts the distinguished end back onto every
-    c-colored leg.  The special strut is ``strut(c, fixed)``, its
-    distinguished end at vertex 0 like every marked tree's leg.
+    c-colored leg.  The special strut is the marked encoding
+    ``bytes((c, fixed))``.
 
     The rest forest is the canonical encodings of the other components
     plus the residual strut, and the row is scaled by the other
@@ -605,6 +581,6 @@ def expand_along(d: Diagram, c: int, fixed: int, basis: Basis) -> RelationRow:
         raise DomainError(f"no Y-component with legs including {c} and {fixed}")
     others = canon[:idx] + canon[idx + 1:]
     rest = tuple(sorted([enc for enc, _ in others] + [strut_encoding(c, third)]))
-    entries = _link_row(strut(c, fixed), rest, basis.index, d.mode,
+    entries = _link_row(bytes((c, fixed)), _rest_hosts(rest), basis.index, d.mode,
                         math.prod(sign for _, sign in others))
     return RelationRow(entries, f"expand along {c} fixing {fixed}")

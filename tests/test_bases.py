@@ -62,7 +62,8 @@ class TestTreeGeneratorOracle:
             for deg in range(1, max_deg + 1):
                 assert tree_components(k, deg, mode) == \
                     brute_force.tree_components(k, deg, mode), (k, deg)
-                generated = marked_trees(k, deg, mode)
+                generated = [(decode_component(enc), 0)
+                             for enc in marked_trees(k, deg, mode)]
                 assert len(marked_keys(generated)) == len(generated), (k, deg)
                 assert marked_keys(generated) == \
                     marked_keys(brute_force.marked_trees(k, deg, mode)), (k, deg)

@@ -11,14 +11,23 @@ its vertex orientations and component order.
 """
 
 import functools
+import itertools
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from strutforge.bases import enumerate_basis, enumerate_y_basis
+from strutforge.bases import enumerate_basis, enumerate_y_basis, tree_components
 from strutforge.cli import cli
-from strutforge.diagrams import Diagram, Mode, canonicalize_component, strut
+from strutforge.diagrams import (
+    Diagram,
+    Mode,
+    _join_components,
+    canonicalize_component,
+    decode_component,
+    strut,
+    strut_encoding,
+)
 from strutforge.relations import (
     _graft_terms,
     _ihx_terms,
@@ -28,6 +37,7 @@ from strutforge.relations import (
     ihx_relations,
     link_relations,
     marked_trees,
+    y_link_relations,
 )
 
 import brute_force
@@ -92,13 +102,51 @@ class TestRowsOnEncodings:
         assert result.output.splitlines() == expected
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_y_cell(k, n, mode):
+    """The Y basis and its deduped link rows, one ``PreGraftConfig`` per
+    special strut (a, c*) and multiset of n+1 rest struts."""
+    basis = enumerate_y_basis(k, n, mode)
+    struts = tree_components(k, 1, mode)
+    rows = [brute_force.PreGraftConfig(rest, strut(a, c), 1).relation_row(basis, mode, k)
+            for a in range(1, k + 1) for c in range(1, k + 1) if a != c or mode is C
+            for rest in itertools.combinations_with_replacement(struts, n + 1)]
+    return basis, [row.entries for row in brute_force.dedup_rows(rows)]
+
+
+def assert_y_matches_oracle(k, n, mode):
+    basis, rows = oracle_y_cell(k, n, mode)
+    assert [row.entries for row in y_link_relations(k, n, mode, basis)] == rows
+
+
+def joined_graft_terms(marked, host, mode):
+    """``_graft_terms`` the generic way: decode both components, join the
+    leg above each same-colored host leaf, canonicalize, sum the signs."""
+    m_comp, comp = decode_component(marked), decode_component(host)
+    terms = {}
+    for v, color in comp.leaves():
+        if color == marked[0]:
+            enc, sign = canonicalize_component(_join_components(m_comp, 0, comp, v), mode)
+            terms[enc] = terms.get(enc, 0) + sign
+    return tuple((enc, sign) for enc, sign in terms.items() if sign)
+
+
+def test_strut_on_strut_graft_is_the_joined_graft():
+    for mode in (H, C):
+        for c, a, x in itertools.product(range(1, 6), repeat=3):
+            marked, host = bytes((c, a)), strut_encoding(c, x)
+            assert _graft_terms(marked, host, mode) == \
+                joined_graft_terms(marked, host, mode), (mode, c, a, x)
+
+
 MEMOS = (canonicalize_component, _graft_terms, _ihx_terms)
 
 
 class TestSharedMemos:
-    """The graft, IHX and canonical-form caches outlive a block and a
-    cell, so one process meets the same marked tree, host component or
-    component in both modes."""
+    """The graft, IHX and canonical-form caches outlive a block, a cell
+    and a space, so one process meets the same marked tree, host
+    component or component in both modes, and the single-Y rows meet the
+    full rows' strut-on-strut grafts."""
 
     @pytest.mark.parametrize("k,d", [(3, 4), (4, 3)])
     @pytest.mark.parametrize("modes", [(C, H), (H, C)])
@@ -109,6 +157,18 @@ class TestSharedMemos:
             memo.cache_clear()
         for mode in modes:
             assert_matches_oracle(k, d, mode)
+
+    @pytest.mark.parametrize("mode,k,n,d", [(H, 4, 1, 3), (C, 3, 1, 3)])
+    @pytest.mark.parametrize("y_first", [True, False])
+    def test_both_spaces_in_one_process(self, mode, k, n, d, y_first):
+        oracle_y_cell(k, n, mode)
+        oracle_cell(k, d, mode)
+        for memo in MEMOS:
+            memo.cache_clear()
+        checks = [lambda: assert_y_matches_oracle(k, n, mode),
+                  lambda: assert_matches_oracle(k, d, mode)]
+        for check in checks if y_first else checks[::-1]:
+            check()
 
     def test_memos_are_bounded(self):
         for memo in MEMOS:

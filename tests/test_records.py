@@ -50,6 +50,9 @@ BAD_LINES = (
     + [(f"missing {name}", line(drop=(name,))) for name in FIELDS if name != "certified"]
     + [(f"non-object {text}", text) for text in ("[1]", "5", "null")]
     + [(f"primes {value}", line(primes=value)) for value in (5, None)]
+    + [(f"{name} {json.dumps(value)}", line(**{name: value}))
+       for name, value in (("k", 1.0), ("rank", None), ("k", True), ("certified", 1),
+                           ("primes", ["2"]), ("mode", 5), ("k", "3"))]
 )
 
 
@@ -270,6 +273,15 @@ def test_a_raw_special_character_loads_as_json_loads_reads_it(tmp_path, name):
         assert served(tmp_path, key) == json_only(tmp_path, text, key), repr(char)
 
 
+def test_an_over_long_integer_is_named_by_its_line_number(tmp_path):
+    # json.loads refuses it with a plain ValueError, not a JSONDecodeError.
+    long_line = line().replace('"elapsed_ms": 0', '"elapsed_ms": ' + "9" * 4400)
+    cache = cache_with(tmp_path, line(k=4), line(k=5), line(k=6), long_line)
+    with pytest.raises(CacheError, match="unreadable cache") as info:
+        cache.lookup(H, "y", 4, 0)
+    assert ": line 4: " in str(info.value)
+
+
 def test_an_over_long_integer_loads_as_json_loads_reads_it(monkeypatch, tmp_path):
     # No integer the pattern accepts is near Python's int-string limit,
     # so an over-long one fails (or loads) exactly as json.loads has it.
@@ -281,8 +293,8 @@ def test_an_over_long_integer_loads_as_json_loads_reads_it(monkeypatch, tmp_path
 
 
 def test_other_spellings_load_as_json_loads_reads_them(monkeypatch, tmp_path):
-    # Writer lines, other spellings of records, a "k": "3" line, a repeated
-    # key and a torn last line: the cache serves every key as the same
+    # Writer lines, other spellings of records, a repeated key and a torn
+    # last line: the cache serves every key as the same
     # load does with a recogniser that matches nothing, i.e. with
     # json.loads on every line.
     served_by = {(k, n): line(k=k, param=n) for k in range(3, 6) for n in range(3)}
@@ -290,7 +302,6 @@ def test_other_spellings_load_as_json_loads_reads_them(monkeypatch, tmp_path):
     served_by[7, 0] = json.dumps(dict(reversed((FIELDS | {"k": 7}).items())))
     served_by[8, 0] = line(k=8).replace('"space": "y"', '"space": "\\u0079"')
     served_by[9, 0] = json.dumps(FIELDS | {"k": 9, "timestamp": "heute é"}, ensure_ascii=False)
-    served_by["3", 0] = line(k="3")
     lines = [*served_by.values(), line(k=4, param=1, rank=0), line(k=10)[:-5]]
     (tmp_path / "results.jsonl").write_text("\n".join(lines), encoding="utf-8")
     keys = [(H, "y", k, n, __version__) for k, n in [*served_by, (10, 0)]]
@@ -309,7 +320,7 @@ def test_other_spellings_load_as_json_loads_reads_them(monkeypatch, tmp_path):
     monkeypatch.setattr(records, "_line_pattern", lambda: SimpleNamespace(fullmatch=fullmatch))
     recognised = serve_all()
     # the writer's lines, the raw non-ASCII one and the repeat are recognised
-    assert matched == [True] * 9 + [False, False, False, True, False, True, False]
+    assert matched == [True] * 9 + [False, False, False, True, True, False]
     monkeypatch.setattr(records, "_line_pattern", lambda: re.compile("(?!)"))
     assert recognised == serve_all()
     assert recognised == [repr(ResultRecord.from_json(text)) for text in served_by.values()] \

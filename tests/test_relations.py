@@ -4,6 +4,7 @@ from strutforge.bases import enumerate_basis, enumerate_y_basis
 from strutforge.diagrams import (
     Mode,
     canonicalize,
+    decode_component,
     decode_diagram,
     diagram,
     encoding_leaf_colors,
@@ -203,10 +204,15 @@ class TestPreGraftConfig:
 
 
 class TestMarkedTrees:
+    @staticmethod
+    def decoded(k, deg, mode):
+        # each marked encoding decodes with the leg at vertex 0
+        return [(decode_component(enc), 0) for enc in marked_trees(k, deg, mode)]
+
     def test_concordance_includes_marked_color_collision(self):
         # A Y with legs {1, 1, 2} marked at a 1-leg survives the marking
         # test even though the unmarked diagram is zero.
-        configs = marked_trees(2, 2, C)
+        configs = self.decoded(2, 2, C)
         collision = [
             (comp, leg) for comp, leg in configs
             if sorted(c for c in comp.colors if c) == [1, 1, 2]
@@ -216,14 +222,14 @@ class TestMarkedTrees:
     def test_symmetric_marked_tree_dropped(self):
         # A Y with legs {1, 1, 2} marked at the 2-leg equals its own
         # negative under the leg swap and generates nothing.
-        configs = marked_trees(2, 2, C)
+        configs = self.decoded(2, 2, C)
         assert not [
             (comp, leg) for comp, leg in configs
             if sorted(c for c in comp.colors if c) == [1, 1, 2]
             and comp.colors[leg] == 2]
 
     def test_homotopy_marked_trees_have_distinct_colors(self):
-        for comp, leg in marked_trees(4, 2, H):
+        for comp, leg in self.decoded(4, 2, H):
             cols = [c for c in comp.colors if c]
             assert len(set(cols)) == len(cols)
 

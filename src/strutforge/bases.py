@@ -1,7 +1,7 @@
 """Deterministic ordered bases of forest diagram spaces.
 
-The single-Y basis is closed-form: one Y per color triple and one strut
-per strut type, written directly as canonical encodings.  Trees of the
+The whole single-Y basis is closed-form: one Y per color triple and one
+strut per strut type, written directly as canonical encodings.  Trees of the
 full space are generated on encodings: a tree marked at one leaf is a
 leaf color plus a canonical rooted expression built bottom-up from
 strictly ordered sibling pairs, so marked trees need no dedup, and the
@@ -10,15 +10,15 @@ multisets of nonzero trees, listed as tuples of component encodings; a
 full-space basis element joins them sorted.
 
 Both spaces split into blocks, one per leaf-colour multiset M (the
-number of leaves of each colour over all components).  A single-Y block
-is a Y on three distinct colours of M next to the struts whose end
-colours make up the rest of M.  A full-space block of degree d has
-between d + 1 leaves (one tree) and 2d (all struts); its forests are its
-trees of degree >= 2, grouped by degree and leaf vector, chosen group by
-group, then the struts on the leaves left (``_strut_multisets``).  A
-permutation of the colours carries each block onto another, so
-``leaf_orbits`` lists one representative block per orbit with the
-orbit's size.
+number of leaves of each colour over all components).  A full-space
+block of degree d has L = d + 1 (one tree) to 2d (all struts) leaves
+and L - d components, so its trees have degree at most 2d - L + 1.  Its
+forests take its trees of degree 2 and up group by group (by degree and
+leaf vector), then the struts on the leaves left (``_strut_multisets``).  A
+single-Y block at n struts is the degree-(n + 2) block on its 2n + 3
+leaves, whose forests are one Y and n struts.  A permutation of the
+colours carries each block onto another, so ``leaf_orbits`` lists one
+representative block per orbit with the orbit's size.
 """
 
 from __future__ import annotations
@@ -234,8 +234,8 @@ def forest_count(k: int, d: int, mode: Mode) -> int:
     return forest_counts(k, d, mode)[d] if d >= 0 else 0
 
 
-def forest_encodings(k: int, d: int, mode: Mode, leaves: Optional[Sequence[int]] = None
-                     ) -> Iterator[tuple[bytes, ...]]:
+def forest_encodings(k: int, d: int, mode: Mode, leaves: Optional[Sequence[int]] = None,
+                     memo: Optional[dict] = None) -> Iterator[tuple[bytes, ...]]:
     """Every multiset of nonzero trees with total degree ``d``, or, given
     ``leaves``, every one with that leaf-colour multiset, as a tuple of
     component encodings (degree 0 yields the empty forest).  Equal
@@ -243,12 +243,14 @@ def forest_encodings(k: int, d: int, mode: Mode, leaves: Optional[Sequence[int]]
 
     The whole space comes in partition order; inside a forest, components
     run by decreasing degree and by encoding within a degree.  A block
-    takes its trees of degree >= 2 one group of ``_tree_groups`` at a
-    time, largest degree first, then the struts on the leaves left.  A
-    step is taken only if the rest can still be filled: c = (leaves
-    left) - (degree left) trees remain, each of degree between 1 and the
-    largest degree still to come, and a homotopy tree has distinct
-    colours, so no colour has more than c leaves left.
+    on L leaves has L - d components, each of degree at least 1, so it
+    takes its trees of degree 2 to 2d - L + 1 one group of
+    ``_tree_groups`` at a time, largest degree first, then the struts on
+    the leaves left.  A step is taken only if the rest can still be
+    filled: c = (leaves left) - (degree left) trees remain, each of
+    degree between 1 and the largest degree still to come, and a
+    homotopy tree has distinct colours, so no colour has more than c
+    leaves left.  ``memo`` goes to ``_strut_multisets``.
     """
     if leaves is None:
         for partition in _partitions(d):
@@ -257,11 +259,11 @@ def forest_encodings(k: int, d: int, mode: Mode, leaves: Optional[Sequence[int]]
             for choice in itertools.product(*pools):
                 yield tuple(itertools.chain.from_iterable(choice))
         return
-    groups = [(deg, vec, encs) for deg in range(d, 1, -1)
+    groups = [(deg, vec, encs) for deg in range(2 * d - sum(leaves) + 1, 1, -1)
               for vec, encs in _tree_groups(k, deg, mode)
               if all(map(operator.le, vec, leaves))]
     homotopy = mode is Mode.HOMOTOPY
-    memo: dict = {}
+    memo = {} if memo is None else memo
 
     def fill(first: int, deg_left: int, left: tuple[int, ...]) -> Iterator[tuple[bytes, ...]]:
         trees = sum(left) - deg_left
@@ -366,32 +368,21 @@ def enumerate_y_basis(k: int, n: int, mode: Mode,
 
     A nonzero Y has three distinct colors, so the basis is every color
     triple's Y next to every multiset of ``n`` strut types, built from the
-    closed-form encodings.  A block's Y takes three distinct colours of
-    ``leaves`` and its struts the remaining ends (``_strut_multisets``).
-    The whole cell is capped at ``max_elements`` on its exact count; a
-    block is not capped (``check_y_caps``).
+    closed-form encodings.  A block lists the forests of degree n + 2 on
+    its 2n + 3 leaves (``forest_encodings``): n + 1 components, one Y
+    and n struts.  The whole cell is capped at ``max_elements`` on its
+    exact count; a block is not capped (``check_y_caps``).
     """
     spec = BasisSpec(mode, k, "y", n, None if leaves is None else tuple(leaves))
     if spec.leaves is not None:
-        return _build_basis(spec, _y_block_encodings(spec.leaves, mode))
+        return _build_basis(spec, [diagram_encoding(forest) for forest
+                                   in forest_encodings(k, n + 2, mode, spec.leaves)])
     check_y_caps(k, n, mode, max_elements)
     ys = [y_encoding(*colors)[0] for colors in itertools.combinations(range(1, k + 1), 3)]
     struts = [strut_encoding(i, j) for i, j in _strut_pairs(k, mode)]
     return _build_basis(spec, [
         diagram_encoding([y, *rest])
         for y in ys for rest in itertools.combinations_with_replacement(struts, n)])
-
-
-def _y_block_encodings(leaves: tuple[int, ...], mode: Mode) -> Iterator[bytes]:
-    """Encodings of the Y-plus-struts diagrams with leaf-colour multiset
-    ``leaves``, unordered."""
-    support = [c for c, m in enumerate(leaves, 1) if m]
-    memo: dict = {}
-    for triple in itertools.combinations(support, 3):
-        y = y_encoding(*triple)[0]
-        ends = tuple(m - (c in triple) for c, m in enumerate(leaves, 1))
-        for rest in _strut_multisets(ends, mode, memo):
-            yield diagram_encoding([y, *(strut_encoding(i, j) for i, j in rest)])
 
 
 def _strut_multisets(ends: Sequence[int], mode: Mode, memo: Optional[dict] = None
@@ -405,7 +396,7 @@ def _strut_multisets(ends: Sequence[int], mode: Mode, memo: Optional[dict] = Non
     the multisets of the larger colours, and the pairs come out sorted.
     Those depend only on the ends left to the larger colours, so each
     such suffix of ``ends`` is listed once, into ``memo``.  Callers with
-    the same k may share a memo; one block's calls do.
+    the same k and mode may share a memo; the calls of one block do.
     """
     k = len(ends)
     loops = mode is Mode.CONCORDANCE

@@ -38,6 +38,10 @@ class Mode(enum.Enum):
     HOMOTOPY = "homotopy"
     CONCORDANCE = "concordance"
 
+    # Members are singletons compared by identity: the identity hash runs
+    # in C, where ``Enum.__hash__`` hashes the name in Python per lookup.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -1,8 +1,8 @@
 """Sparse relation rows over a diagram basis.
 
-Three generators: the single-Y link rows, the general grafting form over
-the full space (any marked component attached above every same-colored
-leg), and the three-term IHX rewiring at internal edges.
+Two generators: the grafting form over the full space (any marked
+component attached above every same-colored leg), whose marked struts
+give the single-Y rows, and the three-term IHX rewiring.
 
 Every link row comes from one builder, ``_link_row``, on canonical
 encodings.  A link configuration is a marked tree and a rest forest.
@@ -36,9 +36,11 @@ Grafting the leg of a marked tree onto a leaf of a rest forest F keeps
 the leaves of F and of the expression E hanging off the leg, so every
 term of the row has the leaves E + F, and an IHX rewiring keeps a
 diagram's leaves.  The rows of one block M thus come from the marked
-trees with E in M, each with the rest forests of leaves M - E (for a Y
-row: the a in M and the R with leaves M - a), and from the IHX instances
-of the block's own columns.
+trees with E in M, each with the rest forests of leaves M - E, and from
+the IHX instances of the block's own columns.  On L leaves and degree d
+the marked trees have degree at most 2d - L, and a single-Y block at n
+struts is the full block of degree n + 2 on its 2n + 3 leaves, whose
+marked trees are struts and whose columns have no internal edge.
 
 The graft-then-canonicalize constructions of all these rows, with a
 concrete diagram per term, live in ``tests/brute_force.py``
@@ -58,7 +60,6 @@ from typing import Callable, Iterator, Optional
 from .bases import (
     Basis,
     BasisSpec,
-    _strut_multisets,
     _strut_pairs,
     check_y_caps,
     forest_counts,
@@ -169,37 +170,23 @@ def _y_link_configs(k: int, n: int, mode: Mode, basis: Basis) -> Iterator[
     ``rest``.  A rest's ends and hosts are found once and serve every
     (a, c).
 
-    One loop runs over a, then c, then the rests for a, the order of the
-    dumps.  The whole cell takes every multiset R for every a, listed
-    once.  A block with leaf multiset M takes the a in M and the R whose
-    ends make up M - a: the configurations whose rows can touch the
-    block, since a row's terms all have the leaves a + R.
+    One loop runs over a, then c, then every multiset R, listed once,
+    the order of the dumps.  This is the whole cell's generator only; a
+    block's rows are the full space's (``y_link_relations``).
     """
-    spec = basis.spec
-    if spec != BasisSpec(mode, k, "y", n, spec.leaves):
+    if basis.spec != BasisSpec(mode, k, "y", n):
         raise DomainError("basis does not match enumerate_y_basis(k, n, mode)")
-    index, leaves = basis.index, spec.leaves
-    if leaves is None:
-        every = []
-        for rest in itertools.combinations_with_replacement(_strut_pairs(k, mode), n + 1):
-            encs = tuple(map(bytes, rest))
-            every.append((rest, leaf_vector(b"".join(encs), k), _rest_hosts(encs)))
-    memo: dict = {}
+    rests = []
+    for rest in itertools.combinations_with_replacement(_strut_pairs(k, mode), n + 1):
+        encs = tuple(map(bytes, rest))
+        rests.append((rest, leaf_vector(b"".join(encs), k), _rest_hosts(encs)))
     for a in range(1, k + 1):
-        if leaves is None:
-            rests = every
-        elif leaves[a - 1]:
-            ends = tuple(e - (c == a) for c, e in enumerate(leaves, 1))
-            rests = [(rest, ends, _rest_hosts(tuple(map(bytes, rest))))
-                     for rest in _strut_multisets(ends, mode, memo)]
-        else:
-            continue
         for c in range(1, k + 1):
             if a == c and mode is Mode.HOMOTOPY:
                 continue
             special = bytes((c, a))
             for rest, ends, hosts in rests:
-                yield a, c, rest, _link_row(special, hosts, index, mode), ends[c - 1]
+                yield a, c, rest, _link_row(special, hosts, basis.index, mode), ends[c - 1]
 
 
 def iter_y_link_rows(k: int, n: int, mode: Mode, basis: Basis
@@ -234,18 +221,23 @@ def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,
     homotopy mode, and the antisymmetry-zero Ys in concordance mode.
     Empty and duplicate rows are dropped; the rows carry no provenance.
 
-    Given a block basis (``enumerate_y_basis`` with ``leaves``), only the
-    configurations of that block are run, and the rows are the block's
-    rows over its own columns.  The whole cell's configuration count is
-    capped at ``max_configs``; a block is not capped (``check_y_caps``).
+    A block basis (``enumerate_y_basis`` with ``leaves``) gets its rows
+    from ``link_relations`` at degree n + 2, whose marked trees there
+    (degree 2d - L = 1) are the special struts.  The whole cell's
+    configuration count is capped at ``max_configs``; a block is not
+    capped (``check_y_caps``).
 
     The graft construction (``PreGraftConfig`` over strut(a, c) in
     ``tests/brute_force.py``) builds a diagram, a spliced tree and a
     canonical form per term to reach the same rows; it is the oracle
     these rows are checked against.
     """
-    if basis.spec.leaves is None:
-        check_y_caps(k, n, mode, max_rows=max_configs)
+    leaves = basis.spec.leaves
+    if basis.spec != BasisSpec(mode, k, "y", n, leaves):
+        raise DomainError("basis does not match enumerate_y_basis(k, n, mode)")
+    if leaves is not None:
+        return link_relations(k, n + 2, mode, basis, provenance=False)
+    check_y_caps(k, n, mode, max_rows=max_configs)
     rows = _RowSet()
     for _, _, _, entries, _ in _y_link_configs(k, n, mode, basis):
         rows.add_entries(entries)
@@ -420,9 +412,13 @@ def _link_configs(k: int, d: int, mode: Mode, leaves: Optional[tuple[int, ...]]
     with leaf multiset M takes each marked tree whose expression leaves E
     fit in M, with the forests of leaf multiset M - E
     (``_marked_groups``), and skips the marked trees whose leg colour is
-    not in M - E: their rows are empty.
+    not in M - E: their rows are empty.  A rest forest of degree d - dm
+    holds at most 2(d - dm) leaves, so on L = |M| leaves the marked trees
+    go up to degree 2d - L.  The block's rest forests share one
+    ``_strut_multisets`` memo.
     """
-    for dm in range(1, d + 1):
+    memo: dict = {}
+    for dm in range(1, (d if leaves is None else 2 * d - sum(leaves)) + 1):
         if leaves is None:
             rests = [(rest, _rest_hosts(rest)) for rest in forest_encodings(k, d - dm, mode)]
             for marked in marked_trees(k, dm, mode):
@@ -435,7 +431,7 @@ def _link_configs(k: int, d: int, mode: Mode, leaves: Optional[tuple[int, ...]]
             legs = [marked for marked in group if left[marked[0] - 1]]
             if legs:
                 rests = [(rest, _rest_hosts(rest))
-                         for rest in forest_encodings(k, d - dm, mode, left)]
+                         for rest in forest_encodings(k, d - dm, mode, left, memo)]
                 for marked in legs:
                     yield marked, rests
 

@@ -66,25 +66,15 @@ def assert_matches_oracle(k, d, mode):
     assert count_ihx_instances(basis) == brute_force.ihx_instance_count(basis)
 
 
-@st.composite
-def small_full_cells(draw):
-    mode = draw(st.sampled_from([H, C]))
-    k = draw(st.integers(1, 5))
-    d = draw(st.integers(1, 4))
-    return k, d, mode
+# every cell up to five colours and degree four; concordance (5, 4), the
+# slowest, takes most of their few seconds
+SMALL_FULL_CELLS = [(mode, k, d) for mode in (H, C) for k in range(1, 6) for d in range(1, 5)]
 
 
 class TestRowsOnEncodings:
-    @settings(max_examples=12, deadline=None)
-    @given(small_full_cells())
-    def test_rows_match_graft_oracle(self, cell):
-        assert_matches_oracle(*cell)
-
-    def test_homotopy_five_colors_degree_four(self):
-        assert_matches_oracle(5, 4, H)
-
-    def test_concordance_three_colors_degree_four(self):
-        assert_matches_oracle(3, 4, C)
+    @pytest.mark.parametrize("mode,k,d", SMALL_FULL_CELLS)
+    def test_rows_match_graft_oracle(self, mode, k, d):
+        assert_matches_oracle(k, d, mode)
 
     def test_relations_dump_matches_oracle(self):
         basis, link, ihx = oracle_cell(4, 3, H)

@@ -5,11 +5,13 @@ the block generators against the whole cell.
 colour permutations; ``brute_force.dimension_ungraded`` ranks the whole
 cell.  The keyed forest generator (``forest_encodings`` with
 ``leaves``) and the block bases and rows must list exactly the whole
-cell's forests, columns and rows with that leaf multiset.
+cell's forests, columns and rows with that leaf multiset, and ask for
+no tree or marked tree too large for a block's leaves, in both spaces.
 """
 
 import dataclasses
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brute_force import dimension_ungraded
+import strutforge.bases as bases
 import strutforge.pipeline as pipeline
+import strutforge.relations as relations
 from strutforge.bases import (
     enumerate_basis,
     forest_count,
@@ -25,9 +29,11 @@ from strutforge.bases import (
     leaf_orbits,
     leaf_totals,
     leaf_vector,
+    strut_union_count,
 )
 from strutforge.diagrams import Mode
 from strutforge.pipeline import build_relations, compute_dimension
+from strutforge.relations import link_relations
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
@@ -101,3 +107,44 @@ def test_ihx_instances_are_counted_once_per_block(monkeypatch):
               if len(enumerate_basis(5, 4, H, leaves=leaves))]
     # one call per ranked block, none on the whole basis
     assert counted == blocks and None not in counted
+
+
+def spy_on_degrees(monkeypatch):
+    """The tree degrees asked of ``bases._tree_groups`` and the marked
+    tree degrees asked of ``relations._marked_groups``, as they come."""
+    requested = {"tree": set(), "marked": set()}
+    for module, name, kind in ((bases, "_tree_groups", "tree"),
+                               (relations, "_marked_groups", "marked")):
+        def spy(k, deg, mode, real=getattr(module, name), kind=kind):
+            requested[kind].add(deg)
+            return real(k, deg, mode)
+
+        monkeypatch.setattr(module, name, spy)
+    return requested
+
+
+@pytest.mark.parametrize("mode,k,d", [(H, 5, 4), (H, 6, 5), (C, 3, 4), (C, 4, 3)])
+def test_a_block_requests_no_tree_beyond_its_leaves(monkeypatch, mode, k, d):
+    # a forest of degree d on L leaves has L - d components, so none of
+    # its trees has degree above 2d - L + 1; a marked tree of degree dm
+    # leaves a rest forest of degree d - dm on L - dm <= 2(d - dm) leaves
+    requested = spy_on_degrees(monkeypatch)
+    for leaves, _ in leaf_orbits(k, "full", d):
+        bound = 2 * d - sum(leaves)
+        requested["tree"].clear()
+        list(forest_encodings(k, d, mode, leaves))
+        assert max(requested["tree"], default=0) <= bound + 1, leaves
+        block = enumerate_basis(k, d, mode, leaves=leaves)
+        requested["marked"].clear()
+        link_relations(k, d, mode, block)
+        assert max(requested["marked"], default=0) <= bound, leaves
+
+
+def test_y_blocks_request_only_ys_and_marked_struts(monkeypatch):
+    # a Y block of n struts is the degree-(n + 2) full block on its 2n + 3
+    # leaves: its forests take trees of degree at most 2d - L + 1 = 2,
+    # and its marked trees degree at most 2d - L = 1
+    requested = spy_on_degrees(monkeypatch)
+    record = compute_dimension(H, "y", 6, 4)
+    assert record.num_diagrams == math.comb(6, 3) * strut_union_count(6, 4, H)
+    assert requested == {"tree": {2}, "marked": {1}}

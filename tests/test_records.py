@@ -7,7 +7,9 @@ A line spelled as the writer spells it is recognised by a pattern
 instead of parsed; whatever the spelling, the cache serves and fails as
 it does with ``json.loads`` on every line."""
 
+import functools
 import json
+import pickle
 import re
 from dataclasses import asdict, fields
 from types import SimpleNamespace
@@ -325,3 +327,20 @@ def test_other_spellings_load_as_json_loads_reads_them(monkeypatch, tmp_path):
     assert recognised == serve_all()
     assert recognised == [repr(ResultRecord.from_json(text)) for text in served_by.values()] \
         + ["None"]
+
+
+def test_a_mode_made_from_its_value_hits_a_cache_entry_of_its_member():
+    # ``Mode`` hashes by identity, which holds because a member is
+    # looked up, never built, from its value or from a pickle
+    calls = []
+
+    @functools.lru_cache(maxsize=None)
+    def keyed(marked, host, mode):
+        calls.append(mode)
+        return mode.value
+
+    assert keyed(b"\x01\x02", b"\x01\x03", Mode.HOMOTOPY) == "homotopy"
+    for again in (Mode("homotopy"), pickle.loads(pickle.dumps(Mode.HOMOTOPY))):
+        assert keyed(b"\x01\x02", b"\x01\x03", again) == "homotopy"
+    assert calls == [Mode.HOMOTOPY]
+    assert keyed.cache_info().hits == 2

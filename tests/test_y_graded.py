@@ -145,8 +145,9 @@ def test_y_guards_come_before_any_block(monkeypatch, tmp_path, k, n, max_basis,
                                         max_rows, error, message):
     for name in ("enumerate_y_basis", "y_link_relations", "build_basis"):
         monkeypatch.setattr(f"strutforge.pipeline.{name}", _never)
-    for module in ("bases", "relations"):
-        monkeypatch.setattr(f"strutforge.{module}._strut_multisets", _never)
+    for name in ("bases._strut_multisets", "bases.forest_encodings",
+                 "relations.forest_encodings"):
+        monkeypatch.setattr(f"strutforge.{name}", _never)
     with pytest.raises(error, match=message):
         compute_dimension(H, "y", k, n, max_elements=max_basis, max_rows=max_rows)
     result = CliRunner().invoke(cli, [

@@ -1,10 +1,14 @@
-"""The closed-form single-Y link rows against the graft oracle.
+"""The whole-cell single-Y link rows against the graft oracle.
 
 The oracle builds every row the long way: it grafts the distinguished
 end of the special strut above each same-colored rest-strut end with
 ``PreGraftConfig``, canonicalizes each term, and looks it up in the basis.
-The closed form in ``strutforge.relations`` must give the same rows,
-configuration by configuration.
+``strutforge.relations`` builds each row with the link-row builder the
+full space uses (``_link_row``), the special strut (a, c*) as the marked
+strut ``bytes((c, a))``; ``_y_link_configs`` must give the oracle's rows
+and attachment targets, configuration by configuration, and the
+``relations`` dump its lines.  The single-Y blocks take the full space's
+rows, checked against the whole cell in ``test_y_graded.py``.
 """
 
 import functools

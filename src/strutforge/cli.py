@@ -1,17 +1,30 @@
 """Command-line surface: counting reports, dimension runs, sweeps,
-witness extraction, and relation dumps."""
+witness extraction, and relation dumps.
+
+The commands run on the standard library's ``argparse``.  ``cli.main``
+parses the arguments, runs one command and exits with
+
+- 0 on success;
+- 1 for a failed run, after ``Error: <message>`` on stderr: the engine's
+  typed errors, an output file that cannot be written, an interrupt or
+  a closed stdout;
+- 2 for a usage error, after the usage line and ``Error: <message>`` on
+  stderr: an unknown option (abbreviations are refused too), a bad
+  choice, integer, prime list or range, a missing ``--n``/``--degree``,
+  or an ``--out`` that names a directory.  Each is refused before any
+  work.
+"""
 
 from __future__ import annotations
 
+import argparse
 import errno
 import itertools
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, Optional
-
-import click
+from typing import Callable, Iterator, NoReturn, Optional
 
 from . import __version__
 from .errors import (
@@ -41,36 +54,44 @@ _PRIMES_HELP = ("Comma-separated primes (at least two). The first certifies a "
 _DUMP_MAX_CONFIGS = 100_000
 
 
-def _fail(exc: Exception) -> "click.ClickException":
-    return click.ClickException(str(exc))
+class _UsageError(Exception):
+    """A bad combination of options, found after parsing: exit 2."""
+
+
+class _CommandError(Exception):
+    """A failed run outside the engine's typed errors: exit 1."""
+
+
+def _file_error(path: str, reason: str) -> _CommandError:
+    return _CommandError(f"Could not open file '{path}': {reason}")
 
 
 def _parse_mode(value: str) -> Mode:
     return Mode(value)
 
 
-def _parse_primes(value: Optional[str]) -> tuple[int, ...]:
+def _parse_primes(value: str) -> tuple[int, ...]:
     if not value:
         return DEFAULT_PRIMES
     try:
         primes = tuple(int(tok) for tok in value.replace(";", ",").split(",") if tok)
-    except ValueError as exc:
-        raise click.BadParameter(f"primes must be integers: {value!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"primes must be integers: {value!r}") from None
     if len(primes) < 2:
-        raise click.BadParameter("need at least two primes")
+        raise argparse.ArgumentTypeError("need at least two primes")
     if len(set(primes)) != len(primes):
-        raise click.BadParameter(f"primes must be distinct, got {value!r}")
+        raise argparse.ArgumentTypeError(f"primes must be distinct, got {value!r}")
     for p in primes:
         try:
             prime = is_prime(p)
         except DomainError as exc:
-            raise click.BadParameter(str(exc)) from exc
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if not prime:
-            raise click.BadParameter(f"{p} is not a prime")
+            raise argparse.ArgumentTypeError(f"{p} is not a prime")
     return primes
 
 
-def _parse_range(value: str, name: str) -> list[int]:
+def _parse_range(value: str) -> list[int]:
     """Accepts 'lo:hi' (inclusive) or a comma list '3,5,9'."""
     try:
         if ":" in value:
@@ -80,40 +101,32 @@ def _parse_range(value: str, name: str) -> list[int]:
                 raise ValueError
             return list(range(lo_i, hi_i + 1))
         return [int(tok) for tok in value.split(",") if tok]
-    except ValueError as exc:
-        raise click.BadParameter(
-            f"{name} must be 'lo:hi' or a comma list, got {value!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'lo:hi' or a comma list, got {value!r}") from None
+
+
+def _out_file(value: str) -> str:
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"File '{value}' is a directory.")
+    return value
 
 
 def _resolve_space_param(space: str, n: Optional[int], deg: Optional[int]) -> int:
     if space == "y":
         if n is None:
-            raise click.UsageError("--space y needs --n")
+            raise _UsageError("--space y needs --n")
         return n
     if deg is None:
-        raise click.UsageError("--space full needs --degree")
+        raise _UsageError("--space full needs --degree")
     return deg
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="strutforge")
-def cli() -> None:
-    """Exact dimensions and counts for colored unitrivalent diagram spaces."""
-
-
-@cli.command("count")
-@click.option("--k", type=int, required=True, help="Number of colors.")
-@click.option("--n", type=int, required=True, help="Strut count.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-              default="table", show_default=True)
 def cmd_count(k: int, n: int, fmt: str) -> None:
     """Exact diagram/relation counts u, r, their ratio, and u - r."""
     from .counting import count_report, ratio_limit
-    try:
-        report = count_report(n, k)
-        limit = ratio_limit(k)
-    except _ERRORS as exc:
-        raise _fail(exc)
+    report = count_report(n, k)
+    limit = ratio_limit(k)
     ratio_str = f"{report.ratio.numerator}/{report.ratio.denominator}"
     limit_str = f"{limit.numerator}/{limit.denominator}"
     if fmt == "json":
@@ -123,99 +136,43 @@ def cmd_count(k: int, n: int, fmt: str) -> None:
             "existence_bound": report.existence_bound,
             "invariant_type": report.invariant_type,
         }
-        click.echo(json.dumps(payload))
+        print(json.dumps(payload))
         return
-    click.echo(f"k={k} n={n} (invariant type {report.invariant_type})")
-    click.echo(f"u (diagrams)       = {report.u}")
-    click.echo(f"r (relations)      = {report.r}")
-    click.echo(f"ratio r/u          = {ratio_str}")
-    click.echo(f"ratio limit        = {limit_str}")
-    click.echo(f"existence bound u-r = {report.existence_bound}")
+    print(f"k={k} n={n} (invariant type {report.invariant_type})")
+    print(f"u (diagrams)       = {report.u}")
+    print(f"r (relations)      = {report.r}")
+    print(f"ratio r/u          = {ratio_str}")
+    print(f"ratio limit        = {limit_str}")
+    print(f"existence bound u-r = {report.existence_bound}")
     if report.existence_bound > 0:
-        click.echo(f"nontrivial invariant of type {report.invariant_type} certified")
+        print(f"nontrivial invariant of type {report.invariant_type} certified")
 
 
-@cli.command("crossing")
-@click.option("--k", type=int, required=True, help="Number of colors.")
 def cmd_crossing(k: int) -> None:
     """Strut count where relations stop outnumbering diagrams."""
     from .counting import crossing_n
-    try:
-        root, ceiling = crossing_n(k)
-    except _ERRORS as exc:
-        raise _fail(exc)
-    click.echo(json.dumps({
+    root, ceiling = crossing_n(k)
+    print(json.dumps({
         "k": k, "root": f"{root.numerator}/{root.denominator}",
         "ceiling": ceiling,
     }))
 
 
-def _options(*decorators):
-    """One decorator applying ``decorators`` so that the options list in
-    the order given."""
-    def apply(fn):
-        for decorator in reversed(decorators):
-            fn = decorator(fn)
-        return fn
-    return apply
-
-
-_space_options = _options(
-    click.option("--mode", type=click.Choice(["homotopy", "concordance"]),
-                 default="homotopy", show_default=True),
-    click.option("--space", type=click.Choice(["y", "full"]),
-                 default="y", show_default=True))
-
-_cell_options = _options(
-    click.option("--k", type=int, required=True),
-    click.option("--n", type=int, default=None, help="Strut count (space y)."),
-    click.option("--degree", type=int, default=None,
-                 help="Total degree (space full)."))
-
-_run_options = _options(
-    click.option("--primes", type=str, default=None, help=_PRIMES_HELP),
-    click.option("--cache-dir", type=str, default=None,
-                 help="Cache directory (else $STRUTFORGE_CACHE_DIR, else ./cache)."),
-    click.option("--max-basis", type=int, default=DEFAULT_MAX_ELEMENTS,
-                 show_default=True, help="Basis size guard."),
-    click.option("--max-rows", type=int, default=DEFAULT_MAX_ROWS,
-                 show_default=True, help="Relation configuration guard."))
-
-_common_dim_options = _options(_space_options, _cell_options, _run_options)
-
-
-@cli.command("dim")
-@_common_dim_options
 def cmd_dim(mode: str, space: str, k: int, n: Optional[int],
-            degree: Optional[int], primes: Optional[str],
+            degree: Optional[int], primes: tuple[int, ...],
             cache_dir: Optional[str], max_basis: int, max_rows: int) -> None:
     """Quotient dimension of one diagram space."""
     param = _resolve_space_param(space, n, degree)
-    prime_list = _parse_primes(primes)
     cache = ResultCache(resolve_cache_dir(cache_dir))
-    try:
-        record, cached = cache.get_or_compute(
-            _parse_mode(mode), space, k, param, prime_list, max_basis, max_rows)
-    except _ERRORS as exc:
-        raise _fail(exc)
-    click.echo(record.to_json())
+    record, cached = cache.get_or_compute(
+        _parse_mode(mode), space, k, param, primes, max_basis, max_rows)
+    print(record.to_json())
     if cached:
-        click.echo("(cache hit)", err=True)
+        print("(cache hit)", file=sys.stderr)
 
 
-@cli.command("sweep")
-@_space_options
-@click.option("--k-range", type=str, required=True,
-              help="Colors, as 'lo:hi' or a comma list.")
-@click.option("--n-range", type=str, default=None,
-              help="Strut counts (space y).")
-@click.option("--degree-range", type=str, default=None,
-              help="Degrees (space full).")
-@click.option("--out", type=click.Path(dir_okay=False), required=True,
-              help="CSV output path.")
-@_run_options
-def cmd_sweep(mode: str, space: str, k_range: str, n_range: Optional[str],
-              degree_range: Optional[str], out: str, primes: Optional[str],
+def cmd_sweep(mode: str, space: str, k_range: list[int], n_range: Optional[list[int]],
+              degree_range: Optional[list[int]], out: str, primes: tuple[int, ...],
               cache_dir: Optional[str], max_basis: int, max_rows: int) -> None:
     """Dimension table over a (k, parameter) grid, flushed row by row.
 
@@ -224,36 +181,34 @@ def cmd_sweep(mode: str, space: str, k_range: str, n_range: Optional[str],
     """
     if space == "y":
         if n_range is None:
-            raise click.UsageError("--space y needs --n-range")
-        params = _parse_range(n_range, "--n-range")
+            raise _UsageError("--space y needs --n-range")
+        params = n_range
     else:
         if degree_range is None:
-            raise click.UsageError("--space full needs --degree-range")
-        params = _parse_range(degree_range, "--degree-range")
-    ks = _parse_range(k_range, "--k-range")
-    prime_list = _parse_primes(primes)
+            raise _UsageError("--space full needs --degree-range")
+        params = degree_range
     cache = ResultCache(resolve_cache_dir(cache_dir))
     mode_v = _parse_mode(mode)
     try:
         fh = open(out, "w", encoding="utf-8")
     except OSError as exc:
-        raise click.FileError(out, exc.strerror) from exc
+        raise _file_error(out, exc.strerror) from exc
     with fh:
         fh.write(CSV_HEADER + "\n")
         fh.flush()
-        for k in ks:
+        for k in k_range:
             for param in params:
                 try:
                     record, _ = cache.get_or_compute(
-                        mode_v, space, k, param, prime_list, max_basis, max_rows)
+                        mode_v, space, k, param, primes, max_basis, max_rows)
                     fh.write(record.csv_row() + "\n")
                 except _ERRORS as exc:
                     marker = f"error:{type(exc).__name__}"
                     fh.write(f"{mode},{space},{k},{param},,,,,{marker},,,"
                              f"{__version__},\n")
-                    click.echo(f"k={k} param={param}: {exc}", err=True)
+                    print(f"k={k} param={param}: {exc}", file=sys.stderr)
                 fh.flush()
-    click.echo(f"wrote {out}")
+    print(f"wrote {out}")
 
 
 def compute_witness(*args):
@@ -262,28 +217,20 @@ def compute_witness(*args):
     return pipeline.sparse_witness(*args)
 
 
-@cli.command("witness")
-@_common_dim_options
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="JSON output path (default stdout).")
 def cmd_witness(mode: str, space: str, k: int, n: Optional[int],
-                degree: Optional[int], primes: Optional[str],
+                degree: Optional[int], primes: tuple[int, ...],
                 cache_dir: Optional[str], max_basis: int, max_rows: int,
                 out: Optional[str]) -> None:
     """Basis encodings plus the functionals vanishing on all relations."""
     param = _resolve_space_param(space, n, degree)
-    prime_list = _parse_primes(primes)
     if out:
         _check_out_dir(out)
-    try:
-        doc = compute_witness(_parse_mode(mode), space, k, param,
-                              prime_list[0], max_basis, max_rows)
-    except _ERRORS as exc:
-        raise _fail(exc)
+    doc = compute_witness(_parse_mode(mode), space, k, param,
+                          primes[0], max_basis, max_rows)
     parts = itertools.chain(_witness_parts(doc), ["\n"])
     if out:
         _write_replacing(out, parts)
-        click.echo(f"wrote {out}")
+        print(f"wrote {out}")
     else:
         sys.stdout.writelines(parts)
 
@@ -293,9 +240,9 @@ def _check_out_dir(out: str) -> None:
     or not writable."""
     directory = os.path.dirname(out) or "."
     if not os.path.isdir(directory):
-        raise click.FileError(out, os.strerror(errno.ENOENT))
+        raise _file_error(out, os.strerror(errno.ENOENT))
     if not os.access(directory, os.W_OK):
-        raise click.FileError(out, os.strerror(errno.EACCES))
+        raise _file_error(out, os.strerror(errno.EACCES))
 
 
 def _write_replacing(out: str, parts: Iterator[str]) -> None:
@@ -313,7 +260,7 @@ def _write_replacing(out: str, parts: Iterator[str]) -> None:
             tmp.unlink()
             raise
     except OSError as exc:
-        raise click.FileError(out, exc.strerror) from exc
+        raise _file_error(out, exc.strerror) from exc
 
 
 def _witness_parts(doc: dict) -> Iterator[str]:
@@ -337,11 +284,6 @@ def _witness_parts(doc: dict) -> Iterator[str]:
     yield "]}"
 
 
-@cli.command("relations")
-@_space_options
-@_cell_options
-@click.option("--dump/--no-dump", default=True, show_default=True,
-              help="Print each relation row.")
 def cmd_relations(mode: str, space: str, k: int, n: Optional[int],
                   degree: Optional[int], dump: bool) -> None:
     """Relation rows with provenance (small parameters only).
@@ -352,27 +294,197 @@ def cmd_relations(mode: str, space: str, k: int, n: Optional[int],
     from . import pipeline, relations
     param = _resolve_space_param(space, n, degree)
     mode_v = _parse_mode(mode)
-    try:
-        _, raw = pipeline.check_caps(mode_v, space, k, param,
-                                     max_rows=_DUMP_MAX_CONFIGS)
-        basis = pipeline.build_basis(mode_v, space, k, param)
-        if space == "y":
-            rows = [row for row, targets
-                    in relations.iter_y_link_rows(k, param, mode_v, basis) if targets]
-        else:
-            rows = (relations.link_relations(k, param, mode_v, basis)
-                    + relations.ihx_relations(k, param, mode_v, basis))
-            raw += relations.count_ihx_instances(basis)
-    except _ERRORS as exc:
-        raise _fail(exc)
+    _, raw = pipeline.check_caps(mode_v, space, k, param,
+                                 max_rows=_DUMP_MAX_CONFIGS)
+    basis = pipeline.build_basis(mode_v, space, k, param)
+    if space == "y":
+        rows = [row for row, targets
+                in relations.iter_y_link_rows(k, param, mode_v, basis) if targets]
+    else:
+        rows = (relations.link_relations(k, param, mode_v, basis)
+                + relations.ihx_relations(k, param, mode_v, basis))
+        raw += relations.count_ihx_instances(basis)
     if dump:
         for row in rows:
-            click.echo(f"{row.to_dump_text(basis)}  # {row.provenance}")
-    click.echo(f"raw {raw} effective {len(rows)}")
+            print(f"{row.to_dump_text(basis)}  # {row.provenance}")
+    print(f"raw {raw} effective {len(rows)}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated options, and reports a usage error as the
+    usage line, a pointer to ``--help`` and ``Error: <message>``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False,
+                         formatter_class=_Formatter, **kwargs)
+        self.add_argument("--help", action="help",
+                          help="Show this message and exit.")
+
+    def error(self, message: str):
+        self.exit(2, f"{self.format_usage()}Try '{self.prog} --help' for help.\n\n"
+                     f"Error: {message}\n")
+
+
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    """Marks each option that takes a value with its default or as
+    required."""
+
+    def __init__(self, prog: str):
+        super().__init__(prog, max_help_position=32)
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        text = action.help or ""
+        if action.required:
+            text += "  [required]"
+        elif action.nargs != 0 and action.default is not None:
+            text += "  [default: %(default)s]"
+        return text
+
+
+_INT = {"type": int, "metavar": "INTEGER"}
+
+
+def _skip_option(*_args, **_kwargs) -> None:
+    pass
+
+
+def _parser(prog: str, command_name: Optional[str]) -> _Parser:
+    """The command group and its six commands, each command's options in
+    the order its help lists them.  Only ``command_name`` gets its
+    options: a run parses one command, the group's help lists only the
+    names, and adding the other commands' options would cost about 2 ms
+    on every run."""
+    parser = _Parser(prog=prog, usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+                     description="Exact dimensions and counts for colored "
+                                 "unitrivalent diagram spaces.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s, version {__version__}",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(title="commands", dest="command")
+
+    def command(run: Callable[..., None]) -> Callable[..., argparse.Action]:
+        doc = [line.strip() for line in run.__doc__.splitlines()]
+        name = run.__name__[4:]
+        sub = commands.add_parser(name, prog=f"{prog} {name}", usage="%(prog)s [OPTIONS]",
+                                  help=doc[0], description="\n".join(doc).strip())
+        sub.set_defaults(run=run, parser=sub)
+        return sub.add_argument if name == command_name else _skip_option
+
+    def space_options(arg):
+        arg("--mode", choices=("homotopy", "concordance"), default="homotopy",
+            help="homotopy: a component with a repeated leaf color is zero; "
+                 "concordance: it is kept.")
+        arg("--space", choices=("y", "full"), default="y",
+            help="The single-Y space at strut count n, or the full forest "
+                 "space at a degree.")
+
+    def cell_options(arg):
+        arg("--k", required=True, help="Number of colors.", **_INT)
+        arg("--n", help="Strut count (space y).", **_INT)
+        arg("--degree", help="Total degree (space full).", **_INT)
+
+    def run_options(arg):
+        arg("--primes", type=_parse_primes, metavar="TEXT", help=_PRIMES_HELP,
+            default=",".join(map(str, DEFAULT_PRIMES)))
+        arg("--cache-dir", metavar="TEXT",
+            help="Cache directory (else $STRUTFORGE_CACHE_DIR, else ./cache).")
+        arg("--max-basis", default=DEFAULT_MAX_ELEMENTS, help="Basis size guard.", **_INT)
+        arg("--max-rows", default=DEFAULT_MAX_ROWS,
+            help="Relation configuration guard.", **_INT)
+
+    arg = command(cmd_count)
+    arg("--k", required=True, help="Number of colors.", **_INT)
+    arg("--n", required=True, help="Strut count.", **_INT)
+    arg("--format", dest="fmt", choices=("table", "json"), default="table",
+        help="Output format.")
+
+    arg = command(cmd_crossing)
+    arg("--k", required=True, help="Number of colors.", **_INT)
+
+    arg = command(cmd_dim)
+    space_options(arg)
+    cell_options(arg)
+    run_options(arg)
+
+    arg = command(cmd_relations)
+    space_options(arg)
+    cell_options(arg)
+    arg("--dump", action="store_true", default=True,
+        help="Print each relation row.  [default: dump]")
+    arg("--no-dump", dest="dump", action="store_false",
+        help="Print only the closing counts.")
+
+    arg = command(cmd_sweep)
+    space_options(arg)
+    arg("--k-range", type=_parse_range, required=True, metavar="TEXT",
+        help="Colors, as 'lo:hi' or a comma list.")
+    arg("--n-range", type=_parse_range, metavar="TEXT", help="Strut counts (space y).")
+    arg("--degree-range", type=_parse_range, metavar="TEXT",
+        help="Degrees (space full).")
+    arg("--out", type=_out_file, required=True, metavar="FILE", help="CSV output path.")
+    run_options(arg)
+
+    arg = command(cmd_witness)
+    space_options(arg)
+    cell_options(arg)
+    run_options(arg)
+    arg("--out", type=_out_file, metavar="FILE", help="JSON output path (default stdout).")
+    return parser
+
+
+class Cli:
+    """The ``strutforge`` command group."""
+
+    def main(self, args: Optional[list[str]] = None, prog_name: str = "strutforge",
+             standalone_mode: bool = True) -> None:
+        """Parse ``args`` (default ``sys.argv[1:]``) and run the command.
+
+        Exits with the status in the module docstring; after a successful
+        command it returns instead when ``standalone_mode`` is false.
+        """
+        if args is None:
+            args = sys.argv[1:]
+        # The group takes no option with a value, so the first word that
+        # is not an option names the command.
+        parser = _parser(prog_name, next((a for a in args if not a.startswith("-")), None))
+        namespace, extra = parser.parse_known_args(args)
+        options = vars(namespace)
+        if options.pop("command") is None:
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            parser.print_help(sys.stderr)
+            sys.exit(2)
+        run, sub = options.pop("run"), options.pop("parser")
+        if extra:
+            sub.error(f"unrecognized arguments: {' '.join(extra)}")
+        try:
+            run(**options)
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
+        except _UsageError as exc:
+            sub.error(str(exc))
+        except (_CommandError, *_ERRORS) as exc:
+            _exit_failed(f"Error: {exc}")
+        except KeyboardInterrupt:
+            _exit_failed("Aborted!")
+        except BrokenPipeError:
+            # Point stdout at /dev/null, so that the flush at exit does
+            # not fail again on the closed pipe.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        if standalone_mode:
+            sys.exit(0)
+
+
+def _exit_failed(message: str) -> NoReturn:
+    print(message, file=sys.stderr)
+    sys.exit(1)
+
+
+cli = Cli()
 
 
 def main() -> None:
-    cli(prog_name="strutforge")
+    cli.main()
 
 
 if __name__ == "__main__":

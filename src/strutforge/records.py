@@ -62,11 +62,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 1 << 64
 
 
+@functools.cache
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64.
 
     Miller-Rabin over a fixed set of bases, exact on that whole range;
     larger n raise DomainError rather than get a probable answer.
+    Answers are cached: a run checks its few primes once per block.
     """
     if n >= _MR_LIMIT:
         raise DomainError(f"primality is only checked below 2**64, got {n}")

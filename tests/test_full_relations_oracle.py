@@ -14,11 +14,10 @@ import functools
 import itertools
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from cli_runner import invoke
 from strutforge.bases import enumerate_basis, enumerate_y_basis, tree_components
-from strutforge.cli import cli
 from strutforge.diagrams import (
     Diagram,
     Mode,
@@ -86,8 +85,7 @@ class TestRowsOnEncodings:
         assert forests == count_link_configs(4, 3, H)
         raw = forests + brute_force.ihx_instance_count(basis)
         expected.append(f"raw {raw} effective {len(expected)}")
-        result = CliRunner().invoke(
-            cli, ["relations", "--space", "full", "--k", "4", "--degree", "3"])
+        result = invoke(["relations", "--space", "full", "--k", "4", "--degree", "3"])
         assert result.exit_code == 0, result.output
         assert result.output.splitlines() == expected
 

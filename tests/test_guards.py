@@ -4,9 +4,8 @@ with the guard's own error while every basis and forest generator is
 patched to fail."""
 
 import pytest
-from click.testing import CliRunner
 
-from strutforge.cli import cli
+from cli_runner import invoke
 from strutforge.diagrams import Mode
 from strutforge.errors import CapacityError, DomainError
 from strutforge.pipeline import compute_dimension, compute_witness
@@ -51,7 +50,7 @@ def test_full_dim_guards_come_before_any_listing(no_listing, tmp_path, k, degree
     with pytest.raises(error, match=message):
         compute_dimension(H, "full", k, degree,
                           max_elements=max_basis, max_rows=max_rows)
-    result = CliRunner().invoke(cli, [
+    result = invoke([
         "dim", "--space", "full", "--k", str(k), "--degree", str(degree),
         "--max-basis", str(max_basis), "--max-rows", str(max_rows),
         "--cache-dir", str(tmp_path)])
@@ -61,8 +60,8 @@ def test_full_dim_guards_come_before_any_listing(no_listing, tmp_path, k, degree
 
 @pytest.mark.parametrize("args,message", WITNESS_CASES)
 def test_witness_guards_come_before_any_listing(no_listing, tmp_path, args, message):
-    result = CliRunner().invoke(cli, ["witness", *args, "--cache-dir", str(tmp_path),
-                                      "--out", str(tmp_path / "w.json")])
+    result = invoke(["witness", *args, "--cache-dir", str(tmp_path),
+                     "--out", str(tmp_path / "w.json")])
     assert result.exit_code == 1 and message in result.output
     assert list(tmp_path.iterdir()) == []
 
@@ -82,7 +81,7 @@ def test_witness_domain_error_comes_before_any_listing(no_listing, space, param)
      "the homotopy Y-subspace needs k >= 3"),
 ])
 def test_relations_guards_come_before_any_listing(no_listing, args, message):
-    result = CliRunner().invoke(cli, ["relations", *args])
+    result = invoke(["relations", *args])
     assert result.exit_code == 1 and message in result.output
 
 

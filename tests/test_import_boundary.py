@@ -2,13 +2,15 @@
 
 ``--version``, a cache-hit ``dim`` and a fully cached ``sweep`` import
 ``strutforge.records`` and no engine module; a cache miss imports the
-pipeline.  The package exports its names lazily, every name moved into
-``records`` is the same object under its old module, and every module
-attribute that ``perfbench/traced_op.py`` patches still resolves.  The
-cache's line pattern is compiled by the first cache load, so start-up
-and a command that loads no cache file do not pay for it.
+pipeline.  No command loads click, and no module imports it.  The
+package exports its names lazily, every name moved into ``records`` is
+the same object under its old module, and every module attribute that
+``perfbench/traced_op.py`` patches still resolves.  The cache's line
+pattern is compiled by the first cache load, so start-up and a command
+that loads no cache file do not pay for it.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -27,8 +29,9 @@ ENGINE = {f"strutforge.{name}" for name in
           ("bases", "diagrams", "relations", "linalg", "pipeline", "counting")}
 
 # Runs the CLI as ``python -m strutforge.cli`` would, then writes the
-# strutforge modules it loaded, and how many times it built the cache's
-# line pattern, to the file named by the first argument.
+# strutforge modules it loaded, how many times it built the cache's line
+# pattern and whether click was loaded, to the file named by the first
+# argument.
 RUN_CLI = """
 import json, runpy, sys
 out, sys.argv = sys.argv[1], ["strutforge", *sys.argv[2:]]
@@ -41,7 +44,8 @@ else:
 records = sys.modules.get("strutforge.records")
 with open(out, "w") as fh:
     json.dump({"modules": sorted(m for m in sys.modules if m.startswith("strutforge")),
-               "pattern_builds": records and records._line_pattern.cache_info().misses}, fh)
+               "pattern_builds": records and records._line_pattern.cache_info().misses,
+               "click": "click" in sys.modules}, fh)
 sys.exit(code)
 """
 
@@ -77,6 +81,27 @@ def test_cache_hit_dim_loads_no_engine(tmp_path):
     assert "(cache hit)" in proc.stderr
     assert json.loads(proc.stdout)["num_diagrams"] == 24
     assert not modules & ENGINE
+
+
+def test_no_command_loads_click(tmp_path):
+    dim = ["dim", "--space", "y", "--k", "4", "--n", "1",
+           "--cache-dir", str(tmp_path / "cache")]
+    for args in (["--version"], dim, dim):
+        run, proc = run_cli(tmp_path, *args)
+        assert run["click"] is False, args
+    assert "(cache hit)" in proc.stderr
+
+
+def test_no_module_imports_click():
+    for path in (ROOT / "src" / "strutforge").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "click" for name in names), path
 
 
 def test_only_a_cache_load_builds_the_line_pattern(tmp_path):

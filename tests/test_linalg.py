@@ -105,6 +105,20 @@ class TestIsPrime:
         with pytest.raises(DomainError):
             is_prime(2**64)
 
+    def test_answers_are_cached(self):
+        is_prime.cache_clear()
+        assert is_prime(2**31 - 1) and is_prime(2**31 - 1)
+        info = is_prime.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_range_error_is_raised_on_every_call(self):
+        is_prime.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                is_prime(2**64)
+        info = is_prime.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
 
 class TestRankModP:
     def test_single_unit_row(self):

@@ -15,11 +15,10 @@ from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from cli_runner import invoke
 from strutforge import __version__, records
-from strutforge.cli import cli
 from strutforge.diagrams import Mode
 from strutforge.errors import CacheError
 from strutforge.pipeline import ResultCache, ResultRecord
@@ -117,9 +116,9 @@ def test_a_bad_cache_loads_once_over_a_sweep(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ResultCache, "_load", counted)
     out = tmp_path / "s.csv"
-    result = CliRunner().invoke(cli, ["sweep", "--space", "y", "--k-range", "3:6",
-                                      "--n-range", "0:2", "--out", str(out),
-                                      "--cache-dir", str(tmp_path / "cache")])
+    result = invoke(["sweep", "--space", "y", "--k-range", "3:6",
+                     "--n-range", "0:2", "--out", str(out),
+                     "--cache-dir", str(tmp_path / "cache")])
     assert result.exit_code == 0, result.output
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 12

@@ -12,12 +12,12 @@ document; ``compute_witness`` is that dense document.
 import json
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from brute_force import witness_ungraded
+from cli_runner import invoke
 import strutforge.pipeline as pipeline
-from strutforge.cli import _witness_parts, cli
+from strutforge.cli import _witness_parts
 from strutforge.diagrams import Mode
 from strutforge.pipeline import compute_witness, sparse_witness
 
@@ -54,8 +54,8 @@ def test_per_block_reduction_gives_the_same_bytes(monkeypatch, mode, space, k, p
 
 def test_cli_writes_the_oracle_bytes(tmp_path):
     out = tmp_path / "w.json"
-    result = CliRunner().invoke(cli, ["witness", "--space", "full", "--mode", "concordance",
-                                      "--k", "3", "--degree", "3", "--out", str(out)])
+    result = invoke(["witness", "--space", "full", "--mode", "concordance",
+                     "--k", "3", "--degree", "3", "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert out.read_text(encoding="utf-8") == json.dumps(witness_ungraded(C, "full", 3, 3)) + "\n"
 
@@ -66,8 +66,8 @@ def test_cli_never_builds_dense_functionals(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pipeline, "compute_witness", dense)
     out = tmp_path / "w.json"
-    result = CliRunner().invoke(cli, ["witness", "--space", "full", "--k", "4",
-                                      "--degree", "3", "--out", str(out)])
+    result = invoke(["witness", "--space", "full", "--k", "4",
+                     "--degree", "3", "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert out.read_text(encoding="utf-8") == json.dumps(witness_ungraded(H, "full", 4, 3)) + "\n"
 

@@ -15,10 +15,10 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from brute_force import dimension_ungraded
+from cli_runner import invoke
 import strutforge.linalg as linalg
 from strutforge.bases import (
     _partitions,
@@ -26,7 +26,6 @@ from strutforge.bases import (
     leaf_orbits,
     strut_union_count,
 )
-from strutforge.cli import cli
 from strutforge.diagrams import Mode, encoding_leaf_colors
 from strutforge.errors import CapacityError, DomainError
 from strutforge.linalg import DEFAULT_PRIMES, PRIME_POOL
@@ -150,7 +149,7 @@ def test_y_guards_come_before_any_block(monkeypatch, tmp_path, k, n, max_basis,
         monkeypatch.setattr(f"strutforge.{name}", _never)
     with pytest.raises(error, match=message):
         compute_dimension(H, "y", k, n, max_elements=max_basis, max_rows=max_rows)
-    result = CliRunner().invoke(cli, [
+    result = invoke([
         "dim", "--space", "y", "--k", str(k), "--n", str(n),
         "--max-basis", str(max_basis), "--max-rows", str(max_rows),
         "--cache-dir", str(tmp_path)])

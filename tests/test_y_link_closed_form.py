@@ -14,11 +14,9 @@ rows, checked against the whole cell in ``test_y_graded.py``.
 import functools
 import itertools
 
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from strutforge.bases import enumerate_y_basis, tree_components
-from strutforge.cli import cli
 from strutforge.diagrams import (
     Mode,
     canonicalize_component,
@@ -36,6 +34,7 @@ from strutforge.relations import (
 )
 
 from brute_force import PreGraftConfig
+from cli_runner import invoke
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
@@ -114,8 +113,7 @@ class TestClosedFormRows:
         expected = [f"{row.to_dump_text(basis)}  # {row.provenance}"
                     for _, row, targets in oracle if targets]
         expected.append(f"raw {len(oracle)} effective {len(expected)}")
-        result = CliRunner().invoke(
-            cli, ["relations", "--space", "y", "--k", "4", "--n", "1"])
+        result = invoke(["relations", "--space", "y", "--k", "4", "--n", "1"])
         assert result.exit_code == 0, result.output
         assert result.output.splitlines() == expected
 

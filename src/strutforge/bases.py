@@ -1,22 +1,27 @@
 """Deterministic ordered bases of forest diagram spaces.
 
-The whole single-Y basis is closed-form: one Y per color triple and one
-strut per strut type, written directly as canonical encodings.  Trees of the
-full space are generated on encodings: a tree marked at one leaf is a
+Every basis is a slice of one forest space, named by a ``BasisSpec``: a
+degree d and a component count.  A single-Y cell at n struts is the
+slice of degree n + 2 with n + 1 components, whose forests are one Y
+and n struts; a full cell is its degree with any component count.  Trees
+are generated on encodings: a tree marked at one leaf is a
 leaf color plus a canonical rooted expression built bottom-up from
 strictly ordered sibling pairs, so marked trees need no dedup, and the
 unmarked trees are the canonical forms of the marked ones.  Forests are
-multisets of nonzero trees, listed as tuples of component encodings; a
-full-space basis element joins them sorted.
+multisets of nonzero trees, listed as tuples of component encodings by
+one generator (``forest_encodings``); a basis element joins them sorted.
+The exact size and configuration count of a whole cell are checked
+against the caps in one place (``check_cell``) before anything is
+listed.
 
 Both spaces split into blocks, one per leaf-colour multiset M (the
-number of leaves of each colour over all components).  A full-space
-block of degree d has L = d + 1 (one tree) to 2d (all struts) leaves
+number of leaves of each colour over all components).  A block of
+degree d has L = d + 1 (one tree) to 2d (all struts) leaves
 and L - d components, so its trees have degree at most 2d - L + 1.  Its
 forests take its trees of degree 2 and up group by group (by degree and
 leaf vector), then the struts on the leaves left (``_strut_multisets``).  A
 single-Y block at n struts is the degree-(n + 2) block on its 2n + 3
-leaves, whose forests are one Y and n struts.  A permutation of the
+leaves.  A permutation of the
 colours carries each block onto another, so ``leaf_orbits`` lists one
 representative block per orbit with the orbit's size.
 """
@@ -42,8 +47,6 @@ from .diagrams import (
     decode_component,
     decode_diagram,
     diagram_encoding,
-    strut_encoding,
-    y_encoding,
 )
 from .errors import CapacityError, DomainError
 from .records import DEFAULT_MAX_ELEMENTS
@@ -52,9 +55,10 @@ from .records import DEFAULT_MAX_ELEMENTS
 @dataclass(frozen=True)
 class BasisSpec:
     """Which space a basis spans: the single-Y subspace with ``param``
-    struts, or the full space of forests of degree ``param``.  A basis
-    with ``leaves`` spans only the block of diagrams with that leaf-colour
-    multiset: ``leaves[i - 1]`` leaves of colour i."""
+    struts, or the full space of forests of degree ``param``; each is
+    the slice of the forests of degree ``degree`` with ``components``
+    trees.  A basis with ``leaves`` spans only the block of diagrams with
+    that leaf-colour multiset: ``leaves[i - 1]`` leaves of colour i."""
 
     mode: Mode
     k: int
@@ -75,6 +79,25 @@ class BasisSpec:
                 or sum(self.leaves) not in leaf_totals(self.space, self.param)):
             raise DomainError(
                 f"leaves {self.leaves} is not a leaf multiset of this space")
+
+    @property
+    def degree(self) -> int:
+        """Degree of the space's forests: n + 2 for a Y next to n struts."""
+        return self.param + 2 if self.space == "y" else self.param
+
+    @property
+    def components(self) -> Optional[int]:
+        """Components of each forest: n + 1 in a single-Y cell, L - d on
+        a block of L leaves, any number (None) in a whole full cell."""
+        if self.leaves is not None:
+            return sum(self.leaves) - self.degree
+        return self.param + 1 if self.space == "y" else None
+
+    @property
+    def largest_tree(self) -> int:
+        """Largest degree a tree of the space's forests can have: the
+        degree left when every other component is a strut."""
+        return self.degree - (self.components or 1) + 1
 
 
 @dataclass(frozen=True)
@@ -149,14 +172,6 @@ def tree_components(k: int, deg: int, mode: Mode) -> tuple[TreeComponent, ...]:
         if sign != 0:
             encodings.add(enc)
     return tuple(decode_component(enc) for enc in sorted(encodings))
-
-
-def _strut_pairs(k: int, mode: Mode) -> list[tuple[int, int]]:
-    """End colors (i, j), i <= j, of every nonzero strut in encoding order
-    (the order of ``tree_components(k, 1, mode)``); homotopy mode needs
-    i < j."""
-    gap = 1 if mode is Mode.HOMOTOPY else 0
-    return [(i, j) for i in range(1, k + 1) for j in range(i + gap, k + 1)]
 
 
 def enumerate_trees(k: int, deg: int, mode: Mode,
@@ -235,14 +250,19 @@ def forest_count(k: int, d: int, mode: Mode) -> int:
 
 
 def forest_encodings(k: int, d: int, mode: Mode, leaves: Optional[Sequence[int]] = None,
-                     memo: Optional[dict] = None) -> Iterator[tuple[bytes, ...]]:
-    """Every multiset of nonzero trees with total degree ``d``, or, given
-    ``leaves``, every one with that leaf-colour multiset, as a tuple of
-    component encodings (degree 0 yields the empty forest).  Equal
-    components sit next to each other.
+                     memo: Optional[dict] = None, components: Optional[int] = None
+                     ) -> Iterator[tuple[bytes, ...]]:
+    """Every multiset of nonzero trees with total degree ``d``, only those
+    of ``components`` trees when given, or, given ``leaves``, every one
+    with that leaf-colour multiset, as a tuple of component encodings
+    (degree 0 yields the empty forest).  Equal components sit next to
+    each other.
 
     The whole space comes in partition order; inside a forest, components
-    run by decreasing degree and by encoding within a degree.  A block
+    run by decreasing degree and by encoding within a degree.  Its slice
+    of c components takes the partitions of d into exactly c parts: one
+    plus each part of a partition of the excess d - c into at most c
+    parts, in the same order.  A block
     on L leaves has L - d components, each of degree at least 1, so it
     takes its trees of degree 2 to 2d - L + 1 one group of
     ``_tree_groups`` at a time, largest degree first, then the struts on
@@ -253,7 +273,10 @@ def forest_encodings(k: int, d: int, mode: Mode, leaves: Optional[Sequence[int]]
     leaves left.  ``memo`` goes to ``_strut_multisets``.
     """
     if leaves is None:
-        for partition in _partitions(d):
+        partitions = _partitions(d) if components is None else (
+            tuple(part + 1 for part in excess) + (1,) * (components - len(excess))
+            for excess in _partitions(d - components, max_parts=components))
+        for partition in partitions:
             pools = [itertools.combinations_with_replacement(tree_encodings(k, deg, mode), m)
                      for deg, m in Counter(partition).items()]
             for choice in itertools.product(*pools):
@@ -288,15 +311,22 @@ def forest_encodings(k: int, d: int, mode: Mode, leaves: Optional[Sequence[int]]
     yield from fill(0, d, tuple(leaves))
 
 
+def _leaf_groups(encodings: Iterable[bytes], k: int, skip: int = 0
+                 ) -> tuple[tuple[tuple[int, ...], tuple[bytes, ...]], ...]:
+    """``encodings`` grouped by the leaf vector (``leaf_vector``) of
+    ``enc[skip:]``, as (vector, encodings) pairs, each group in the given
+    order."""
+    groups: dict[tuple[int, ...], list[bytes]] = {}
+    for enc in encodings:
+        groups.setdefault(leaf_vector(enc[skip:], k), []).append(enc)
+    return tuple((vec, tuple(encs)) for vec, encs in groups.items())
+
+
 @lru_cache(maxsize=None)
 def _tree_groups(k: int, deg: int, mode: Mode
                  ) -> tuple[tuple[tuple[int, ...], tuple[bytes, ...]], ...]:
-    """``tree_encodings`` grouped by leaf vector (``leaf_vector``), as
-    (vector, encodings) pairs."""
-    groups: dict[tuple[int, ...], list[bytes]] = {}
-    for enc in tree_encodings(k, deg, mode):
-        groups.setdefault(leaf_vector(enc, k), []).append(enc)
-    return tuple((vec, tuple(encs)) for vec, encs in groups.items())
+    """``tree_encodings`` grouped by leaf vector (``_leaf_groups``)."""
+    return _leaf_groups(tree_encodings(k, deg, mode), k)
 
 
 def leaf_vector(enc: bytes, k: int) -> tuple[int, ...]:
@@ -315,20 +345,34 @@ def enumerate_basis(k: int, d: int, mode: Mode,
                     max_elements: int = DEFAULT_MAX_ELEMENTS,
                     leaves: Optional[Sequence[int]] = None) -> Basis:
     """Ordered basis of all nonzero forests of total degree ``d``, or,
-    given ``leaves``, of its block with that leaf-colour multiset.
+    given ``leaves``, of its block with that leaf-colour multiset
+    (``_enumerate``)."""
+    return _enumerate(BasisSpec(mode, k, "full", d, None if leaves is None else tuple(leaves)),
+                      max_elements)
 
-    Distinct forests have distinct sorted component encodings, so the
-    capacity guard is the exact ``forest_count``, checked before any
-    forest is listed.  A block is not capped: ``pipeline.check_caps``
-    checks its whole cell first.
-    """
-    spec = BasisSpec(mode, k, "full", d, None if leaves is None else tuple(leaves))
-    if leaves is None:
-        size = forest_count(k, d, mode)
-        if size > max_elements:
-            raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
-    return _build_basis(spec, [diagram_encoding(forest)
-                               for forest in forest_encodings(k, d, mode, spec.leaves)])
+
+def enumerate_y_basis(k: int, n: int, mode: Mode,
+                      max_elements: int = DEFAULT_MAX_ELEMENTS,
+                      leaves: Optional[Sequence[int]] = None) -> Basis:
+    """Ordered basis of diagrams with one Y-component and ``n`` struts,
+    or, given ``leaves``, of its block with that leaf-colour multiset:
+    the forests of degree n + 2 with n + 1 components (``_enumerate``),
+    one Y and n struts."""
+    return _enumerate(BasisSpec(mode, k, "y", n, None if leaves is None else tuple(leaves)),
+                      max_elements)
+
+
+def _enumerate(spec: BasisSpec, max_elements: float) -> Basis:
+    """The forests of ``spec``'s slice (``forest_encodings``), in encoding
+    order.  Distinct forests have distinct sorted component encodings, so
+    the whole cell is capped at ``max_elements`` on its exact size
+    (``check_cell``) before any forest is listed.  A block is not capped:
+    ``pipeline.check_caps`` checks its whole cell first."""
+    if spec.leaves is None:
+        check_cell(spec, max_elements)
+    return _build_basis(spec, [
+        diagram_encoding(forest) for forest in forest_encodings(
+            spec.k, spec.degree, spec.mode, spec.leaves, components=spec.components)])
 
 
 def y_link_config_count(k: int, n: int, mode: Mode) -> int:
@@ -338,51 +382,47 @@ def y_link_config_count(k: int, n: int, mode: Mode) -> int:
     return num_specials * math.comb(strut_type_count(k, mode) + n, n + 1)
 
 
-def check_y_caps(k: int, n: int, mode: Mode, max_elements: float = math.inf,
-                 max_rows: float = math.inf) -> tuple[int, int]:
-    """(basis size, raw configurations) of the whole y cell, after its
-    domain checks and, in this order, the basis and configuration caps.
+def count_link_configs(k: int, d: int, mode: Mode) -> int:
+    """Raw configuration count behind ``relations.link_relations``: marked
+    trees of each degree dm times the forests of the remaining degree.
 
-    The basis is every colour triple's Y next to every strut multiset, so
-    its size is C(k, 3) times ``strut_union_count``.  Every y path checks
-    the whole cell here before it lists anything; a block of the cell is
-    listed uncapped, once its cell has passed.
+    A homotopy tree has distinct leaf colors, so each of its deg + 1
+    leaves marks a different marked tree.  In concordance mode every leg
+    colour goes with every rooted expression (``marked_encodings``).
     """
-    BasisSpec(mode, k, "y", n)
-    if mode is Mode.HOMOTOPY and k < 3:
+    def marked(dm: int) -> int:
+        if mode is Mode.HOMOTOPY:
+            return (dm + 1) * tree_count(k, dm, mode)
+        return k * len(rooted_expressions(k, dm, mode))
+
+    forests = forest_counts(k, d - 1, mode)
+    return sum(marked(dm) * forests[d - dm] for dm in range(1, d + 1))
+
+
+def check_cell(spec: BasisSpec, max_elements: float = math.inf,
+               max_rows: float = math.inf) -> tuple[int, int]:
+    """(basis size, raw link configurations) of the whole cell ``spec``
+    names, after its domain checks and, in this order, the basis and
+    configuration caps, all on exact counts.
+
+    A single-Y cell has every colour triple's Y next to every strut
+    multiset, C(k, 3) times ``strut_union_count`` forests, and
+    ``y_link_config_count`` configurations; a full cell has
+    ``forest_count`` forests and ``count_link_configs`` configurations.
+    """
+    k, param, mode = spec.k, spec.param, spec.mode
+    y = spec.space == "y"
+    if y and mode is Mode.HOMOTOPY and k < 3:
         raise DomainError("the homotopy Y-subspace needs k >= 3")
-    size = math.comb(k, 3) * strut_union_count(k, n, mode)
+    size = math.comb(k, 3) * strut_union_count(k, param, mode) if y \
+        else forest_count(k, param, mode)
     if size > max_elements:
         raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
-    raw = y_link_config_count(k, n, mode)
+    raw = y_link_config_count(k, param, mode) if y else count_link_configs(k, param, mode)
     if raw > max_rows:
-        raise CapacityError(f"{raw} configurations exceed the cap {max_rows}")
+        what = "configurations" if y else "link configurations"
+        raise CapacityError(f"{raw} {what} exceed the cap {max_rows}")
     return size, raw
-
-
-def enumerate_y_basis(k: int, n: int, mode: Mode,
-                      max_elements: int = DEFAULT_MAX_ELEMENTS,
-                      leaves: Optional[Sequence[int]] = None) -> Basis:
-    """Ordered basis of diagrams with one Y-component and ``n`` struts,
-    or, given ``leaves``, of its block with that leaf-colour multiset.
-
-    A nonzero Y has three distinct colors, so the basis is every color
-    triple's Y next to every multiset of ``n`` strut types, built from the
-    closed-form encodings.  A block lists the forests of degree n + 2 on
-    its 2n + 3 leaves (``forest_encodings``): n + 1 components, one Y
-    and n struts.  The whole cell is capped at ``max_elements`` on its
-    exact count; a block is not capped (``check_y_caps``).
-    """
-    spec = BasisSpec(mode, k, "y", n, None if leaves is None else tuple(leaves))
-    if spec.leaves is not None:
-        return _build_basis(spec, [diagram_encoding(forest) for forest
-                                   in forest_encodings(k, n + 2, mode, spec.leaves)])
-    check_y_caps(k, n, mode, max_elements)
-    ys = [y_encoding(*colors)[0] for colors in itertools.combinations(range(1, k + 1), 3)]
-    struts = [strut_encoding(i, j) for i, j in _strut_pairs(k, mode)]
-    return _build_basis(spec, [
-        diagram_encoding([y, *rest])
-        for y in ys for rest in itertools.combinations_with_replacement(struts, n)])
 
 
 def _strut_multisets(ends: Sequence[int], mode: Mode, memo: Optional[dict] = None

@@ -1,9 +1,13 @@
 """End-to-end dimension pipeline: the guards, then a cell's blocks,
 ranks and witness functionals.
 
-Every cell takes one path.  ``check_caps`` runs the domain checks and
-the capacity guards on the cell's exact counts before anything is
-listed; ``dim``, ``witness`` and ``relations`` all call it first.  A
+Every cell takes one path, whichever its space: a single-Y cell is the
+slice of the forests of degree n + 2 with n + 1 components
+(``bases.BasisSpec``), and its bases and rows come from the same
+generators as a full cell's.  ``check_caps`` runs the domain checks and
+the capacity guards on the cell's exact counts (``bases.check_cell``)
+before anything is listed; ``dim``, ``witness`` and ``relations`` all
+call it first.  A
 dimension run then ranks the cell block by block (one prime when a
 block's rank certifies itself, more otherwise), sums the weighted block
 counts and emits an immutable ResultRecord.  The records, the run
@@ -40,14 +44,13 @@ from typing import Iterator, Optional, Sequence
 from .bases import (
     Basis,
     BasisSpec,
-    check_y_caps,
+    check_cell,
     enumerate_basis,
     enumerate_y_basis,
-    forest_count,
     leaf_orbits,
 )
 from .diagrams import recoloured_encoding
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .linalg import SparseMatrix, cokernel_functionals, rank_multiprime
 # The records layer's names stay importable from here as well.
 from .records import (
@@ -64,6 +67,10 @@ from .records import (
     is_prime,
     resolve_cache_dir,
 )
+# count_link_configs, y_link_config_count and y_link_relations are not
+# called here: they are imported only to stay attributes of this module,
+# where perfbench/traced_op.py wraps them and tests/test_y_graded.py
+# patches y_link_relations.
 from .relations import (
     RelationRow,
     coefficient_bound,
@@ -80,11 +87,9 @@ def build_basis(mode: Mode, space: str, k: int, param: int,
                 max_elements: int = DEFAULT_MAX_ELEMENTS,
                 leaves: Optional[Sequence[int]] = None) -> Basis:
     """The cell's basis, or its block with leaf multiset ``leaves``."""
-    if space == "y":
-        return enumerate_y_basis(k, param, mode, max_elements, leaves)
-    if space == "full":
-        return enumerate_basis(k, param, mode, max_elements, leaves)
-    raise DomainError(f"space must be 'y' or 'full', got {space!r}")
+    BasisSpec(mode, k, space, param)  # refuses an unknown space
+    return (enumerate_y_basis if space == "y" else enumerate_basis)(
+        k, param, mode, max_elements, leaves)
 
 
 def build_relations(mode: Mode, space: str, k: int, param: int, basis: Basis,
@@ -95,12 +100,11 @@ def build_relations(mode: Mode, space: str, k: int, param: int, basis: Basis,
 
     The link configurations are counted once per cell, by
     ``check_caps``; the IHX instances, one per internal edge of a
-    column, here (a Y has none).
+    column, here (a single-Y basis has none).
     """
-    if space == "y":
-        return y_link_relations(k, param, mode, basis, max_rows), 0
-    link = link_relations(k, param, mode, basis, max_rows, provenance=False)
-    ihx = ihx_relations(k, param, mode, basis, provenance=False)
+    d = BasisSpec(mode, k, space, param).degree
+    link = link_relations(k, d, mode, basis, max_rows, provenance=False)
+    ihx = ihx_relations(k, d, mode, basis, provenance=False)
     seen = {row.entries: row for row in link}
     for row in ihx:
         seen.setdefault(row.entries, row)
@@ -128,20 +132,9 @@ def check_caps(mode: Mode, space: str, k: int, param: int,
     exact counts.
 
     ``dim``, ``witness`` and ``relations`` run it before they list
-    anything.  A ``y`` cell is checked by ``bases.check_y_caps``; a
-    ``full`` cell counts its forests (``forest_count``), then its link
-    configurations (``count_link_configs``).
+    anything (``bases.check_cell``).
     """
-    if space == "y":
-        return check_y_caps(k, param, mode, max_elements, max_rows)
-    BasisSpec(mode, k, space, param)
-    size = forest_count(k, param, mode)
-    if size > max_elements:
-        raise CapacityError(f"{size} basis elements exceed the cap {max_elements}")
-    configs = count_link_configs(k, param, mode)
-    if configs > max_rows:
-        raise CapacityError(f"{configs} link configurations exceed the cap {max_rows}")
-    return size, configs
+    return check_cell(BasisSpec(mode, k, space, param), max_elements, max_rows)
 
 
 def _blocks(mode: Mode, space: str, k: int, param: int) -> Iterator[

@@ -1,8 +1,11 @@
 """Sparse relation rows over a diagram basis.
 
-Two generators: the grafting form over the full space (any marked
-component attached above every same-colored leg), whose marked struts
-give the single-Y rows, and the three-term IHX rewiring.
+Two generators: the grafting form (any marked component attached
+above every same-colored leg), and the three-term IHX rewiring.  Both
+read the slice of the forest space their basis spans from its
+``BasisSpec``, so a single-Y cell, the slice of degree n + 2 with n + 1
+components, takes the same configuration loop (``_link_configs``) as a
+full cell.
 
 Every link row comes from one builder, ``_link_row``, on canonical
 encodings.  A link configuration is a marked tree and a rest forest.
@@ -24,10 +27,11 @@ fixed grafting convention reproduces the relations exactly.
 
 A single-Y row is the link row whose marked tree is the special strut
 (a, c*), the marked encoding ``bytes((c, a))``, over a rest R of n+1
-struts.  Grafting it above the c-end of a rest strut {c, x} gives
-Y{a, c, x} oriented (a, c, x), which ``_graft_terms`` reads off
-``y_encoding`` without decoding either strut; the term is zero when two
-of a, c, x are equal.  ``expand_along`` builds its row the same way,
+struts: in that slice the marked trees have degree d - c = 1 and the
+rests are the forests of n + 1 struts.  Grafting it above the c-end of
+a rest strut {c, x} gives Y{a, c, x} oriented (a, c, x), which
+``_graft_terms`` reads off ``y_encoding`` without decoding either strut;
+the term is zero when two of a, c, x are equal.  ``expand_along`` builds its row the same way,
 from the special strut ``bytes((c, fixed))``.  Provenance text is built
 only for rows kept after dedup, and only when asked for: the dumps ask,
 ``pipeline.build_relations`` does not.
@@ -38,9 +42,10 @@ term of the row has the leaves E + F, and an IHX rewiring keeps a
 diagram's leaves.  The rows of one block M thus come from the marked
 trees with E in M, each with the rest forests of leaves M - E, and from
 the IHX instances of the block's own columns.  On L leaves and degree d
-the marked trees have degree at most 2d - L, and a single-Y block at n
-struts is the full block of degree n + 2 on its 2n + 3 leaves, whose
-marked trees are struts and whose columns have no internal edge.
+the marked trees have degree at most 2d - L and the trees at most
+2d - L + 1, and only a tree of degree 3 or more has an internal edge, so
+a block on 2d - 1 or more leaves, a single-Y block among them, has no
+IHX row.
 
 The graft-then-canonicalize constructions of all these rows, with a
 concrete diagram per term, live in ``tests/brute_force.py``
@@ -50,23 +55,20 @@ concrete diagram per term, live in ``tests/brute_force.py``
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .bases import (
     Basis,
     BasisSpec,
-    _strut_pairs,
-    check_y_caps,
-    forest_counts,
+    _leaf_groups,
+    check_cell,
+    count_link_configs,  # re-exported: the count behind link_relations
     forest_encodings,
-    leaf_vector,
     marked_encodings,
-    tree_count,
     y_link_config_count,
 )
 from .diagrams import (
@@ -159,50 +161,34 @@ class _RowSet:
         return [self._rows[key] for key in sorted(self._rows)]
 
 
-def _y_link_configs(k: int, n: int, mode: Mode, basis: Basis) -> Iterator[
-        tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int]]:
-    """(a, c, rest, entries, targets) per configuration, pre-dedup.
+def iter_y_link_rows(k: int, n: int, mode: Mode, basis: Basis
+                     ) -> Iterator[tuple[RelationRow, int]]:
+    """One (row, attachment targets) pair per configuration of the whole
+    cell, pre-dedup, with provenance ``y-link special={a}-{c}* rest={i-j,...}``.
 
-    ``(a, c)`` is the special strut with distinguished color c, ``rest``
-    the n+1 rest struts as sorted end-color pairs, ``entries`` the sorted
-    link row of the marked strut ``bytes((c, a))`` over the rest
-    (``_link_row``) and ``targets`` the number of c-colored ends in
-    ``rest``.  A rest's ends and hosts are found once and serve every
-    (a, c).
-
-    One loop runs over a, then c, then every multiset R, listed once,
-    the order of the dumps.  This is the whole cell's generator only; a
-    block's rows are the full space's (``y_link_relations``).
+    This is the dump path: the link rows of y_link_relations before sign
+    normalization and dedup, run over a, then c, then every rest forest
+    of n + 1 struts (``forest_encodings``), whose ends and hosts are found
+    once and serve every (a, c).  The row is the link row of the marked
+    strut ``bytes((c, a))`` (``_link_row``), empty when no term survives;
+    the target count, the c-coloured ends of the rest, is zero exactly
+    for the overcounted configurations whose distinguished color appears
+    on no rest strut.
     """
     if basis.spec != BasisSpec(mode, k, "y", n):
         raise DomainError("basis does not match enumerate_y_basis(k, n, mode)")
-    rests = []
-    for rest in itertools.combinations_with_replacement(_strut_pairs(k, mode), n + 1):
-        encs = tuple(map(bytes, rest))
-        rests.append((rest, leaf_vector(b"".join(encs), k), _rest_hosts(encs)))
+    rests = [(rest, _rest_hosts(rest), b"".join(rest))
+             for rest in forest_encodings(k, n + 1, mode, components=n + 1)]
     for a in range(1, k + 1):
         for c in range(1, k + 1):
             if a == c and mode is Mode.HOMOTOPY:
                 continue
             special = bytes((c, a))
-            for rest, ends, hosts in rests:
-                yield a, c, rest, _link_row(special, hosts, basis.index, mode), ends[c - 1]
-
-
-def iter_y_link_rows(k: int, n: int, mode: Mode, basis: Basis
-                     ) -> Iterator[tuple[RelationRow, int]]:
-    """One (row, attachment targets) pair per configuration, pre-dedup,
-    with provenance ``y-link special={a}-{c}* rest={i-j,...}``.
-
-    This is the dump path: the link rows of y_link_relations before sign
-    normalization and dedup.  The provenance is written from the color
-    pairs.  The row is empty when no term survives;
-    the target count is zero exactly for the overcounted configurations
-    whose distinguished color appears on no rest strut.
-    """
-    for a, c, rest, entries, targets in _y_link_configs(k, n, mode, basis):
-        desc = ",".join(f"{i}-{j}" for i, j in rest)
-        yield RelationRow(entries, f"y-link special={a}-{c}* rest={{{desc}}}"), targets
+            for rest, hosts, ends in rests:
+                desc = ",".join(map(render_encoding, rest))
+                yield (RelationRow(_link_row(special, hosts, basis.index, mode),
+                                   f"y-link special={a}-{c}* rest={{{desc}}}"),
+                       ends.count(c))
 
 
 def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,
@@ -221,27 +207,18 @@ def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,
     homotopy mode, and the antisymmetry-zero Ys in concordance mode.
     Empty and duplicate rows are dropped; the rows carry no provenance.
 
-    A block basis (``enumerate_y_basis`` with ``leaves``) gets its rows
-    from ``link_relations`` at degree n + 2, whose marked trees there
-    (degree 2d - L = 1) are the special struts.  The whole cell's
-    configuration count is capped at ``max_configs``; a block is not
-    capped (``check_y_caps``).
+    These are the rows ``link_relations`` gives at degree n + 2 over the
+    cell's slice, whose marked trees are the special struts, on the whole
+    cell (capped at ``max_configs``) and on a block (not capped).
 
     The graft construction (``PreGraftConfig`` over strut(a, c) in
     ``tests/brute_force.py``) builds a diagram, a spliced tree and a
     canonical form per term to reach the same rows; it is the oracle
     these rows are checked against.
     """
-    leaves = basis.spec.leaves
-    if basis.spec != BasisSpec(mode, k, "y", n, leaves):
+    if basis.spec != BasisSpec(mode, k, "y", n, basis.spec.leaves):
         raise DomainError("basis does not match enumerate_y_basis(k, n, mode)")
-    if leaves is not None:
-        return link_relations(k, n + 2, mode, basis, provenance=False)
-    check_y_caps(k, n, mode, max_rows=max_configs)
-    rows = _RowSet()
-    for _, _, _, entries, _ in _y_link_configs(k, n, mode, basis):
-        rows.add_entries(entries)
-    return rows.emit()
+    return link_relations(k, n + 2, mode, basis, max_configs, provenance=False)
 
 
 def coefficient_bound(space: str, param: int) -> int:
@@ -267,7 +244,9 @@ def count_effective_relations(k: int, n: int,
     on at least one rest strut, the rest being the overcounted relations
     that attach nowhere.  With s = C(k, 2) strut types, k - 1 of which
     carry a given color, nonempty = k(k-1) [C(s+n, n+1) - C(s-(k-1)+n, n+1)].
+    The colour and strut counts are checked first (``BasisSpec``).
     """
+    BasisSpec(Mode.HOMOTOPY, k, "y", n)
     raw = y_link_config_count(k, n, Mode.HOMOTOPY)
     if raw > max_configs:
         raise CapacityError(f"{raw} configurations exceed the cap {max_configs}")
@@ -364,10 +343,10 @@ def _link_row(marked: bytes, hosts: dict[int, list[tuple[bytes, int, list[bytes]
 def link_relations(k: int, d: int, mode: Mode, basis: Basis,
                    max_configs: int = DEFAULT_MAX_ROWS,
                    provenance: bool = True) -> list[RelationRow]:
-    """Link relations over the full degree-d space.
+    """Link relations over the degree-d forests of the basis's space.
 
-    Configurations pair a marked component of each degree up to d with a
-    forest of nonzero components making up the remaining degree; the row
+    Configurations pair a marked component with a forest of nonzero
+    components making up the remaining degree; the row
     sums the grafts of the marked leg above every same-colored leg of the
     forest (grafts onto the marked component itself close a loop and
     vanish).
@@ -375,21 +354,25 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
     The forest is a tuple of canonical component encodings, and the
     canonical grafts of a marked tree onto one component are computed
     once while the pair stays in ``_graft_terms``' cache (``_link_row``).
-    Given a block basis (``enumerate_basis`` with ``leaves``), only the
-    block's configurations are run (``_link_configs``), and the rows are
-    the block's rows over its own columns.  The whole cell's exact
-    configuration count is checked against ``max_configs`` before the
-    first row; a block is not capped.  With ``provenance`` false the rows
-    carry no description.
+    The configurations run are those of the slice of the space the basis
+    spans (``_link_configs``): on a block basis (``leaves``) the block's,
+    whose rows are the block's rows over its own columns.  The exact
+    configuration count of the whole degree-d cell of the basis's space
+    is checked against ``max_configs`` (``bases.check_cell``) before
+    anything is listed, and then that the basis is of that degree; a
+    block is not capped.  With ``provenance`` false the rows carry no
+    description.
     """
-    leaves = basis.spec.leaves
-    if leaves is None:
-        total = count_link_configs(k, d, mode)
-        if total > max_configs:
-            raise CapacityError(f"{total} link configurations exceed the cap {max_configs}")
+    spec = basis.spec
+    if spec.leaves is None:
+        # the degree-d cell of the basis's space
+        check_cell(replace(spec, mode=mode, k=k, param=spec.param + d - spec.degree),
+                   max_rows=max_configs)
+    if (spec.mode, spec.k, spec.degree) != (mode, k, d):
+        raise DomainError(f"basis does not match degree {d} on {k} colors in {mode.value} mode")
     index = basis.index
     rows = _RowSet()
-    for marked, rests in _link_configs(k, d, mode, leaves):
+    for marked, rests in _link_configs(spec):
         for rest, hosts in rests:
             rows.add_entries(
                 _link_row(marked, hosts, index, mode),
@@ -400,27 +383,31 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
     return rows.emit()
 
 
-def _link_configs(k: int, d: int, mode: Mode, leaves: Optional[tuple[int, ...]]
+def _link_configs(spec: BasisSpec
                   ) -> Iterator[tuple[bytes, list[tuple[tuple[bytes, ...], dict]]]]:
-    """(marked tree, rest forests) of the link configurations, by
-    marked-tree degree, each rest forest with its ``_rest_hosts``, found
-    once for every marked tree that meets it.
+    """(marked tree, rest forests) of the link configurations of the
+    slice ``spec`` names, by marked-tree degree, each rest forest with
+    its ``_rest_hosts``, found once for every marked tree that meets it.
 
-    The whole cell pairs every marked tree with every forest of the
-    remaining degree.  A row's terms all have the leaves of the rest
-    forest plus those of the expression hanging off the leg, so a block
-    with leaf multiset M takes each marked tree whose expression leaves E
-    fit in M, with the forests of leaf multiset M - E
+    Grafting a marked tree onto a rest forest merges it into one of the
+    rest's trees, so the rests have the slice's c components and the
+    marked trees degree 1 to d - c, one less than the largest tree
+    (``BasisSpec.largest_tree``).  The whole cell pairs every marked
+    tree with every forest of c components and the remaining degree.  A
+    row's terms all have the leaves of the rest forest plus those of the
+    expression hanging off the leg, so a block with leaf multiset M (and
+    L - d components on L = |M| leaves) takes each marked tree whose
+    expression leaves E fit in M, with the forests of leaf multiset M - E
     (``_marked_groups``), and skips the marked trees whose leg colour is
-    not in M - E: their rows are empty.  A rest forest of degree d - dm
-    holds at most 2(d - dm) leaves, so on L = |M| leaves the marked trees
-    go up to degree 2d - L.  The block's rest forests share one
-    ``_strut_multisets`` memo.
+    not in M - E: their rows are empty.  The block's rest forests share
+    one ``_strut_multisets`` memo.
     """
+    k, d, mode, leaves = spec.k, spec.degree, spec.mode, spec.leaves
     memo: dict = {}
-    for dm in range(1, (d if leaves is None else 2 * d - sum(leaves)) + 1):
+    for dm in range(1, spec.largest_tree):
         if leaves is None:
-            rests = [(rest, _rest_hosts(rest)) for rest in forest_encodings(k, d - dm, mode)]
+            rests = [(rest, _rest_hosts(rest))
+                     for rest in forest_encodings(k, d - dm, mode, components=spec.components)]
             for marked in marked_trees(k, dm, mode):
                 yield marked, rests
             continue
@@ -440,29 +427,8 @@ def _link_configs(k: int, d: int, mode: Mode, leaves: Optional[tuple[int, ...]]
 def _marked_groups(k: int, deg: int, mode: Mode) -> tuple[
         tuple[tuple[int, ...], tuple[bytes, ...]], ...]:
     """``marked_trees`` grouped by the leaf vector of the expression
-    hanging off the leg (``leaf_vector``), as (vector, marked trees)
-    pairs, the trees in their order."""
-    groups: dict[tuple[int, ...], list[bytes]] = {}
-    for marked in marked_trees(k, deg, mode):
-        groups.setdefault(leaf_vector(marked[1:], k), []).append(marked)
-    return tuple((vec, tuple(group)) for vec, group in groups.items())
-
-
-def count_link_configs(k: int, d: int, mode: Mode) -> int:
-    """Raw configuration count behind link_relations: marked trees of
-    each degree dm times the forests of the remaining degree.
-
-    A homotopy tree has distinct leaf colors, so each of its deg + 1
-    leaves marks a different marked tree; concordance mode counts
-    ``marked_trees``.
-    """
-    def marked(dm: int) -> int:
-        if mode is Mode.HOMOTOPY:
-            return (dm + 1) * tree_count(k, dm, mode)
-        return len(marked_trees(k, dm, mode))
-
-    forests = forest_counts(k, d - 1, mode)
-    return sum(marked(dm) * forests[d - dm] for dm in range(1, d + 1))
+    hanging off the leg (``bases._leaf_groups``)."""
+    return _leaf_groups(marked_trees(k, deg, mode), k, skip=1)
 
 
 def _rewire(comp: TreeComponent, u: int, v: int,
@@ -514,9 +480,12 @@ def ihx_relations(k: int, d: int, mode: Mode, basis: Basis,
     The rewiring happens inside one component, so the canonical I, H and
     X terms of a component encoding are computed once while it stays in
     ``_ihx_terms``' cache, and each term's column is looked up with the
-    diagram's other components.
+    diagram's other components.  A basis whose trees stay below degree 3
+    (``BasisSpec.largest_tree``) has no internal edge and is not scanned.
     With ``provenance`` false the rows carry no description.
     """
+    if basis.spec.largest_tree < 3:
+        return []
     index = basis.index
     rows = _RowSet()
     for col, element in enumerate(basis.elements):
@@ -540,7 +509,10 @@ def ihx_relations(k: int, d: int, mode: Mode, basis: Basis,
 
 def count_ihx_instances(basis: Basis) -> int:
     """Internal edges over all basis diagrams: a component with t >= 1
-    trivalent vertices (node bytes) has t - 1 of them."""
+    trivalent vertices (node bytes) has t - 1 of them, and a basis whose
+    trees stay below degree 3 has none (``ihx_relations``)."""
+    if basis.spec.largest_tree < 3:
+        return 0
     return sum(max(encoding_trivalent_count(part) - 1, 0)
                for element in basis.elements
                for part in component_encodings(element.encoding))

@@ -24,6 +24,7 @@ from strutforge.diagrams import (
     canonicalize_component,
     decode_component,
     decode_diagram,
+    diagram_encoding,
     encoding_leaf_colors,
 )
 from strutforge.errors import CapacityError, DomainError
@@ -211,6 +212,22 @@ class TestForests:
             for comp in forest:
                 cols = [c for c in comp.colors if c > 0]
                 assert comp.degree >= 1
+
+    @pytest.mark.parametrize("mode,k,d", [(H, 4, 5), (H, 5, 4), (C, 3, 4), (C, 2, 5)])
+    def test_component_slice_is_the_filtered_listing(self, mode, k, d):
+        whole = list(forest_encodings(k, d, mode))
+        for c in range(d + 2):
+            assert list(forest_encodings(k, d, mode, components=c)) == \
+                [forest for forest in whole if len(forest) == c], c
+
+    def test_y_cell_is_the_slice_of_n_plus_one_components(self):
+        for mode, k, n in ((H, 5, 2), (C, 3, 3)):
+            spec = BasisSpec(mode, k, "y", n)
+            assert (spec.degree, spec.components, spec.largest_tree) == (n + 2, n + 1, 2)
+            sliced = {diagram_encoding(forest) for forest in forest_encodings(
+                k, n + 2, mode) if len(forest) == n + 1}
+            assert [cd.encoding for cd in enumerate_y_basis(k, n, mode).elements] == \
+                sorted(sliced)
 
 
 class TestForestCount:

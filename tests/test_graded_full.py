@@ -23,6 +23,7 @@ import strutforge.bases as bases
 import strutforge.pipeline as pipeline
 import strutforge.relations as relations
 from strutforge.bases import (
+    BasisSpec,
     enumerate_basis,
     forest_count,
     forest_encodings,
@@ -33,7 +34,7 @@ from strutforge.bases import (
 )
 from strutforge.diagrams import Mode
 from strutforge.pipeline import build_relations, compute_dimension
-from strutforge.relations import link_relations
+from strutforge.relations import count_ihx_instances, ihx_relations, link_relations
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
@@ -89,6 +90,25 @@ def test_blocks_partition_the_cell(cell):
     weighted = sum(orbit * len(enumerate_basis(k, d, mode, leaves=leaves))
                    for leaves, orbit in leaf_orbits(k, "full", d))
     assert weighted == len(basis) == forest_count(k, d, mode)
+
+
+@pytest.mark.parametrize("mode,k,d", [(H, 5, 4), (C, 3, 4)])
+def test_blocks_without_an_edge_skip_no_ihx_row(mode, k, d):
+    # A block on L leaves has trees of degree at most 2d - L + 1; below 3
+    # there is no internal edge and its columns are not scanned.  The
+    # same columns under the whole cell's spec are scanned one by one.
+    skipped = 0
+    for leaves, _ in leaf_orbits(k, "full", d):
+        block = enumerate_basis(k, d, mode, leaves=leaves)
+        scanned = dataclasses.replace(block, spec=BasisSpec(mode, k, "full", d))
+        ihx = ihx_relations(k, d, mode, scanned)
+        assert ihx_relations(k, d, mode, block) == ihx, leaves
+        rows = {row.entries for row in link_relations(k, d, mode, block) + ihx}
+        built, instances = build_relations(mode, "full", k, d, block)
+        assert ([row.entries for row in built], instances) == \
+            (sorted(rows), count_ihx_instances(scanned)), leaves
+        skipped += 2 * d - sum(leaves) + 1 < 3 and len(block) > 0
+    assert skipped
 
 
 def test_ihx_instances_are_counted_once_per_block(monkeypatch):

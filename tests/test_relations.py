@@ -126,6 +126,11 @@ class TestCountEffectiveRelations:
         with pytest.raises(CapacityError):
             count_effective_relations(9, 50)
 
+    @pytest.mark.parametrize("k,n", [(3, -1), (3, -2), (0, 0), (100, 1)])
+    def test_domain_is_checked_first(self, k, n):
+        with pytest.raises(DomainError):
+            count_effective_relations(k, n)
+
 
 class TestLinkRelations:
     def test_contains_the_y_killing_row(self):
@@ -133,6 +138,10 @@ class TestLinkRelations:
         rows = link_relations(3, 2, H, basis)
         y_col = basis.index[canonicalize(diagram([y_tree(1, 2, 3)], H, 3)).encoding]
         assert any(row.entries == ((y_col, 1),) for row in rows)
+
+    def test_basis_must_match_the_degree(self):
+        with pytest.raises(DomainError, match="basis does not match"):
+            link_relations(4, 3, H, enumerate_basis(4, 2, H))
 
     def test_unmatched_color_emits_nothing(self):
         # Degree 1: the only legs live on the marked strut itself.

@@ -5,10 +5,11 @@ end of the special strut above each same-colored rest-strut end with
 ``PreGraftConfig``, canonicalizes each term, and looks it up in the basis.
 ``strutforge.relations`` builds each row with the link-row builder the
 full space uses (``_link_row``), the special strut (a, c*) as the marked
-strut ``bytes((c, a))``; ``_y_link_configs`` must give the oracle's rows
-and attachment targets, configuration by configuration, and the
-``relations`` dump its lines.  The single-Y blocks take the full space's
-rows, checked against the whole cell in ``test_y_graded.py``.
+strut ``bytes((c, a))``; ``iter_y_link_rows`` must give the oracle's rows,
+provenance and attachment targets, configuration by configuration and in
+its order, and the ``relations`` dump its lines.  The single-Y blocks
+take the full space's rows, checked against the whole cell in
+``test_y_graded.py``.
 """
 
 import functools
@@ -27,8 +28,8 @@ from strutforge.diagrams import (
     y_tree,
 )
 from strutforge.relations import (
-    _y_link_configs,
     count_effective_relations,
+    iter_y_link_rows,
     y_link_config_count,
     y_link_relations,
 )
@@ -65,11 +66,11 @@ def oracle_cell(k, n, mode):
 
 def assert_matches_oracle(k, n, mode):
     basis, oracle = oracle_cell(k, n, mode)
-    closed = list(_y_link_configs(k, n, mode, basis))
-    assert len(closed) == len(oracle) == y_link_config_count(k, n, mode)
-    for (a, c, rest, entries, targets), (config, row, oracle_targets) in zip(closed, oracle):
-        assert (a, c, rest) == config
-        assert (entries, targets) == (row.entries, oracle_targets), config
+    dumped = list(iter_y_link_rows(k, n, mode, basis))
+    assert len(dumped) == len(oracle) == y_link_config_count(k, n, mode)
+    for (row, targets), (config, oracle_row, oracle_targets) in zip(dumped, oracle):
+        assert (row.entries, row.provenance, targets) == \
+            (oracle_row.entries, oracle_row.provenance, oracle_targets), config
     deduped = sorted({row.normalized().entries for _, row, _ in oracle if row.entries})
     assert [row.entries for row in y_link_relations(k, n, mode, basis)] == deduped
 
@@ -107,6 +108,9 @@ class TestClosedFormRows:
 
     def test_homotopy_five_colors_three_struts(self):
         assert_matches_oracle(5, 3, H)
+
+    def test_concordance_three_colors_one_strut(self):
+        assert_matches_oracle(3, 1, C)
 
     def test_relations_dump_matches_oracle(self):
         basis, oracle = oracle_cell(4, 1, H)

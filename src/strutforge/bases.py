@@ -4,15 +4,15 @@ Every basis is a slice of one forest space, named by a ``BasisSpec``: a
 degree d and a component count.  A single-Y cell at n struts is the
 slice of degree n + 2 with n + 1 components, whose forests are one Y
 and n struts; a full cell is its degree with any component count.  Trees
-are generated on encodings: a tree marked at one leaf is a
-leaf color plus a canonical rooted expression built bottom-up from
-strictly ordered sibling pairs, so marked trees need no dedup, and the
-unmarked trees are the canonical forms of the marked ones.  Forests are
-multisets of nonzero trees, listed as tuples of component encodings by
-one generator (``forest_encodings``); a basis element joins them sorted.
-The exact size and configuration count of a whole cell are checked
-against the caps in one place (``check_cell``) before anything is
-listed.
+are generated on encodings: a tree marked at one leaf is a leaf color
+plus a canonical rooted expression built bottom-up from strictly ordered
+sibling pairs, so marked trees need no dedup, and an unmarked tree is
+its marked encoding at a least-colour leaf with the least expression.
+Forests are multisets of nonzero trees, listed as tuples of component
+encodings by one generator (``forest_encodings``); a basis element joins
+them sorted.  The exact size and configuration count of a whole cell are
+checked against the caps in one place (``check_cell``) before anything
+is listed.
 
 Both spaces split into blocks, one per leaf-colour multiset M (the
 number of leaves of each colour over all components).  A block of
@@ -154,24 +154,27 @@ def marked_encodings(k: int, deg: int, mode: Mode) -> Iterator[bytes]:
                 yield bytes([c]) + expr
 
 
-@lru_cache(maxsize=None)
 def tree_components(k: int, deg: int, mode: Mode) -> tuple[TreeComponent, ...]:
     """Concrete canonical representatives of all nonzero trees of one
     degree, in encoding order.
 
-    Every rooting of a nonzero tree at a leaf is a marked encoding, since
-    a rooting with equal siblings already makes the tree zero, so the
-    canonical forms of the marked encodings are all of them.
+    A tree's canonical encoding is its marked encoding at a least-colour
+    leaf with the least expression, so only the marked encodings whose
+    leg colour is their least colour are candidates.  When the leg's
+    colour is below every colour of its expression, that rooting is the
+    tree's only candidate, and the encoding is canonical and nonzero as it
+    stands: every homotopy tree is of this kind.  A concordance tree
+    whose least colour repeats is kept at the rooting its canonical form
+    names, with sign +1.  ``marked_encodings`` yields in encoding order.
     """
     check_num_colors(k)
     if deg < 1:
         raise DomainError(f"tree degree must be >= 1, got {deg}")
-    encodings = set()
-    for marked in marked_encodings(k, deg, mode):
-        enc, sign = canonicalize_component(decode_component(marked), mode)
-        if sign != 0:
-            encodings.add(enc)
-    return tuple(decode_component(enc) for enc in sorted(encodings))
+    return tuple(
+        decode_component(marked) for marked in marked_encodings(k, deg, mode)
+        if marked[0] < min(marked[1:])
+        or (marked[0] == min(marked[1:])
+            and canonicalize_component(decode_component(marked), mode) == (marked, 1)))
 
 
 def enumerate_trees(k: int, deg: int, mode: Mode,
@@ -215,10 +218,10 @@ def tree_count(k: int, deg: int, mode: Mode) -> int:
     In homotopy mode a nonzero tree has ``deg + 1`` distinct leaf colors,
     so it has no symmetry and is never zero: C(k, deg + 1) color sets
     times (2 deg - 3)!! trivalent shapes on labeled leaves.  Concordance
-    mode counts ``tree_components``.
+    mode counts ``tree_encodings``.
     """
     if mode is not Mode.HOMOTOPY:
-        return len(tree_components(k, deg, mode))
+        return len(tree_encodings(k, deg, mode))
     check_num_colors(k)
     if deg < 1:
         raise DomainError(f"tree degree must be >= 1, got {deg}")

@@ -69,7 +69,7 @@ from .bases import (
     count_link_configs,  # re-exported: the count behind link_relations
     forest_encodings,
     marked_encodings,
-    y_link_config_count,
+    y_link_config_count,  # re-exported: the count behind y_link_relations
 )
 from .diagrams import (
     _NODE,
@@ -88,7 +88,7 @@ from .diagrams import (
     strut_encoding,
     y_encoding,
 )
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .records import DEFAULT_MAX_ROWS
 
 
@@ -244,12 +244,10 @@ def count_effective_relations(k: int, n: int,
     on at least one rest strut, the rest being the overcounted relations
     that attach nowhere.  With s = C(k, 2) strut types, k - 1 of which
     carry a given color, nonempty = k(k-1) [C(s+n, n+1) - C(s-(k-1)+n, n+1)].
-    The colour and strut counts are checked first (``BasisSpec``).
+    The cell's domain and ``max_configs`` are checked first, as for a
+    ``dim`` of it (``bases.check_cell``).
     """
-    BasisSpec(Mode.HOMOTOPY, k, "y", n)
-    raw = y_link_config_count(k, n, Mode.HOMOTOPY)
-    if raw > max_configs:
-        raise CapacityError(f"{raw} configurations exceed the cap {max_configs}")
+    _, raw = check_cell(BasisSpec(Mode.HOMOTOPY, k, "y", n), max_rows=max_configs)
     avoiding = math.comb(math.comb(k, 2) - (k - 1) + n, n + 1)
     return raw, raw - k * (k - 1) * avoiding
 
@@ -450,17 +448,16 @@ def ihx_instances(comp: TreeComponent) -> Iterator[tuple[TreeComponent, TreeComp
     With the four subtrees read cyclically after the edge as (A, B) at one
     end and (C, D) at the other, the Jacobi identity gives
     I(A,B|C,D) - H(A,C|B,D) + X(B,C|A,D) = 0 under this package's
-    orientation conventions.
+    orientation conventions.  The I term hangs each subtree where it
+    already was, so it is ``comp`` itself.
     """
     for u, v in comp.internal_edges():
         iu = comp.adj[u].index(v)
         a, b = comp.adj[u][(iu + 1) % 3], comp.adj[u][(iu + 2) % 3]
         jv = comp.adj[v].index(u)
         c, d = comp.adj[v][(jv + 1) % 3], comp.adj[v][(jv + 2) % 3]
-        term_i = _rewire(comp, u, v, (a, b), (c, d))
-        term_h = _rewire(comp, u, v, (a, c), (b, d))
-        term_x = _rewire(comp, u, v, (b, c), (a, d))
-        yield term_i, term_h, term_x
+        yield (comp, _rewire(comp, u, v, (a, c), (b, d)),
+               _rewire(comp, u, v, (b, c), (a, d)))
 
 
 @lru_cache(maxsize=1 << 14)

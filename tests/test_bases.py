@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from strutforge import bases
 from strutforge.bases import (
     BasisSpec,
     enumerate_basis,
@@ -50,7 +51,7 @@ def brute_force_y_encodings(k, n, mode):
 
 # (mode, largest k, largest degree) cells where the generator must equal
 # the brute-force oracle.
-ORACLE_GRID = ((H, 6, 4), (C, 6, 3), (C, 4, 4))
+ORACLE_GRID = ((H, 6, 4), (C, 6, 3), (C, 4, 4), (C, 2, 5))
 
 
 class TestTreeGeneratorOracle:
@@ -68,6 +69,40 @@ class TestTreeGeneratorOracle:
                 assert len(marked_keys(generated)) == len(generated), (k, deg)
                 assert marked_keys(generated) == \
                     marked_keys(brute_force.marked_trees(k, deg, mode)), (k, deg)
+
+
+class TestTreeListing:
+    """``tree_components`` keeps the marked encodings whose leg colour is
+    their least colour, and canonicalizes only those whose least colour
+    repeats in the expression."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = bases.canonicalize_component
+
+        def spy(comp, mode):
+            calls.append(comp)
+            return real(comp, mode)
+
+        monkeypatch.setattr(bases, "canonicalize_component", spy)
+        return calls
+
+    def test_homotopy_trees_are_not_canonicalized(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for k in range(1, 8):
+            for deg in range(1, 6):
+                tree_components(k, deg, H)
+        assert calls == []
+
+    @pytest.mark.parametrize("k,deg", [(1, 1), (2, 5), (3, 4), (4, 4), (5, 3)])
+    def test_concordance_canonicalizes_a_repeated_least_colour_once(
+            self, monkeypatch, k, deg):
+        calls = self.spy(monkeypatch)
+        tree_components(k, deg, C)
+        repeated = [marked for marked in bases.marked_encodings(k, deg, C)
+                    if min(marked) == marked[0] and marked[0] in marked[1:]]
+        assert repeated and calls == [decode_component(marked) for marked in repeated]
 
 
 class TestEnumerateTrees:

@@ -1,9 +1,10 @@
 import pytest
 
-from strutforge.bases import enumerate_basis, enumerate_y_basis
+from strutforge.bases import enumerate_basis, enumerate_y_basis, tree_components
 from strutforge.diagrams import (
     Mode,
     canonicalize,
+    canonicalize_component,
     decode_component,
     decode_diagram,
     diagram,
@@ -15,9 +16,11 @@ from strutforge.diagrams import (
 from strutforge.errors import CapacityError, DomainError
 from strutforge.relations import (
     RelationRow,
+    _rewire,
     count_effective_relations,
     count_ihx_instances,
     expand_along,
+    ihx_instances,
     ihx_relations,
     iter_y_link_rows,
     link_relations,
@@ -260,6 +263,24 @@ class TestIhxRelations:
             "017e037e0204": -1,
             "017e047e0203": 1,
         }
+
+    def test_i_term_is_the_component(self):
+        # Rewiring an internal edge with its own four subtrees, the I
+        # term, rebuilds the tree, so ``ihx_instances`` yields ``comp``.
+        for mode in (H, C):
+            for k in range(3, 6):
+                for deg in range(3, 6):
+                    for comp in tree_components(k, deg, mode):
+                        own = canonicalize_component(comp, mode)
+                        assert own[1] == 1
+                        for u, v in comp.internal_edges():
+                            iu, jv = comp.adj[u].index(v), comp.adj[v].index(u)
+                            at_u = (comp.adj[u][(iu + 1) % 3], comp.adj[u][(iu + 2) % 3])
+                            at_v = (comp.adj[v][(jv + 1) % 3], comp.adj[v][(jv + 2) % 3])
+                            rewired = _rewire(comp, u, v, at_u, at_v)
+                            assert canonicalize_component(rewired, mode) == own, \
+                                (mode, k, deg, comp, u, v)
+                        assert all(term_i is comp for term_i, _, _ in ihx_instances(comp))
 
     def test_one_relation_per_color_quadruple(self):
         basis = enumerate_basis(5, 3, H)

@@ -15,6 +15,7 @@ take the full space's rows, checked against the whole cell in
 import functools
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from strutforge.bases import enumerate_y_basis, tree_components
@@ -27,6 +28,7 @@ from strutforge.diagrams import (
     y_encoding,
     y_tree,
 )
+from strutforge.errors import DomainError
 from strutforge.relations import (
     count_effective_relations,
     iter_y_link_rows,
@@ -123,7 +125,10 @@ class TestClosedFormRows:
 
 
 def test_effective_count_matches_enumeration():
-    for k in range(1, 7):
+    for k, n in itertools.product((1, 2), range(3)):
+        with pytest.raises(DomainError, match="needs k >= 3"):
+            count_effective_relations(k, n)
+    for k in range(3, 7):
         pairs = list(itertools.combinations(range(1, k + 1), 2))
         for n in range(3):
             configs = [(c, rest) for a in range(1, k + 1) for c in range(1, k + 1)

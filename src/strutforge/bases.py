@@ -32,7 +32,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -48,25 +47,31 @@ from .diagrams import (
     decode_diagram,
     diagram_encoding,
 )
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, Value, _set
 from .records import DEFAULT_MAX_ELEMENTS
 
 
-@dataclass(frozen=True)
-class BasisSpec:
+class BasisSpec(Value):
     """Which space a basis spans: the single-Y subspace with ``param``
     struts, or the full space of forests of degree ``param``; each is
     the slice of the forests of degree ``degree`` with ``components``
     trees.  A basis with ``leaves`` spans only the block of diagrams with
     that leaf-colour multiset: ``leaves[i - 1]`` leaves of colour i."""
 
+    __slots__ = ("mode", "k", "space", "param", "leaves")
     mode: Mode
     k: int
     space: str  # "y" or "full"
     param: int
-    leaves: Optional[tuple[int, ...]] = None
+    leaves: Optional[tuple[int, ...]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, mode: Mode, k: int, space: str, param: int,
+                 leaves: Optional[tuple[int, ...]] = None) -> None:
+        _set(self, "mode", mode)
+        _set(self, "k", k)
+        _set(self, "space", space)
+        _set(self, "param", param)
+        _set(self, "leaves", leaves)
         check_num_colors(self.k)
         if self.space not in ("y", "full"):
             raise DomainError(f"space must be 'y' or 'full', got {self.space!r}")
@@ -100,14 +105,20 @@ class BasisSpec:
         return self.degree - (self.components or 1) + 1
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Value, compared=("spec", "elements"), shown=("spec", "elements")):
     """Ordered basis elements (all sign +1 representatives) plus the
-    encoding -> column index map."""
+    encoding -> column index map, which == and repr skip."""
 
+    __slots__ = ("spec", "elements", "index")
     spec: BasisSpec
     elements: tuple[CanonicalDiagram, ...]
-    index: dict[bytes, int] = field(compare=False, repr=False)
+    index: dict[bytes, int]
+
+    def __init__(self, spec: BasisSpec, elements: tuple[CanonicalDiagram, ...],
+                 index: dict[bytes, int]) -> None:
+        _set(self, "spec", spec)
+        _set(self, "elements", elements)
+        _set(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -10,8 +10,9 @@ parses the arguments, runs one command and exits with
   a closed stdout;
 - 2 for a usage error, after the usage line and ``Error: <message>`` on
   stderr: an unknown option (abbreviations are refused too), a bad
-  choice, integer, prime list or range, a missing ``--n``/``--degree``,
-  or an ``--out`` that names a directory.  Each is refused before any
+  choice, integer, prime list or range, a negative ``--max-basis`` or
+  ``--max-rows``, a missing ``--n``/``--degree``, or an ``--out`` that
+  names a directory.  Each is refused before any
   work.
 """
 
@@ -104,6 +105,16 @@ def _parse_range(value: str) -> list[int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be 'lo:hi' or a comma list, got {value!r}") from None
+
+
+def _cap(value: str) -> int:
+    try:
+        cap = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be >= 0, got {cap}")
+    return cap
 
 
 def _out_file(value: str) -> str:
@@ -388,9 +399,10 @@ def _parser(prog: str, command_name: Optional[str]) -> _Parser:
             default=",".join(map(str, DEFAULT_PRIMES)))
         arg("--cache-dir", metavar="TEXT",
             help="Cache directory (else $STRUTFORGE_CACHE_DIR, else ./cache).")
-        arg("--max-basis", default=DEFAULT_MAX_ELEMENTS, help="Basis size guard.", **_INT)
-        arg("--max-rows", default=DEFAULT_MAX_ROWS,
-            help="Relation configuration guard.", **_INT)
+        arg("--max-basis", type=_cap, metavar="INTEGER", default=DEFAULT_MAX_ELEMENTS,
+            help="Basis size guard (>= 0).")
+        arg("--max-rows", type=_cap, metavar="INTEGER", default=DEFAULT_MAX_ROWS,
+            help="Relation configuration guard (>= 0).")
 
     arg = command(cmd_count)
     arg("--k", required=True, help="Number of colors.", **_INT)

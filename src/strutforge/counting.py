@@ -9,10 +9,9 @@ decides when relations must outnumber diagrams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NoCrossingError
+from .errors import DomainError, NoCrossingError, Value, _set
 
 
 def u(n: int, k: int) -> int:
@@ -73,16 +72,25 @@ def existence_bound(n: int, k: int) -> int:
     return u(n, k) - r(n, k)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Value):
     """Exact counts for one (n, k) cell."""
 
+    __slots__ = ("n", "k", "u", "r", "ratio", "existence_bound")
     n: int
     k: int
     u: int
     r: int
     ratio: Fraction
     existence_bound: int
+
+    def __init__(self, n: int, k: int, u: int, r: int, ratio: Fraction,
+                 existence_bound: int) -> None:
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "u", u)
+        _set(self, "r", r)
+        _set(self, "ratio", ratio)
+        _set(self, "existence_bound", existence_bound)
 
     @property
     def invariant_type(self) -> int:

@@ -11,11 +11,10 @@ negative, i.e. the zero vector of the diagram space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, Value, _set
 from .records import Mode
 
 # Colors fit in one byte well below the structural marker bytes.
@@ -42,8 +41,7 @@ def check_num_colors(k: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class TreeComponent:
+class TreeComponent(Value):
     """One tree of a diagram.
 
     ``adj[v]`` lists the neighbors of vertex ``v``; for a trivalent vertex
@@ -51,10 +49,13 @@ class TreeComponent:
     color, or 0 for trivalent vertices.
     """
 
+    __slots__ = ("adj", "colors")
     adj: tuple[tuple[int, ...], ...]
     colors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, adj: tuple[tuple[int, ...], ...], colors: tuple[int, ...]) -> None:
+        _set(self, "adj", adj)
+        _set(self, "colors", colors)
         n = len(self.adj)
         if n != len(self.colors):
             raise StructuralError("adjacency and color tables differ in length")
@@ -155,8 +156,8 @@ def _built_component(adj: tuple[tuple[int, ...], ...],
     are a tree by construction: a parsed encoding, or a splice or
     rewiring of valid components."""
     comp = object.__new__(TreeComponent)
-    object.__setattr__(comp, "adj", adj)
-    object.__setattr__(comp, "colors", colors)
+    _set(comp, "adj", adj)
+    _set(comp, "colors", colors)
     return comp
 
 
@@ -174,20 +175,25 @@ def y_tree(a: int, b: int, c: int) -> TreeComponent:
     return TreeComponent(((3,), (3,), (3,), (0, 1, 2)), (a, b, c, 0))
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Value):
     """A multiset of tree components with a mode tag and a color bound.
 
     The zero diagram (the zero vector of the space) is represented
     explicitly by ``is_zero`` with an empty component tuple.
     """
 
+    __slots__ = ("components", "mode", "k", "is_zero")
     components: tuple[TreeComponent, ...]
     mode: Mode
     k: int
-    is_zero: bool = False
+    is_zero: bool
 
-    def __post_init__(self) -> None:
+    def __init__(self, components: tuple[TreeComponent, ...], mode: Mode, k: int,
+                 is_zero: bool = False) -> None:
+        _set(self, "components", components)
+        _set(self, "mode", mode)
+        _set(self, "k", k)
+        _set(self, "is_zero", is_zero)
         check_num_colors(self.k)
         if self.is_zero:
             if self.components:
@@ -207,18 +213,29 @@ def diagram(components: Iterable[TreeComponent], mode: Mode, k: int) -> Diagram:
     return Diagram(tuple(components), mode, k)
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalDiagram:
+@total_ordering
+class CanonicalDiagram(Value):
     """Isomorphism-invariant encoding plus the antisymmetry sign.
 
     Encodings compare as raw bytes, giving the strict total order used for
-    basis indexing.  ``sign`` is 0 exactly for diagrams equal to their own
-    negative (or killed by the homotopy repeated-color rule); such
-    diagrams encode as the empty byte string.
+    basis indexing; values order by (encoding, sign).  ``sign`` is 0
+    exactly for diagrams equal to their own negative (or killed by the
+    homotopy repeated-color rule); such diagrams encode as the empty byte
+    string.
     """
 
+    __slots__ = ("encoding", "sign")
     encoding: bytes
     sign: int
+
+    def __init__(self, encoding: bytes, sign: int) -> None:
+        _set(self, "encoding", encoding)
+        _set(self, "sign", sign)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not CanonicalDiagram:
+            return NotImplemented
+        return (self.encoding, self.sign) < (other.encoding, other.sign)
 
     @property
     def is_zero(self) -> bool:

@@ -18,22 +18,23 @@ kept alongside as the small-matrix oracle.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, UnluckyPrimeError
+from .errors import DomainError, UnluckyPrimeError, Value, _set
 from .records import DEFAULT_PRIMES, PRIME_POOL, is_prime
 from .relations import RelationRow
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(Value):
     """Relation rows over a fixed column count."""
 
+    __slots__ = ("rows", "num_cols")
     rows: tuple[RelationRow, ...]
     num_cols: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: tuple[RelationRow, ...], num_cols: int) -> None:
+        _set(self, "rows", rows)
+        _set(self, "num_cols", num_cols)
         if self.num_cols < 0:
             raise DomainError("num_cols must be >= 0")
         for row in self.rows:
@@ -48,16 +49,22 @@ class SparseMatrix:
         return max((abs(v) for row in self.rows for _, v in row.entries), default=0)
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(Value):
+    __slots__ = ("rank", "primes", "agreement", "quotient_dim", "certified")
     rank: int
     primes: tuple[int, ...]
     agreement: bool
     quotient_dim: int
     # True when the rank meets rank_bound, which proves it exact over Q.
-    certified: bool = False
+    certified: bool
 
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, primes: tuple[int, ...], agreement: bool,
+                 quotient_dim: int, certified: bool = False) -> None:
+        _set(self, "rank", rank)
+        _set(self, "primes", primes)
+        _set(self, "agreement", agreement)
+        _set(self, "quotient_dim", quotient_dim)
+        _set(self, "certified", certified)
         if self.rank < 0 or self.quotient_dim < 0:
             raise DomainError("rank and quotient dimension must be >= 0")
 

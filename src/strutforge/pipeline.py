@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import time
-from datetime import datetime, timezone
 from typing import Iterator, Optional, Sequence
 
 from .bases import (
@@ -161,7 +160,9 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
     configurations plus the weighted IHX instances of its blocks.  The
     cell is certified when every block is, and ``primes`` is every prime
     a block's rank came from, in first-use order: ``primes[:1]`` when
-    every block certified on the first prime.
+    every block certified on the first prime.  The record's
+    ``timestamp`` is the finishing time in UTC to the second, as
+    ``2026-10-19T12:01:30+00:00``.
     """
     if len(set(primes)) < 2:
         raise DomainError("need at least two distinct primes")
@@ -186,7 +187,7 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
         num_relations_effective=num_rows, rank=rank,
         quotient_dim=cols - rank, primes=tuple(used) or tuple(primes[:1]),
         elapsed_ms=elapsed_ms, tool_version=TOOL_VERSION,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         certified=certified,
     )
 

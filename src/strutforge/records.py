@@ -1,15 +1,21 @@
 """Result records, the run defaults and the result cache: everything a
 cache hit needs, and nothing of the engine.
 
-A cell's dimension is an immutable ResultRecord.  Records are cached
-append-only in a JSON-lines file keyed by (mode, space, k, param,
-tool_version), so sweeps resume for free.  Loading the file recognises
-the lines ``ResultRecord.to_json`` writes with one regular expression,
-built from the record's fields, and parses only other lines as JSON; a
-record is decoded when a lookup serves it.  This module imports only
-``errors`` and the standard library; a ``dim`` or ``sweep`` whose every
-cell is a cache hit, and ``--version``, load no engine module.  Only a
-cache miss imports ``pipeline`` to compute the cell.
+A cell's dimension is an immutable ResultRecord, stamped with the UTC
+time it finished to the second (``2026-10-19T12:01:30+00:00``).  One
+table, ``RECORD_FIELDS``, gives each of its fields with its JSON type
+and default, and drives the record's constructor, its JSON line, the
+field check and the line pattern.  Records are cached append-only in a
+JSON-lines file keyed by (mode, space, k, param, tool_version), so
+sweeps resume for free.  Loading the file recognises the lines
+``ResultRecord.to_json`` writes with one regular expression, built from
+that table, and parses only other lines as JSON; a record is decoded
+when a lookup serves it.  This module imports only ``errors`` and the
+standard library, and neither ``dataclasses`` (with ``inspect``) nor
+``datetime``, which would add to every process.  A ``dim`` or
+``sweep`` whose every cell is a cache hit, and ``--version``, load no
+engine module.  Only a cache miss imports ``pipeline`` to compute the
+cell.
 """
 
 from __future__ import annotations
@@ -20,12 +26,11 @@ import json
 import os
 import re
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
-from .errors import CacheError, DomainError
+from .errors import CacheError, DomainError, Value, _set
 
 
 class Mode(enum.Enum):
@@ -102,34 +107,49 @@ CACHE_ENV_VAR = "STRUTFORGE_CACHE_DIR"
 CACHE_FILENAME = "results.jsonl"
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One cached dimension computation; immutable once written."""
+_REQUIRED = object()
+# Each ResultRecord field in field order: its name, the type of its value
+# in parsed JSON, and its default, ``_REQUIRED`` for none.  Records
+# written before ``certified`` existed load with its default.
+RECORD_FIELDS = (
+    ("mode", str, _REQUIRED), ("space", str, _REQUIRED), ("k", int, _REQUIRED),
+    ("param", int, _REQUIRED), ("num_diagrams", int, _REQUIRED),
+    ("num_relations_raw", int, _REQUIRED), ("num_relations_effective", int, _REQUIRED),
+    ("rank", int, _REQUIRED), ("quotient_dim", int, _REQUIRED),
+    ("primes", list, _REQUIRED), ("elapsed_ms", int, _REQUIRED),
+    ("tool_version", str, _REQUIRED), ("timestamp", str, _REQUIRED),
+    # The rank met linalg.rank_bound, which proves it exact over Q.
+    ("certified", bool, False),
+)
 
-    mode: str
-    space: str
-    k: int
-    param: int
-    num_diagrams: int
-    num_relations_raw: int
-    num_relations_effective: int
-    rank: int
-    quotient_dim: int
-    primes: tuple[int, ...]
-    elapsed_ms: int
-    tool_version: str
-    timestamp: str
-    # The rank met linalg.rank_bound, which proves it exact over Q;
-    # records written before this field existed load as False.
-    certified: bool = False
+
+class ResultRecord(Value):
+    """One cached dimension computation; immutable once written.  Its
+    fields are ``RECORD_FIELDS``, given in that order or by keyword;
+    ``primes`` is a tuple."""
+
+    __slots__ = tuple(name for name, _, _ in RECORD_FIELDS)
+
+    def __init__(self, *args: object, **values: object) -> None:
+        if len(args) > len(RECORD_FIELDS):
+            raise TypeError(f"ResultRecord takes {len(RECORD_FIELDS)} fields, got {len(args)}")
+        for name, value in zip(self.__slots__, args):
+            if name in values:
+                raise TypeError(f"ResultRecord got field {name!r} twice")
+            values[name] = value
+        for name, _, default in RECORD_FIELDS:
+            value = values.pop(name, default)
+            if value is _REQUIRED:
+                raise TypeError(f"ResultRecord missing field {name!r}")
+            _set(self, name, value)
+        if values:
+            raise TypeError(f"ResultRecord has no field {sorted(values)}")
 
     def key(self) -> tuple:
         return (self.mode, self.space, self.k, self.param, self.tool_version)
 
     def to_json(self) -> str:
-        data = asdict(self)
-        data["primes"] = list(self.primes)
-        return json.dumps(data)
+        return json.dumps({name: getattr(self, name) for name in self.__slots__})
 
     @classmethod
     def from_json(cls, line: str) -> "ResultRecord":
@@ -147,12 +167,13 @@ class ResultRecord:
         ])
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ResultRecord)}
-_FIELDS = frozenset(_FIELD_TYPES)
-_REQUIRED = _FIELDS - {"certified"}
-# The parsed JSON type of each field type, and its name in an error.
-_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
-               "bool": (bool, "a boolean"), "tuple[int, ...]": (list, "a list of integers")}
+_KIND = {name: kind for name, kind, _ in RECORD_FIELDS}
+_FIELDS = frozenset(_KIND)
+_REQUIRED_FIELDS = frozenset(name for name, _, default in RECORD_FIELDS
+                             if default is _REQUIRED)
+# Each JSON value type's name in an error.
+_KIND_NAMES = {str: "a string", int: "an integer", bool: "a boolean",
+               list: "a list of integers"}
 
 
 def _check_fields(data: object) -> None:
@@ -164,13 +185,13 @@ def _check_fields(data: object) -> None:
     if not isinstance(data, dict):
         raise ValueError(f"a JSON {type(data).__name__}, not an object")
     names = data.keys()
-    if not (_REQUIRED <= names and names <= _FIELDS):
+    if not (_REQUIRED_FIELDS <= names and names <= _FIELDS):
         raise ValueError(f"unknown fields {sorted(names - _FIELDS)} "
-                         f"and missing fields {sorted(_REQUIRED - names)}")
+                         f"and missing fields {sorted(_REQUIRED_FIELDS - names)}")
     for name, value in data.items():
-        kind, what = _JSON_TYPES[_FIELD_TYPES[name]]
+        kind = _KIND[name]
         if type(value) is not kind or (kind is list and any(type(p) is not int for p in value)):
-            raise ValueError(f"{name} not {what}")
+            raise ValueError(f"{name} not {_KIND_NAMES[kind]}")
 
 
 # The JSON of each field type as ``json.dumps`` writes it, restricted to
@@ -178,8 +199,8 @@ def _check_fields(data: object) -> None:
 # escapes or control characters, and integers of at most 18 digits, far
 # below Python's int-string limit.  ``%s`` opens the value's group.
 _INT = r"-?(?:0|[1-9][0-9]{0,17})"
-_VALUE = {"str": r'"(%s[^"\\\x00-\x1f]*)"', "int": rf"(%s{_INT})",
-          "bool": "(%strue|false)", "tuple[int, ...]": rf"(%s\[(?:{_INT}(?:, {_INT})*)?\])"}
+_VALUE = {str: r'"(%s[^"\\\x00-\x1f]*)"', int: rf"(%s{_INT})",
+          bool: "(%strue|false)", list: rf"(%s\[(?:{_INT}(?:, {_INT})*)?\])"}
 # The fields of ResultRecord.key(), which keeps them in field order.
 _KEY_FIELDS = ("mode", "space", "k", "param", "tool_version")
 
@@ -193,10 +214,10 @@ def _line_pattern() -> re.Pattern:
     text; any other line takes the full check.  Built on the first cache
     load, not at import."""
     parts = []
-    for i, f in enumerate(fields(ResultRecord)):
-        value = _VALUE[f.type] % ("" if f.name in _KEY_FIELDS else "?:")
-        part = f'{", " if i else ""}"{f.name}": {value}'
-        if f.default is not MISSING:
+    for i, (name, kind, default) in enumerate(RECORD_FIELDS):
+        value = _VALUE[kind] % ("" if name in _KEY_FIELDS else "?:")
+        part = f'{", " if i else ""}"{name}": {value}'
+        if default is not _REQUIRED:
             part = f"(?:{part})?"
         parts.append(part)
     return re.compile(r"\{%s\}" % "".join(parts))

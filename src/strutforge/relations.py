@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
@@ -88,7 +87,7 @@ from .diagrams import (
     strut_encoding,
     y_encoding,
 )
-from .errors import DomainError
+from .errors import DomainError, Value, _set
 from .records import DEFAULT_MAX_ROWS
 
 
@@ -99,16 +98,18 @@ def _normalized(entries: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], 
     return entries
 
 
-@dataclass(frozen=True)
-class RelationRow:
+class RelationRow(Value, compared=("entries",)):
     """Sparse integer vector over a basis: sorted (column, coefficient)
     pairs with no zeros, plus a description of the generating
-    configuration."""
+    configuration, which == and hash skip."""
 
+    __slots__ = ("entries", "provenance")
     entries: tuple[tuple[int, int], ...]
-    provenance: str = field(default="", compare=False)
+    provenance: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[int, int], ...], provenance: str = "") -> None:
+        _set(self, "entries", entries)
+        _set(self, "provenance", provenance)
         cols = [c for c, _ in self.entries]
         if cols != sorted(set(cols)):
             raise DomainError("row entries must be sorted by distinct column")
@@ -364,7 +365,7 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
     spec = basis.spec
     if spec.leaves is None:
         # the degree-d cell of the basis's space
-        check_cell(replace(spec, mode=mode, k=k, param=spec.param + d - spec.degree),
+        check_cell(spec.replace(mode=mode, k=k, param=spec.param + d - spec.degree),
                    max_rows=max_configs)
     if (spec.mode, spec.k, spec.degree) != (mode, k, d):
         raise DomainError(f"basis does not match degree {d} on {k} colors in {mode.value} mode")

@@ -302,6 +302,15 @@ USAGE_ERRORS = [
     (["dim", *CELL, "--primes", "7,x"], "primes must be integers: '7,x'"),
     (["dim", *CELL, "--primes", "7,9"], "9 is not a prime"),
     (["dim", *CELL, "--primes", f"7,{2**64}"], "primality is only checked below 2**64"),
+    (["dim", *CELL, "--max-basis", "-5"], "argument --max-basis: a cap must be >= 0, got -5"),
+    (["dim", *CELL, "--max-rows", "-1"], "argument --max-rows: a cap must be >= 0, got -1"),
+    (["dim", *CELL, "--max-rows", "x"], "argument --max-rows: invalid int value: 'x'"),
+    (["witness", *CELL, "--max-basis", "-1"], "argument --max-basis: a cap must be >= 0"),
+    (["witness", *CELL, "--max-rows", "-1"], "argument --max-rows: a cap must be >= 0"),
+    (["sweep", "--k-range", "3:4", "--n-range", "0:1", "--out", "s.csv", "--max-basis", "-1"],
+     "argument --max-basis: a cap must be >= 0, got -1"),
+    (["sweep", "--k-range", "3:4", "--n-range", "0:1", "--out", "s.csv", "--max-rows", "-1"],
+     "argument --max-rows: a cap must be >= 0, got -1"),
 ]
 
 
@@ -338,6 +347,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args,message", [
         (["count", "--k", "2", "--n", "0"], "u(n, k) needs k >= 3, got k=2"),
         (["dim", *CELL, "--max-basis", "10"], "24 basis elements exceed the cap 10"),
+        (["dim", *CELL, "--max-basis", "0"], "24 basis elements exceed the cap 0"),
     ])
     def test_failed_run_exits_1(self, capsys, tmp_path, args, message):
         code, out, err = run_split(capsys, args + (

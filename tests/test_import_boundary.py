@@ -2,7 +2,9 @@
 
 ``--version``, a cache-hit ``dim`` and a fully cached ``sweep`` import
 ``strutforge.records`` and no engine module; a cache miss imports the
-pipeline.  No command loads click, and no module imports it.  The
+pipeline.  No command loads click, and no module imports it.  No
+command loads ``dataclasses``, ``inspect`` or ``datetime`` beyond what a
+bare interpreter loads, and no module imports the first or the last.  The
 package exports its names lazily, every name moved into ``records`` is
 the same object under its old module, and every module attribute that
 ``perfbench/traced_op.py`` patches still resolves.  The cache's line
@@ -30,8 +32,8 @@ ENGINE = {f"strutforge.{name}" for name in
 
 # Runs the CLI as ``python -m strutforge.cli`` would, then writes the
 # strutforge modules it loaded, how many times it built the cache's line
-# pattern and whether click was loaded, to the file named by the first
-# argument.
+# pattern, whether click was loaded and every module loaded, to the file
+# named by the first argument.
 RUN_CLI = """
 import json, runpy, sys
 out, sys.argv = sys.argv[1], ["strutforge", *sys.argv[2:]]
@@ -45,7 +47,7 @@ records = sys.modules.get("strutforge.records")
 with open(out, "w") as fh:
     json.dump({"modules": sorted(m for m in sys.modules if m.startswith("strutforge")),
                "pattern_builds": records and records._line_pattern.cache_info().misses,
-               "click": "click" in sys.modules}, fh)
+               "click": "click" in sys.modules, "all": sorted(sys.modules)}, fh)
 sys.exit(code)
 """
 
@@ -92,16 +94,49 @@ def test_no_command_loads_click(tmp_path):
     assert "(cache hit)" in proc.stderr
 
 
+def imported_modules(path):
+    """The top-level names of the modules a source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def test_no_module_imports_click():
     for path in (ROOT / "src" / "strutforge").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(name.split(".")[0] == "click" for name in names), path
+        assert "click" not in imported_modules(path), path
+
+
+# Modules a command pays for at start-up without needing them: the value
+# classes are slotted classes, not dataclasses, and the record timestamp
+# comes from ``time``.
+HEAVY = {"dataclasses", "inspect", "datetime"}
+
+
+def test_no_module_imports_dataclasses_or_datetime():
+    for path in (ROOT / "src" / "strutforge").glob("*.py"):
+        assert not imported_modules(path) & {"dataclasses", "datetime"}, path
+
+
+def test_commands_load_no_dataclasses_inspect_or_datetime(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert bare.returncode == 0, bare.stderr
+    preloaded = HEAVY & set(bare.stdout.split())
+    dim = ["dim", "--space", "y", "--k", "4", "--n", "1",
+           "--cache-dir", str(tmp_path / "cache")]
+    witness = ["witness", "--space", "y", "--k", "4", "--n", "1",
+               "--out", str(tmp_path / "w.json")]
+    for args, hit in ((["--version"], False), (dim, False), (dim, True), (witness, False)):
+        run, proc = run_cli(tmp_path, *args)
+        assert ("(cache hit)" in proc.stderr) == hit, args
+        assert HEAVY & set(run["all"]) <= preloaded, args
+    assert "strutforge.pipeline" in run["modules"]
 
 
 def test_only_a_cache_load_builds_the_line_pattern(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -27,7 +26,7 @@ C = Mode.CONCORDANCE
 
 
 def strip_volatile(record):
-    return dataclasses.replace(record, elapsed_ms=0, timestamp="")
+    return record.replace(elapsed_ms=0, timestamp="")
 
 
 class TestComputeDimension:

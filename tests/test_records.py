@@ -11,7 +11,6 @@ import functools
 import json
 import pickle
 import re
-from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +21,7 @@ from strutforge import __version__, records
 from strutforge.diagrams import Mode
 from strutforge.errors import CacheError
 from strutforge.pipeline import ResultCache, ResultRecord
-from strutforge.records import _check_fields, _line_pattern
+from strutforge.records import RECORD_FIELDS, _check_fields, _line_pattern
 
 H = Mode.HOMOTOPY
 KEY = ("mode", "space", "k", "param", "tool_version")
@@ -186,10 +185,9 @@ def record_fields(draw):
     each record draws its strings from one of TEXTS and its integers from
     one of INTS."""
     ints = draw(st.sampled_from(INTS))
-    values = {"str": draw(st.sampled_from(TEXTS)), "int": ints,
-              "tuple[int, ...]": st.lists(ints, max_size=4)}
-    data = {f.name: draw(values[f.type]) for f in fields(ResultRecord)
-            if f.name != "certified"}
+    values = {str: draw(st.sampled_from(TEXTS)), int: ints, list: st.lists(ints, max_size=4)}
+    data = {name: draw(values[kind]) for name, kind, _ in RECORD_FIELDS
+            if name != "certified"}
     certified = draw(st.sampled_from([True, False, None]))
     if certified is not None:
         data["certified"] = certified
@@ -256,7 +254,8 @@ def fits(value):
 def test_the_pattern_matches_every_written_line_that_needs_no_escape(data):
     record = ResultRecord(**{**data, "primes": tuple(data["primes"])})
     match = _line_pattern().fullmatch(record.to_json())
-    values = [v for v in asdict(record).values() if not isinstance(v, (bool, tuple))]
+    values = [getattr(record, name) for name, kind, _ in RECORD_FIELDS
+              if kind in (str, int)]
     assert (match is not None) == all(map(fits, values + list(record.primes)))
     if match:
         mode, space, k, param, version = match.groups()

@@ -8,7 +8,6 @@ whole cell.  The block generators (``enumerate_y_basis`` and
 columns and rows with that leaf multiset.
 """
 
-import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -61,7 +60,7 @@ def whole_cell(mode, k, n):
 @pytest.mark.parametrize("mode,k,n", SMALL_CELLS)
 def test_graded_record_equals_ungraded(mode, k, n):
     graded = compute_dimension(mode, "y", k, n)
-    assert dataclasses.replace(graded, elapsed_ms=0, timestamp="") == \
+    assert graded.replace(elapsed_ms=0, timestamp="") == \
         dimension_ungraded(mode, "y", k, n)
 
 
@@ -95,7 +94,7 @@ def test_orbits_cover_every_leaf_multiset(k, n):
 @pytest.mark.parametrize("mode,k,n", [(C, 1, 60), (C, 2, 60), (H, 3, 60)])
 def test_small_k_large_n_equals_ungraded(mode, k, n):
     graded = compute_dimension(mode, "y", k, n)
-    assert dataclasses.replace(graded, elapsed_ms=0, timestamp="") == \
+    assert graded.replace(elapsed_ms=0, timestamp="") == \
         dimension_ungraded(mode, "y", k, n)
 
 

@@ -381,7 +381,7 @@ def _enumerate(spec: BasisSpec, max_elements: float) -> Basis:
     order.  Distinct forests have distinct sorted component encodings, so
     the whole cell is capped at ``max_elements`` on its exact size
     (``check_cell``) before any forest is listed.  A block is not capped:
-    ``pipeline.check_caps`` checks its whole cell first."""
+    ``pipeline`` checks its whole cell with ``check_cell`` first."""
     if spec.leaves is None:
         check_cell(spec, max_elements)
     return _build_basis(spec, [

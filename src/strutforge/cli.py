@@ -41,6 +41,7 @@ from .records import (
     DEFAULT_PRIMES,
     Mode,
     ResultCache,
+    csv_line,
     is_prime,
     resolve_cache_dir,
 )
@@ -93,15 +94,17 @@ def _parse_primes(value: str) -> tuple[int, ...]:
 
 
 def _parse_range(value: str) -> list[int]:
-    """Accepts 'lo:hi' (inclusive) or a comma list '3,5,9'."""
+    """Accepts 'lo:hi' (inclusive) or a comma list '3,5,9' naming at
+    least one value."""
     try:
         if ":" in value:
             lo, hi = value.split(":", 1)
-            lo_i, hi_i = int(lo), int(hi)
-            if hi_i < lo_i:
-                raise ValueError
-            return list(range(lo_i, hi_i + 1))
-        return [int(tok) for tok in value.split(",") if tok]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(tok) for tok in value.split(",") if tok]
+        if not values:
+            raise ValueError
+        return values
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be 'lo:hi' or a comma list, got {value!r}") from None
@@ -215,8 +218,8 @@ def cmd_sweep(mode: str, space: str, k_range: list[int], n_range: Optional[list[
                     fh.write(record.csv_row() + "\n")
                 except _ERRORS as exc:
                     marker = f"error:{type(exc).__name__}"
-                    fh.write(f"{mode},{space},{k},{param},,,,,{marker},,,"
-                             f"{__version__},\n")
+                    fh.write(csv_line(mode=mode, space=space, k=k, param=param,
+                                      quotient_dim=marker, tool_version=__version__) + "\n")
                     print(f"k={k} param={param}: {exc}", file=sys.stderr)
                 fh.flush()
     print(f"wrote {out}")
@@ -302,11 +305,11 @@ def cmd_relations(mode: str, space: str, k: int, n: Optional[int],
     Each dumped line is '<coeff>*<column encoding hex> ...  # <provenance>';
     the row part re-parses via RelationRow.from_dump_text.
     """
-    from . import pipeline, relations
+    from . import bases, pipeline, relations
     param = _resolve_space_param(space, n, degree)
     mode_v = _parse_mode(mode)
-    _, raw = pipeline.check_caps(mode_v, space, k, param,
-                                 max_rows=_DUMP_MAX_CONFIGS)
+    _, raw = bases.check_cell(bases.BasisSpec(mode_v, k, space, param),
+                              max_rows=_DUMP_MAX_CONFIGS)
     basis = pipeline.build_basis(mode_v, space, k, param)
     if space == "y":
         rows = [row for row, targets

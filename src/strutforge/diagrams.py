@@ -12,7 +12,7 @@ negative, i.e. the zero vector of the diagram space.
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import DomainError, StructuralError, Value, _set
 from .records import Mode
@@ -131,23 +131,6 @@ class TreeComponent(Value):
         new_adj = list(self.adj)
         new_adj[v] = tuple(reversed(self.adj[v]))
         return TreeComponent(tuple(new_adj), self.colors)
-
-    def with_color(self, v: int, color: int) -> "TreeComponent":
-        if len(self.adj[v]) != 1:
-            raise DomainError(f"vertex {v} is not a leaf")
-        new_colors = list(self.colors)
-        new_colors[v] = check_color(color)
-        return TreeComponent(self.adj, tuple(new_colors))
-
-    def relabeled(self, perm: Sequence[int]) -> "TreeComponent":
-        """The same tree with vertex ids permuted by ``perm`` (old -> new)."""
-        n = len(self.adj)
-        adj = [()] * n
-        colors = [0] * n
-        for v in range(n):
-            adj[perm[v]] = tuple(perm[u] for u in self.adj[v])
-            colors[perm[v]] = self.colors[v]
-        return TreeComponent(tuple(adj), tuple(colors))
 
 
 def _built_component(adj: tuple[tuple[int, ...], ...],

@@ -4,16 +4,16 @@ ranks and witness functionals.
 Every cell takes one path, whichever its space: a single-Y cell is the
 slice of the forests of degree n + 2 with n + 1 components
 (``bases.BasisSpec``), and its bases and rows come from the same
-generators as a full cell's.  ``check_caps`` runs the domain checks and
-the capacity guards on the cell's exact counts (``bases.check_cell``)
-before anything is listed; ``dim``, ``witness`` and ``relations`` all
-call it first.  A
-dimension run then ranks the cell block by block (one prime when a
-block's rank certifies itself, more otherwise), sums the weighted block
-counts and emits an immutable ResultRecord.  The records, the run
-defaults and the JSON-lines result cache live in ``records``, which
-imports no engine module; this module re-exports their names, and
-``ResultCache.get_or_compute`` imports it only on a cache miss.
+generators as a full cell's.  ``bases.check_cell`` runs the domain
+checks and the capacity guards on the cell's exact counts before
+anything is listed; ``dim``, ``witness`` and ``relations`` all call it
+first.  A dimension run then ranks the cell block by block (one prime
+when a block's rank certifies itself, more otherwise), sums the
+weighted block counts and emits an immutable ResultRecord.  The
+records, the run defaults and the JSON-lines result cache live in
+``records``, which imports no engine module; this module re-exports
+their names, and ``ResultCache.get_or_compute`` imports it only on a
+cache miss.
 
 No cell's relations are built whole.  Its diagrams split by leaf-colour
 multiset M, and every relation row is homogeneous in M (see
@@ -36,7 +36,6 @@ is certified when every block is.  ``witness`` reads the same blocks
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Iterator, Optional, Sequence
 
@@ -98,7 +97,7 @@ def build_relations(mode: Mode, space: str, k: int, param: int, basis: Basis,
     block's basis.
 
     The link configurations are counted once per cell, by
-    ``check_caps``; the IHX instances, one per internal edge of a
+    ``bases.check_cell``; the IHX instances, one per internal edge of a
     column, here (a single-Y basis has none).
     """
     d = BasisSpec(mode, k, space, param).degree
@@ -121,19 +120,6 @@ def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
         if p <= bound:
             raise DomainError(
                 f"prime {p} does not exceed the coefficient bound {bound} of this space")
-
-
-def check_caps(mode: Mode, space: str, k: int, param: int,
-               max_elements: float = math.inf, max_rows: float = math.inf
-               ) -> tuple[int, int]:
-    """(basis size, raw link configurations) of a cell, after its domain
-    checks and, in this order, the basis and configuration caps, all on
-    exact counts.
-
-    ``dim``, ``witness`` and ``relations`` run it before they list
-    anything (``bases.check_cell``).
-    """
-    return check_cell(BasisSpec(mode, k, space, param), max_elements, max_rows)
 
 
 def _blocks(mode: Mode, space: str, k: int, param: int) -> Iterator[
@@ -168,7 +154,7 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
         raise DomainError("need at least two distinct primes")
     _check_prime_bound(space, param, primes)
     start = time.monotonic()
-    _, raw = check_caps(mode, space, k, param, max_elements, max_rows)
+    _, raw = check_cell(BasisSpec(mode, k, space, param), max_elements, max_rows)
     cols = num_rows = rank = 0
     used: list[int] = []
     certified = True
@@ -212,7 +198,7 @@ def sparse_witness(mode: Mode, space: str, k: int, param: int,
     Otherwise each block of the orbit is reduced.
     """
     _check_prime_bound(space, param, (prime,))
-    check_caps(mode, space, k, param, max_elements, max_rows)
+    check_cell(BasisSpec(mode, k, space, param), max_elements, max_rows)
     basis = build_basis(mode, space, k, param, max_elements)
     found: dict[int, list[tuple[int, int]]] = {}  # free column -> entries, on the cell's columns
     for leaves, _, block, rows, _ in _blocks(mode, space, k, param):

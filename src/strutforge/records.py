@@ -103,6 +103,18 @@ CSV_HEADER = ("mode,space,k,param,num_diagrams,num_relations_raw,"
               "num_relations_effective,rank,quotient_dim,primes,elapsed_ms,"
               "tool_version,timestamp")
 
+_CSV_COLUMNS = tuple(CSV_HEADER.split(","))
+
+
+def csv_line(**values: object) -> str:
+    """One CSV line in the columns of ``CSV_HEADER``: each value given
+    by its column's name, ``primes`` joined by ``;``, and an empty cell
+    for every column not given."""
+    if "primes" in values:
+        values["primes"] = ";".join(map(str, values["primes"]))
+    return ",".join(str(values.get(name, "")) for name in _CSV_COLUMNS)
+
+
 CACHE_ENV_VAR = "STRUTFORGE_CACHE_DIR"
 CACHE_FILENAME = "results.jsonl"
 
@@ -158,13 +170,7 @@ class ResultRecord(Value):
         return cls(**data)
 
     def csv_row(self) -> str:
-        return ",".join([
-            self.mode, self.space, str(self.k), str(self.param),
-            str(self.num_diagrams), str(self.num_relations_raw),
-            str(self.num_relations_effective), str(self.rank),
-            str(self.quotient_dim), ";".join(str(p) for p in self.primes),
-            str(self.elapsed_ms), self.tool_version, self.timestamp,
-        ])
+        return csv_line(**{name: getattr(self, name) for name in _CSV_COLUMNS})
 
 
 _KIND = {name: kind for name, kind, _ in RECORD_FIELDS}

@@ -5,7 +5,7 @@ above every same-colored leg), and the three-term IHX rewiring.  Both
 read the slice of the forest space their basis spans from its
 ``BasisSpec``, so a single-Y cell, the slice of degree n + 2 with n + 1
 components, takes the same configuration loop (``_link_configs``) as a
-full cell.
+full cell, and so does its dump (``iter_y_link_rows``).
 
 Every link row comes from one builder, ``_link_row``, on canonical
 encodings.  A link configuration is a marked tree and a rest forest.
@@ -168,28 +168,23 @@ def iter_y_link_rows(k: int, n: int, mode: Mode, basis: Basis
     cell, pre-dedup, with provenance ``y-link special={a}-{c}* rest={i-j,...}``.
 
     This is the dump path: the link rows of y_link_relations before sign
-    normalization and dedup, run over a, then c, then every rest forest
-    of n + 1 struts (``forest_encodings``), whose ends and hosts are found
-    once and serve every (a, c).  The row is the link row of the marked
-    strut ``bytes((c, a))`` (``_link_row``), empty when no term survives;
-    the target count, the c-coloured ends of the rest, is zero exactly
-    for the overcounted configurations whose distinguished color appears
-    on no rest strut.
+    normalization and dedup, over the cell's configurations
+    (``_link_configs``), run over a, then c, then every rest forest.  The
+    row is the link row of the marked strut ``bytes((c, a))``
+    (``_link_row``), empty when no term survives; the target count, the
+    c-coloured ends of the rest, is zero exactly for the overcounted
+    configurations whose distinguished color appears on no rest strut.
     """
-    if basis.spec != BasisSpec(mode, k, "y", n):
+    spec = BasisSpec(mode, k, "y", n)
+    if basis.spec != spec:
         raise DomainError("basis does not match enumerate_y_basis(k, n, mode)")
-    rests = [(rest, _rest_hosts(rest), b"".join(rest))
-             for rest in forest_encodings(k, n + 1, mode, components=n + 1)]
-    for a in range(1, k + 1):
-        for c in range(1, k + 1):
-            if a == c and mode is Mode.HOMOTOPY:
-                continue
-            special = bytes((c, a))
-            for rest, hosts, ends in rests:
-                desc = ",".join(map(render_encoding, rest))
-                yield (RelationRow(_link_row(special, hosts, basis.index, mode),
-                                   f"y-link special={a}-{c}* rest={{{desc}}}"),
-                       ends.count(c))
+    for special, rests in sorted(_link_configs(spec), key=lambda config: config[0][::-1]):
+        c, a = special
+        for rest, hosts in rests:
+            desc = ",".join(map(render_encoding, rest))
+            yield (RelationRow(_link_row(special, hosts, basis.index, mode),
+                               f"y-link special={a}-{c}* rest={{{desc}}}"),
+                   b"".join(rest).count(c))
 
 
 def y_link_relations(k: int, n: int, mode: Mode, basis: Basis,

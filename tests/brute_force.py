@@ -4,6 +4,9 @@ The canonical form of a component from a rooting at every leaf, the
 oracle for ``strutforge.diagrams.canonicalize_component``, which roots
 only at the leaves of the least color.
 
+Leaf recolouring and vertex relabelling of a concrete component, for
+the marked-tree oracle and the canonical-form property tests.
+
 Tree enumeration, the oracle for the rooted-expression generator in
 ``strutforge.bases``: every unitrivalent tree shape is grown by leaf
 insertion, colored in all mode-legal ways, canonicalized and
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from strutforge import __version__, bases
 from strutforge.bases import DEFAULT_MAX_ELEMENTS, Basis
@@ -150,11 +153,31 @@ def tree_components(k: int, deg: int, mode: Mode) -> tuple[TreeComponent, ...]:
     return tuple(decode_component(enc) for enc in sorted(encodings))
 
 
+def with_color(comp: TreeComponent, v: int, color: int) -> TreeComponent:
+    """The same tree with the leaf ``v`` recolored to ``color``."""
+    if len(comp.adj[v]) != 1:
+        raise DomainError(f"vertex {v} is not a leaf")
+    colors = list(comp.colors)
+    colors[v] = color
+    return TreeComponent(comp.adj, tuple(colors))
+
+
+def relabeled(comp: TreeComponent, perm: Sequence[int]) -> TreeComponent:
+    """The same tree with vertex ids permuted by ``perm`` (old -> new)."""
+    n = len(comp.adj)
+    adj = [()] * n
+    colors = [0] * n
+    for v in range(n):
+        adj[perm[v]] = tuple(perm[u] for u in comp.adj[v])
+        colors[perm[v]] = comp.colors[v]
+    return TreeComponent(tuple(adj), tuple(colors))
+
+
 def marked_tree_key(comp: TreeComponent, leg: int) -> tuple[int, bytes]:
     """(leg color, concordance encoding with the leg recolored to the
     reserved marked color): equal exactly for isomorphic marked trees.
     The encoding is empty when the marked tree equals its own negative."""
-    recolored = comp.with_color(leg, MARKED_COLOR)
+    recolored = with_color(comp, leg, MARKED_COLOR)
     enc, sign = canonicalize_component(recolored, Mode.CONCORDANCE)
     return comp.colors[leg], enc if sign else b""
 

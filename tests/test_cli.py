@@ -311,6 +311,14 @@ USAGE_ERRORS = [
      "argument --max-basis: a cap must be >= 0, got -1"),
     (["sweep", "--k-range", "3:4", "--n-range", "0:1", "--out", "s.csv", "--max-rows", "-1"],
      "argument --max-rows: a cap must be >= 0, got -1"),
+    (["sweep", "--space", "y", "--k-range", "", "--n-range", "0", "--out", "s.csv"],
+     "argument --k-range: must be 'lo:hi' or a comma list, got ''"),
+    (["sweep", "--k-range", ",", "--n-range", "0", "--out", "s.csv"],
+     "argument --k-range: must be 'lo:hi' or a comma list, got ','"),
+    (["sweep", "--k-range", "3", "--n-range", ",", "--out", "s.csv"],
+     "argument --n-range: must be 'lo:hi' or a comma list, got ','"),
+    (["sweep", "--space", "full", "--k-range", "3", "--degree-range", ",", "--out", "s.csv"],
+     "argument --degree-range: must be 'lo:hi' or a comma list, got ','"),
 ]
 
 

@@ -30,6 +30,7 @@ from brute_force import (
     canonicalize_component_all_leaves,
     colored_trees,
     graft,
+    relabeled,
     tree_shapes,
 )
 
@@ -222,7 +223,7 @@ def test_canonicalization_relabel_invariant(comp, rng):
     n = len(comp.adj)
     perm = list(range(n))
     rng.shuffle(perm)
-    assert canonicalize_component(comp.relabeled(perm), C) == \
+    assert canonicalize_component(relabeled(comp, perm), C) == \
         canonicalize_component(comp, C)
 
 
@@ -279,7 +280,7 @@ def test_degree_additive_over_disjoint_union(a, b):
 def test_least_color_rooting_matches_the_all_leaves_oracle(mode, comp, rng, data):
     perm = list(range(len(comp.adj)))
     rng.shuffle(perm)
-    comp = comp.relabeled(perm)
+    comp = relabeled(comp, perm)
     for v in range(len(comp.adj)):
         if len(comp.adj[v]) == 3 and data.draw(st.booleans()):
             comp = comp.with_flip(v)

@@ -190,12 +190,9 @@ def sparse_witness(mode: Mode, space: str, k: int, param: int,
     Blocks and cell list their columns in encoding order, and the
     relation matrix is block diagonal, so the cell's reduced echelon form
     is its blocks' side by side, and each functional is a block's on that
-    block's columns.  Each orbit's representative block is reduced.  When
-    its rank meets the number of columns its rows touch, every touched
-    column is a pivot, so its functionals are the unit vectors on the
-    untouched columns (``_untouched_columns``), and a colour permutation
-    carries those onto the untouched columns of each block in the orbit.
-    Otherwise each block of the orbit is reduced.
+    block's columns.  Each orbit's representative block is reduced; when
+    its functionals are unit vectors (``_unit_columns``), the colour
+    permutations carry them across the orbit, else each block is reduced.
     """
     _check_prime_bound(space, param, (prime,))
     check_cell(BasisSpec(mode, k, space, param), max_elements, max_rows)
@@ -203,13 +200,13 @@ def sparse_witness(mode: Mode, space: str, k: int, param: int,
     found: dict[int, list[tuple[int, int]]] = {}  # free column -> entries, on the cell's columns
     for leaves, _, block, rows, _ in _blocks(mode, space, k, param):
         vecs = cokernel_functionals(SparseMatrix.from_rows(rows, len(block)), prime)
-        untouched = _untouched_columns(block, rows, len(block) - len(vecs))
-        if untouched == []:
+        unit = _unit_columns(block, vecs)
+        if unit == []:
             continue
         for image in _rearrangements(leaves):
-            if untouched is not None:
+            if unit is not None:
                 table = _colour_table(leaves, image)
-                for enc in untouched:
+                for enc in unit:
                     col = basis.index[recoloured_encoding(enc, table, mode)]
                     found[col] = [(col, 1)]
                 continue
@@ -247,17 +244,19 @@ def compute_witness(mode: Mode, space: str, k: int, param: int,
     return {**doc, "functionals": functionals}
 
 
-def _untouched_columns(block: Basis, rows: Sequence[RelationRow],
-                       rank: int) -> Optional[list[bytes]]:
-    """Encodings of the block's columns that no row touches, when
-    ``rank`` equals the number of touched columns, else None."""
-    touched = bytearray(len(block))
-    for row in rows:
-        for c, _ in row.entries:
-            touched[c] = 1
-    if rank != touched.count(1):
+def _unit_columns(block: Basis, vecs: Sequence[list[int]]) -> Optional[list[bytes]]:
+    """The free columns' encodings if all functionals are unit vectors, else None.
+
+    Reduced over F_p, the functional of a free column f is 1 at f and
+    -R[q][f] at each pivot q: it is e_f exactly when no reduced row, and
+    so no row, touches f, as p exceeds every coefficient
+    (``_check_prime_bound``).  Pivot columns are touched, so all are unit
+    vectors exactly when the rank meets the touched columns
+    (``linalg.rank_bound``); the free columns are then the untouched ones.
+    """
+    if any(vec.count(0) != len(vec) - 1 for vec in vecs):
         return None
-    return [block.elements[c].encoding for c in range(len(block)) if not touched[c]]
+    return [block.elements[vec.index(1)].encoding for vec in vecs]
 
 
 def _rearrangements(leaves: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

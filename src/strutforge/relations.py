@@ -136,9 +136,14 @@ class RelationRow(Value, compared=("entries",)):
             return cls((), provenance)
         entries = []
         for token in text.split():
-            coef_str, enc_hex = token.split("*", 1)
-            col = basis.index[bytes.fromhex(enc_hex)]
-            entries.append((col, int(coef_str)))
+            coef, star, enc_hex = token.partition("*")
+            try:
+                if not star:
+                    raise ValueError
+                entries.append((basis.index[bytes.fromhex(enc_hex)], int(coef)))
+            except (KeyError, ValueError):
+                raise DomainError(f"relation term {token!r} is not "
+                                  "<coefficient>*<hex of a basis encoding>") from None
         return cls(tuple(sorted(entries)), provenance)
 
 
@@ -353,17 +358,16 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
     whose rows are the block's rows over its own columns.  The exact
     configuration count of the whole degree-d cell of the basis's space
     is checked against ``max_configs`` (``bases.check_cell``) before
-    anything is listed, and then that the basis is of that degree; a
-    block is not capped.  With ``provenance`` false the rows carry no
-    description.
+    anything is listed, and then that the basis is of that degree
+    (``_check_basis``); a block is not capped.  With ``provenance`` false
+    the rows carry no description.
     """
     spec = basis.spec
     if spec.leaves is None:
         # the degree-d cell of the basis's space
         check_cell(spec.replace(mode=mode, k=k, param=spec.param + d - spec.degree),
                    max_rows=max_configs)
-    if (spec.mode, spec.k, spec.degree) != (mode, k, d):
-        raise DomainError(f"basis does not match degree {d} on {k} colors in {mode.value} mode")
+    _check_basis(k, d, mode, basis)
     index = basis.index
     rows = _RowSet()
     for marked, rests in _link_configs(spec):
@@ -375,6 +379,13 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
                          f"rest={{{','.join(render_encoding(e) for e in rest)}}}")
                 if provenance else None)
     return rows.emit()
+
+
+def _check_basis(k: int, d: int, mode: Mode, basis: Basis) -> None:
+    """Refuse a basis that is not of degree d on k colours in ``mode``."""
+    spec = basis.spec
+    if (spec.mode, spec.k, spec.degree) != (mode, k, d):
+        raise DomainError(f"basis does not match degree {d} on {k} colors in {mode.value} mode")
 
 
 def _link_configs(spec: BasisSpec
@@ -459,9 +470,11 @@ def ihx_instances(comp: TreeComponent) -> Iterator[tuple[TreeComponent, TreeComp
 @lru_cache(maxsize=1 << 14)
 def _ihx_terms(enc: bytes, mode: Mode) -> tuple[tuple[tuple[bytes, int], ...], ...]:
     """Canonical (encoding, sign) of the I, H and X terms of each internal
-    edge of the component with canonical encoding ``enc``."""
-    return tuple(tuple(canonicalize_component(term, mode) for term in triple)
-                 for triple in ihx_instances(decode_component(enc)))
+    edge of the component with canonical encoding ``enc``.  The I term is
+    the component itself (``ihx_instances``), so it is ``(enc, 1)``, and
+    only H and X are canonicalized."""
+    return tuple(((enc, 1), canonicalize_component(h, mode), canonicalize_component(x, mode))
+                 for _, h, x in ihx_instances(decode_component(enc)))
 
 
 def ihx_relations(k: int, d: int, mode: Mode, basis: Basis,
@@ -475,8 +488,10 @@ def ihx_relations(k: int, d: int, mode: Mode, basis: Basis,
     ``_ihx_terms``' cache, and each term's column is looked up with the
     diagram's other components.  A basis whose trees stay below degree 3
     (``BasisSpec.largest_tree``) has no internal edge and is not scanned.
-    With ``provenance`` false the rows carry no description.
+    The basis is checked first (``_check_basis``).  With ``provenance``
+    false the rows carry no description.
     """
+    _check_basis(k, d, mode, basis)
     if basis.spec.largest_tree < 3:
         return []
     index = basis.index

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import strutforge.linalg as linalg
 from brute_force import echelon_block_min_scan, echelon_by_column_blocks
@@ -333,3 +333,22 @@ def test_heap_pivot_order_matches_min_scan(m):
 def test_one_heap_pivots_match_column_blocks(m):
     for p in (P, 5):
         assert sorted(linalg._echelon(m, p)) == sorted(echelon_by_column_blocks(m, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_sparse_matrix())
+@example(matrix(3, [(0, 1), (1, 2)], [(0, 2), (1, 4)]))  # rank 1, below its bound 2
+@example(matrix(3, [(0, 1), (1, 1)]))  # rank meets its bound 1, not its 2 touched columns
+@example(matrix(3, [(0, 1)], [(1, -1)]))  # rank 2 meets its 2 touched columns
+def test_unit_functionals_exactly_when_rank_meets_touched_columns(m):
+    # The witness's carry test (``pipeline._unit_columns``): the functional
+    # of a free column is its unit vector exactly when no row touches the
+    # column, so all are exactly when the rank meets the touched columns,
+    # and their free columns are then the untouched ones.
+    touched = {c for row in m.rows for c, _ in row.entries}
+    for p in (P, 5):
+        vecs = cokernel_functionals(m, p)
+        unit = all(vec.count(0) == m.num_cols - 1 for vec in vecs)
+        assert unit == (rank_mod_p(m, p) == len(touched))
+        if unit:
+            assert [vec.index(1) for vec in vecs] == sorted(set(range(m.num_cols)) - touched)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from strutforge.bases import enumerate_basis, enumerate_y_basis, tree_components
@@ -145,6 +147,15 @@ class TestLinkRelations:
     def test_basis_must_match_the_degree(self):
         with pytest.raises(DomainError, match="basis does not match"):
             link_relations(4, 3, H, enumerate_basis(4, 2, H))
+
+    @pytest.mark.parametrize("d,mode", [(4, H), (7, C)])
+    def test_ihx_basis_must_match_the_mode_and_degree(self, d, mode):
+        # The concordance degree-4 basis has IHX rows (3 of them) but is
+        # neither a homotopy basis nor a degree-7 one.
+        basis = enumerate_basis(3, 4, C)
+        assert len(ihx_relations(3, 4, C, basis)) == 3
+        with pytest.raises(DomainError, match="basis does not match"):
+            ihx_relations(3, d, mode, basis)
 
     def test_unmatched_color_emits_nothing(self):
         # Degree 1: the only legs live on the marked strut itself.
@@ -353,6 +364,14 @@ class TestRowText:
             text = row.to_dump_text(basis)
             back = RelationRow.from_dump_text(text, basis, row.provenance)
             assert back.entries == row.entries
+
+    def test_bad_dump_token_is_a_domain_error(self):
+        # No such column, no "*", a bad coefficient, bad hex.
+        basis = enumerate_y_basis(3, 1, H)
+        column = basis.elements[0].encoding.hex()
+        for token in ("+1*0102", "garbage", f"+x*{column}", "+1*zz"):
+            with pytest.raises(DomainError, match=re.escape(repr(token))):
+                RelationRow.from_dump_text(token, basis)
 
     def test_row_validation(self):
         with pytest.raises(DomainError):

@@ -48,7 +48,7 @@ def test_witness_bytes_equal_the_ungraded_oracle(mode, space, k, param):
 
 @pytest.mark.parametrize("mode,space,k,param", WITNESS_CELLS)
 def test_per_block_reduction_gives_the_same_bytes(monkeypatch, mode, space, k, param):
-    monkeypatch.setattr(pipeline, "_untouched_columns", lambda *_: None)
+    monkeypatch.setattr(pipeline, "_unit_columns", lambda *_: None)
     _check_written_bytes(mode, space, k, param)
 
 

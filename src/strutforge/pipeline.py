@@ -7,13 +7,16 @@ slice of the forests of degree n + 2 with n + 1 components
 generators as a full cell's.  ``bases.check_cell`` runs the domain
 checks and the capacity guards on the cell's exact counts before
 anything is listed; ``dim``, ``witness`` and ``relations`` all call it
-first.  A dimension run then ranks the cell block by block (one prime
-when a block's rank certifies itself, more otherwise), sums the
-weighted block counts and emits an immutable ResultRecord.  The
-records, the run defaults and the JSON-lines result cache live in
-``records``, which imports no engine module; this module re-exports
-their names, and ``ResultCache.get_or_compute`` imports it only on a
-cache miss.
+first.  A dimension run then ranks the cell block by block, sums the
+weighted block counts and emits an immutable ResultRecord.  A single-Y
+block is first peeled from its column encodings
+(``relations.peel_y_block``); when every column peels, its rank is its
+column count, exact over Q, and no row is built.  Any other block is
+ranked from its rows: one prime when that rank certifies itself, more
+otherwise.  The records, the run defaults and the JSON-lines result
+cache live in ``records``, which imports no engine module; this module
+re-exports their names, and ``ResultCache.get_or_compute`` imports it
+only on a cache miss.
 
 No cell's relations are built whole.  Its diagrams split by leaf-colour
 multiset M, and every relation row is homogeneous in M (see
@@ -31,7 +34,8 @@ rank, and the cell ranks one representative block per orbit
 (``bases.leaf_orbits``) weighted by the orbit's size.  A block-diagonal
 rank is exact when every block's rank meets its own bound, so the cell
 is certified when every block is.  ``witness`` reads the same blocks
-(``sparse_witness``); only the ``relations`` dump builds a cell whole.
+(``sparse_witness``), and a peeled block adds no functional; only the
+``relations`` dump builds a cell whole.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ from .relations import (
     count_link_configs,
     ihx_relations,
     link_relations,
+    peel_y_block,
     y_link_config_count,
     y_link_relations,
 )
@@ -123,30 +128,35 @@ def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
 
 
 def _blocks(mode: Mode, space: str, k: int, param: int) -> Iterator[
-        tuple[tuple[int, ...], int, Basis, list[RelationRow], int]]:
-    """(leaf multiset, weight, basis, distinct nonzero rows, IHX
-    instances) of the blocks a cell is ranked by: one representative
-    block with columns per orbit of the colour permutations, weighted by
-    the orbit's size."""
+        tuple[tuple[int, ...], int, Basis, Optional[tuple[int, int]]]]:
+    """(leaf multiset, weight, basis, peel) of the blocks a cell is
+    ranked by: one representative block with columns per orbit of the
+    colour permutations, weighted by the orbit's size.  The peel is
+    ``peel_y_block``'s (rank, distinct nonzero rows) for a single-Y block
+    whose columns all peel, and None for any other block, whose rows are
+    built and reduced."""
     for leaves, orbit in leaf_orbits(k, space, param):
         block = build_basis(mode, space, k, param, leaves=leaves)
         if block.elements:
-            yield (leaves, orbit, block, *build_relations(mode, space, k, param, block))
+            yield leaves, orbit, block, peel_y_block(block) if space == "y" else None
 
 
 def compute_dimension(mode: Mode, space: str, k: int, param: int,
                       primes: Sequence[int] = DEFAULT_PRIMES,
                       max_elements: int = DEFAULT_MAX_ELEMENTS,
                       max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
-    """Full pipeline for one cell: the guards, then each block's basis,
-    relations and certified or multi-prime rank.
+    """Full pipeline for one cell: the guards, then each block's basis
+    and its peel or its relations and certified or multi-prime rank.
 
     Columns, distinct nonzero rows and rank are the block counts times
     their weights.  The raw relation count is the cell's link
     configurations plus the weighted IHX instances of its blocks.  The
     cell is certified when every block is, and ``primes`` is every prime
     a block's rank came from, in first-use order: ``primes[:1]`` when
-    every block certified on the first prime.  The record's
+    every block certified on the first prime.  A peeled block's rank is
+    exact over Q and equals its rank mod ``primes[0]``
+    (``relations.peel_y_block``), so it counts as certified on the first
+    prime, which is what ranking its rows would give.  The record's
     ``timestamp`` is the finishing time in UTC to the second, as
     ``2026-10-19T12:01:30+00:00``.
     """
@@ -158,14 +168,19 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
     cols = num_rows = rank = 0
     used: list[int] = []
     certified = True
-    for _, weight, basis, rows, ihx in _blocks(mode, space, k, param):
-        result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
-        raw += weight * ihx
+    for _, weight, basis, peeled in _blocks(mode, space, k, param):
+        if peeled is None:
+            rows, ihx = build_relations(mode, space, k, param, basis)
+            result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
+            raw += weight * ihx
+            certified = certified and result.certified
+            block_rank, block_rows, block_primes = result.rank, len(rows), result.primes
+        else:
+            (block_rank, block_rows), block_primes = peeled, primes[:1]
         cols += weight * len(basis)
-        num_rows += weight * len(rows)
-        rank += weight * result.rank
-        certified = certified and result.certified
-        used += [p for p in result.primes if p not in used]
+        rank += weight * block_rank
+        num_rows += weight * block_rows
+        used += [p for p in block_primes if p not in used]
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ResultRecord(
         mode=mode.value, space=space, k=k, param=param,
@@ -190,15 +205,20 @@ def sparse_witness(mode: Mode, space: str, k: int, param: int,
     Blocks and cell list their columns in encoding order, and the
     relation matrix is block diagonal, so the cell's reduced echelon form
     is its blocks' side by side, and each functional is a block's on that
-    block's columns.  Each orbit's representative block is reduced; when
-    its functionals are unit vectors (``_unit_columns``), the colour
+    block's columns.  A representative block that peels (``_blocks``)
+    has full column rank, so its orbit adds no functional and no row of
+    it is built.  Any other representative is reduced; when its
+    functionals are unit vectors (``_unit_columns``), the colour
     permutations carry them across the orbit, else each block is reduced.
     """
     _check_prime_bound(space, param, (prime,))
     check_cell(BasisSpec(mode, k, space, param), max_elements, max_rows)
     basis = build_basis(mode, space, k, param, max_elements)
     found: dict[int, list[tuple[int, int]]] = {}  # free column -> entries, on the cell's columns
-    for leaves, _, block, rows, _ in _blocks(mode, space, k, param):
+    for leaves, _, block, peeled in _blocks(mode, space, k, param):
+        if peeled is not None:
+            continue
+        rows = build_relations(mode, space, k, param, block)[0]
         vecs = cokernel_functionals(SparseMatrix.from_rows(rows, len(block)), prime)
         unit = _unit_columns(block, vecs)
         if unit == []:

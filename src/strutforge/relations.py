@@ -36,6 +36,16 @@ from the special strut ``bytes((c, fixed))``.  Provenance text is built
 only for rows kept after dedup, and only when asked for: the dumps ask,
 ``pipeline.build_relations`` does not.
 
+A single-Y block is usually certified without its rows.  A column
+Y{p, q, r} + S lies in exactly six link rows, one per ordered pair
+(a, c) of its Y colours, and each row's terms can be read off the
+column's encoding, so ``y_peel_passes`` runs the singleton peel of the
+block's rows (LaMacchia & Odlyzko's structured Gaussian elimination,
+CRYPTO '90) and counts its distinct rows from the column encodings
+alone.  When every column peels, ``peel_y_block`` gives the block's rank
+as its column count, exact over Q and mod every prime above
+``coefficient_bound``; otherwise the block's rows are built as below.
+
 Grafting the leg of a marked tree onto a leaf of a rest forest F keeps
 the leaves of F and of the expression E hanging off the leg, so every
 term of the row has the leaves E + F, and an IHX rewiring keeps a
@@ -339,6 +349,134 @@ def _link_row(marked: bytes, hosts: dict[int, list[tuple[bytes, int, list[bytes]
     return tuple(entries)
 
 
+def y_peel_passes(basis: Basis) -> tuple[list[int], int]:
+    """(peel pass of each column, 0 for one that never peels; distinct
+    nonzero rows) of a single-Y block, read off its column encodings
+    without building its rows.
+
+    The column Y{p, q, r} + S lies in six link rows, one per ordered
+    pair (a, c) of its Y colours with x the third: the configuration
+    (a, c, R = S + {c, x}).  That row has one term Y{a, c, y} + (R - {c, y})
+    per strut type {c, y} of R with y not in {a, c}, so its terms are y = x
+    and y in O_c, the ends outside the Y of the struts of S at c.
+    Peeling takes a row with one live column, marks that column and
+    deletes it from every row (the singleton phase of structured Gaussian
+    elimination), so a column's pass is 1 + the least, over its rows, of
+    the largest pass among the row's other columns.  It is 1 exactly when
+    some O_c is empty.  Only the other columns look up their rows' other
+    columns in ``basis.index``, one row at a time until one has only
+    pass-1 columns (pass 2), or all six for the later passes, which are
+    found in rounds.
+
+    Two configurations never give the same column set, so the rows with
+    two or more terms are distinct; each is counted at its term of least
+    y, where x < min O_c.  A one-term row, sign-normalized, is its column
+    with coefficient mult_R({c, x}), so those rows are the distinct
+    (column, mult_S({c, x})) pairs with O_c empty.
+    """
+    if basis.spec.space != "y":
+        raise DomainError("the row-free peel needs a single-Y basis")
+    k = basis.spec.k
+    passes = [0] * len(basis)
+    num_rows = 0
+    unpeeled = []
+    for col, element in enumerate(basis.elements):
+        parts = component_encodings(element.encoding)
+        bands = _y_bands(max(parts, key=len), k)
+        mults = set()
+        for below, between, above, _, _, cx1, _, cx2 in bands:
+            if not below.isdisjoint(parts):
+                continue  # min O_c < x1 < x2
+            if not between.isdisjoint(parts):
+                num_rows += 1
+            elif not above.isdisjoint(parts):
+                num_rows += 2
+            else:
+                mults.add(parts.count(cx1))
+                mults.add(parts.count(cx2))
+        num_rows += len(mults)
+        if mults:
+            passes[col] = 1
+        else:
+            unpeeled.append(col)
+    index = basis.index
+    pending = {}  # column -> its rows' other columns
+    for col in unpeeled:
+        parts = component_encodings(basis.elements[col].encoding)
+        rows = []
+        for row in _y_rows(index, parts, _y_bands(max(parts, key=len), k)):
+            if all(passes[other] == 1 for other in row):
+                passes[col] = 2
+                break
+            rows.append(tuple(row))
+        else:
+            pending[col] = rows
+    depth = 2
+    while pending:
+        depth += 1
+        peeled = [col for col, rows in pending.items()
+                  if any(all(passes[other] for other in row) for row in rows)]
+        if not peeled:
+            break
+        for col in peeled:
+            passes[col] = depth
+            del pending[col]
+    return passes, num_rows
+
+
+@lru_cache(maxsize=1 << 12)
+def _y_bands(y_part: bytes, k: int) -> tuple[tuple, ...]:
+    """Per colour c of the Y component ``y_part``, with x1 < x2 its other
+    two colours: the struts {c, y} with y outside the Y split into
+    y < x1, x1 < y < x2 and x2 < y, as frozensets; then c, x1, the strut
+    {c, x1}, x2 and the strut {c, x2}.  Every block and cell of a process
+    with k colours shares them."""
+    ys = (y_part[0], y_part[2], y_part[3])
+    bands = []
+    for c in ys:
+        x1, x2 = (x for x in ys if x != c)
+        bands.append(tuple(frozenset(strut_encoding(c, y) for y in range(lo + 1, hi)
+                                     if y not in ys)
+                           for lo, hi in ((0, x1), (x1, x2), (x2, k + 1)))
+                     + (c, x1, strut_encoding(c, x1), x2, strut_encoding(c, x2)))
+    return tuple(bands)
+
+
+def _y_rows(index: dict[bytes, int], parts: list[bytes],
+            bands: tuple) -> Iterator[list[int]]:
+    """The other columns of each row of the single-Y column with
+    components ``parts``, whose Y has the ``_y_bands`` ``bands``: for the
+    configuration (a, c, S + {c, x}), the columns
+    Y{a, c, y} + S - {c, y} + {c, x} with y in O_c."""
+    struts = [part for part in parts if len(part) == 2]
+    for below, between, above, c, x1, cx1, x2, cx2 in bands:
+        outside = below | between | above
+        ends = {strut: sum(strut) - c for strut in struts if strut in outside}
+        for a, cx in ((x2, cx1), (x1, cx2)):
+            row = []
+            for cy, y in ends.items():
+                rest = list(struts)
+                rest.remove(cy)
+                rest += (cx, y_encoding(a, c, y)[0])
+                row.append(_term_column(index, rest))
+            yield row
+
+
+def peel_y_block(basis: Basis) -> Optional[tuple[int, int]]:
+    """(rank, distinct nonzero rows) of a single-Y block whose columns
+    all peel (``y_peel_passes``), else None.
+
+    Each peeled column has a row in which every other column peeled
+    earlier, so those rows, by pass, form a triangular minor: the rank
+    is the column count, exact over Q.  Each diagonal entry is
+    mult_R({c, x}) * sign(a, c, x), nonzero with absolute value at most
+    n + 1 (``coefficient_bound``), so the rank mod any prime above that
+    bound is the column count too.
+    """
+    passes, num_rows = y_peel_passes(basis)
+    return None if 0 in passes else (len(passes), num_rows)
+
+
 def link_relations(k: int, d: int, mode: Mode, basis: Basis,
                    max_configs: int = DEFAULT_MAX_ROWS,
                    provenance: bool = True) -> list[RelationRow]:
@@ -355,19 +493,17 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
     once while the pair stays in ``_graft_terms``' cache (``_link_row``).
     The configurations run are those of the slice of the space the basis
     spans (``_link_configs``): on a block basis (``leaves``) the block's,
-    whose rows are the block's rows over its own columns.  The exact
-    configuration count of the whole degree-d cell of the basis's space
-    is checked against ``max_configs`` (``bases.check_cell``) before
-    anything is listed, and then that the basis is of that degree
-    (``_check_basis``); a block is not capped.  With ``provenance`` false
-    the rows carry no description.
+    whose rows are the block's rows over its own columns.  The basis is
+    checked to be of degree d on k colours in ``mode`` (``_check_basis``),
+    and then the exact configuration count of its whole cell against
+    ``max_configs`` (``bases.check_cell``), before anything is listed; a
+    block is not capped.  With ``provenance`` false the rows carry no
+    description.
     """
+    _check_basis(k, d, mode, basis)
     spec = basis.spec
     if spec.leaves is None:
-        # the degree-d cell of the basis's space
-        check_cell(spec.replace(mode=mode, k=k, param=spec.param + d - spec.degree),
-                   max_rows=max_configs)
-    _check_basis(k, d, mode, basis)
+        check_cell(spec, max_rows=max_configs)
     index = basis.index
     rows = _RowSet()
     for marked, rests in _link_configs(spec):

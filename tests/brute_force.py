@@ -24,6 +24,10 @@ The ungraded dimension and witness, the oracles for the orbit-graded
 on both spaces: the whole basis, the whole row set, and one rank or
 one reduced echelon form of the whole matrix.
 
+The singleton peel of a block's real rows (``peel_passes``), the oracle
+for the row-free peel of a single-Y block, ``y_peel_passes`` in
+``strutforge.relations``.
+
 Echelon pivot order, the oracle for the heap pivot queue of
 ``strutforge.linalg._echelon_block``: every pivot is the minimum over a
 scan of all live rows.  And the echelon pivots taken block by block
@@ -472,3 +476,20 @@ def witness_ungraded(mode: Mode, space: str, k: int, param: int,
         "prime": prime,
         "functionals": cokernel_functionals(SparseMatrix.from_rows(rows, len(basis)), prime),
     }
+
+
+def peel_passes(rows: Sequence[RelationRow]) -> dict[int, int]:
+    """Singleton peel of the rows: in pass t, every row with one live
+    column marks that column with t, and the marked columns are then
+    deleted from every row.  The pass of each marked column; a column
+    missing from the result never peels."""
+    live = [{c for c, _ in row.entries} for row in rows]
+    passes: dict[int, int] = {}
+    depth = 0
+    while True:
+        depth += 1
+        peeled = {next(iter(cols)) for cols in live if len(cols) == 1}
+        if not peeled:
+            return passes
+        passes.update(dict.fromkeys(peeled, depth))
+        live = [cols - peeled for cols in live if len(cols) > 1]

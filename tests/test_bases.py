@@ -6,6 +6,7 @@ import pytest
 
 from strutforge import bases
 from strutforge.bases import (
+    Basis,
     BasisSpec,
     enumerate_basis,
     enumerate_trees,
@@ -299,17 +300,24 @@ class TestForestCount:
         def never(*_):
             raise AssertionError("forests listed past the cap")
 
-        small = enumerate_basis(4, 1, H)
+        # an element-free basis of the degree-20 cell: its spec is all
+        # link_relations reads before the cap
+        empty = Basis(BasisSpec(H, 4, "full", 20), (), {})
         monkeypatch.setattr("strutforge.bases.forest_encodings", never)
         monkeypatch.setattr("strutforge.relations.forest_encodings", never)
         # Four colors bound homotopy trees to degree 3, so the counts of
         # these cells take milliseconds: 7,528,128 forests of degree 22
-        # and 57,740,100 link configurations at degree 20.  The link count
-        # is checked before the basis is read, so any basis will do.
+        # and 57,740,100 link configurations at degree 20.
         with pytest.raises(CapacityError):
             enumerate_basis(4, 22, H)
         with pytest.raises(CapacityError):
-            link_relations(4, 20, H, small)
+            link_relations(4, 20, H, empty)
+
+    def test_mismatched_basis_is_refused_before_the_cap(self):
+        # the degree-1 basis is checked against degree 20 first, so the
+        # degree-20 cell's 57,740,100 configurations are never capped
+        with pytest.raises(DomainError, match="degree 20"):
+            link_relations(4, 20, H, enumerate_basis(4, 1, H))
 
 
 def generator_forest_count(k, d, mode):

@@ -162,8 +162,10 @@ def test_a_block_requests_no_tree_beyond_its_leaves(monkeypatch, mode, k, d):
 def test_y_blocks_request_only_ys_and_marked_struts(monkeypatch):
     # a Y block of n struts is the degree-(n + 2) full block on its 2n + 3
     # leaves: its forests take trees of degree at most 2d - L + 1 = 2,
-    # and its marked trees degree at most 2d - L = 1
+    # and its marked trees degree at most 2d - L = 1; with the peel
+    # refused, every block builds its rows
     requested = spy_on_degrees(monkeypatch)
+    monkeypatch.setattr(pipeline, "peel_y_block", lambda basis: None)
     record = compute_dimension(H, "y", 6, 4)
     assert record.num_diagrams == math.comb(6, 3) * strut_union_count(6, 4, H)
     assert requested == {"tree": {2}, "marked": {1}}

@@ -7,6 +7,7 @@ from strutforge.bases import enumerate_basis, enumerate_y_basis, leaf_orbits
 from strutforge.diagrams import Mode, encoding_trivalent_count
 from strutforge.errors import CacheError, DomainError
 import strutforge.linalg as linalg
+import strutforge.pipeline as pipeline
 from strutforge.linalg import DEFAULT_PRIMES, SparseMatrix, rank_multiprime
 from strutforge.pipeline import (
     CACHE_ENV_VAR,
@@ -73,7 +74,9 @@ class TestComputeDimension:
             return real(m, p)
 
         monkeypatch.setattr(linalg, "rank_mod_p", counted)
-        # y (3, 0) is one block, Y(1,2,3) alone, in an orbit of size 1.
+        # y (3, 0) is one block, Y(1,2,3) alone, in an orbit of size 1;
+        # with its peel refused it is ranked from its rows
+        monkeypatch.setattr(pipeline, "peel_y_block", lambda basis: None)
         certified = compute_dimension(H, "y", 3, 0)
         assert len(calls) == 1
         calls.clear()
@@ -96,6 +99,7 @@ class TestComputeDimension:
                   if len(enumerate_y_basis(4, 1, H, leaves=leaves))]
         assert ranked == [12, 4]
         monkeypatch.setattr(linalg, "rank_mod_p", counted)
+        monkeypatch.setattr(pipeline, "peel_y_block", lambda basis: None)
         certified = compute_dimension(H, "y", 4, 1)
         assert len(calls) == len(ranked)
         calls.clear()

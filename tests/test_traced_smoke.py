@@ -2,8 +2,8 @@
 
 ``perfbench/traced_op.py`` replaces module attributes by name; if one of
 them is renamed the traced run breaks or records nothing for that span.
-These tests run it on tiny cells and check that the tree-generation and
-linalg spans fill.
+These tests run it on tiny cells and check that the tree-generation,
+basis and linalg spans fill.
 """
 
 import json
@@ -26,9 +26,17 @@ def run_traced(tmp_path, *command):
 
 
 def test_dim_fills_rank_span(tmp_path):
-    trace = run_traced(tmp_path, "dim", "--space", "y", "--k", "3", "--n", "0",
+    # a full cell's blocks are ranked from their rows; a Y cell's blocks
+    # peel and rank nothing
+    trace = run_traced(tmp_path, "dim", "--space", "full", "--k", "3", "--degree", "2",
                        "--cache-dir", str(tmp_path / "cache"))
     assert trace["self_s"].get("linalg.rank", 0) > 0
+
+
+def test_y_dim_fills_basis_span(tmp_path):
+    trace = run_traced(tmp_path, "dim", "--space", "y", "--k", "3", "--n", "0",
+                       "--cache-dir", str(tmp_path / "cache"))
+    assert trace["self_s"].get("bases.basis", 0) > 0
 
 
 def test_full_dim_fills_tree_spans(tmp_path):

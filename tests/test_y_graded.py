@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from brute_force import dimension_ungraded
 from cli_runner import invoke
 import strutforge.linalg as linalg
+import strutforge.pipeline as pipeline
 from strutforge.bases import (
     _partitions,
     enumerate_y_basis,
@@ -120,6 +121,8 @@ def test_record_names_the_primes_a_block_rank_came_from(monkeypatch):
     # from the pool, which agree and certify it
     monkeypatch.setattr(linalg, "rank_mod_p",
                         lambda m, p: real(m, p) - (p == DEFAULT_PRIMES[0]))
+    # with the peel refused, every block is ranked from its rows
+    monkeypatch.setattr(pipeline, "peel_y_block", lambda basis: None)
     record = compute_dimension(H, "y", 4, 1)
     assert record.certified
     assert record.primes == PRIME_POOL[2:4]

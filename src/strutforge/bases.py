@@ -308,8 +308,7 @@ def forest_encodings(k: int, d: int, mode: Mode, leaves: Optional[Sequence[int]]
         if not 0 <= trees <= deg_left <= trees * largest or (homotopy and max(left) > trees):
             return
         if deg_left == trees:
-            for pairs in _strut_multisets(left, mode, memo):
-                yield tuple(bytes(pair) for pair in pairs)
+            yield from _strut_multisets(left, mode, memo)
             return
         for g in range(first, len(groups)):
             deg, vec, encs = groups[g]
@@ -322,7 +321,10 @@ def forest_encodings(k: int, d: int, mode: Mode, leaves: Optional[Sequence[int]]
                     for choice in itertools.combinations_with_replacement(encs, m):
                         yield choice + tail
 
-    yield from fill(0, d, tuple(leaves))
+    try:
+        yield from fill(0, d, tuple(leaves))
+    finally:
+        del fill  # it refers to itself: free its memo now, not at the next gc
 
 
 def _leaf_groups(encodings: Iterable[bytes], k: int, skip: int = 0
@@ -440,14 +442,15 @@ def check_cell(spec: BasisSpec, max_elements: float = math.inf,
 
 
 def _strut_multisets(ends: Sequence[int], mode: Mode, memo: Optional[dict] = None
-                     ) -> list[tuple[tuple[int, int], ...]]:
+                     ) -> list[tuple[bytes, ...]]:
     """Every multiset of nonzero struts with ``ends[i - 1]`` ends of
-    colour i, as sorted end-colour pairs (i, j), i <= j.
+    colour i, as a sorted tuple of strut encodings ``bytes((i, j))``,
+    i <= j.
 
     The smallest colour i with ends left is paired off first: all its
-    struts are (i, j) with j >= i, so each choice of partners (two ends
-    per (i, i) strut, allowed in concordance mode only) is followed by
-    the multisets of the larger colours, and the pairs come out sorted.
+    struts are {i, j} with j >= i, so each choice of partners (two ends
+    per {i, i} strut, allowed in concordance mode only) is followed by
+    the multisets of the larger colours, and the struts come out sorted.
     Those depend only on the ends left to the larger colours, so each
     such suffix of ``ends`` is listed once, into ``memo``.  Callers with
     the same k and mode may share a memo; the calls of one block do.
@@ -456,7 +459,7 @@ def _strut_multisets(ends: Sequence[int], mode: Mode, memo: Optional[dict] = Non
     loops = mode is Mode.CONCORDANCE
     memo = {} if memo is None else memo
 
-    def listing(left: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+    def listing(left: tuple[int, ...]) -> list[tuple[bytes, ...]]:
         found = memo.get(left)
         if found is not None:
             return found
@@ -469,13 +472,13 @@ def _strut_multisets(ends: Sequence[int], mode: Mode, memo: Optional[dict] = Non
             found = []
             rest = list(left[1:])
             for m in range(left[0] // 2 + 1 if loops else 1):
-                for head in partners(i, 0, left[0] - 2 * m, rest, ((i, i),) * m):
+                for head in partners(i, 0, left[0] - 2 * m, rest, (bytes((i, i)),) * m):
                     found += [head + tail for tail in listing(tuple(rest))]
         memo[left] = found
         return found
 
     def partners(i: int, j: int, need: int, rest: list[int], head: tuple
-                 ) -> Iterator[tuple[tuple[int, int], ...]]:
+                 ) -> Iterator[tuple[bytes, ...]]:
         # ``rest`` holds the ends left to colours i + 1.. when a head is yielded
         if not need:
             yield head
@@ -488,10 +491,12 @@ def _strut_multisets(ends: Sequence[int], mode: Mode, memo: Optional[dict] = Non
         after = sum(rest[j + 1:])
         for t in range(min(need, rest[j]), max(need - after, 0) - 1, -1):
             rest[j] -= t
-            yield from partners(i, j + 1, need - t, rest, head + ((i, i + 1 + j),) * t)
+            yield from partners(i, j + 1, need - t, rest, head + (bytes((i, i + 1 + j)),) * t)
             rest[j] += t
 
-    return listing(tuple(ends))
+    found = listing(tuple(ends))
+    del listing, partners  # they refer to themselves: free ``memo`` with the caller
+    return found
 
 
 def leaf_totals(space: str, param: int) -> range:

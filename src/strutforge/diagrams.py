@@ -295,22 +295,6 @@ def strut_encoding(i: int, j: int) -> bytes:
     return bytes((i, j)) if i <= j else bytes((j, i))
 
 
-@lru_cache(maxsize=None)
-def y_encoding(a: int, c: int, x: int) -> tuple[bytes, int]:
-    """Canonical (encoding, sign) of ``y_tree(a, c, x)`` in either mode.
-
-    The encoding roots at the least color and lists the other two in
-    increasing order.  The sign is +1 when (a, c, x) is a cyclic rotation
-    of the sorted colors and -1 otherwise.  A repeated color gives zero:
-    a swap of the two equal legs maps the Y onto its own negative.
-    """
-    if a == c or c == x or a == x:
-        return b"", 0
-    lo, mid, hi = sorted((a, c, x))
-    sign = 1 if (a, c, x) in ((lo, mid, hi), (mid, hi, lo), (hi, lo, mid)) else -1
-    return bytes((lo, _NODE, mid, hi)), sign
-
-
 def canonicalize(d: Diagram) -> CanonicalDiagram:
     """Canonical form of a whole diagram: sorted component encodings
     joined with a separator byte, sign the product of component signs."""

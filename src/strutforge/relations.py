@@ -29,11 +29,11 @@ A single-Y row is the link row whose marked tree is the special strut
 (a, c*), the marked encoding ``bytes((c, a))``, over a rest R of n+1
 struts: in that slice the marked trees have degree d - c = 1 and the
 rests are the forests of n + 1 struts.  Grafting it above the c-end of
-a rest strut {c, x} gives Y{a, c, x} oriented (a, c, x), which
-``_graft_terms`` reads off ``y_encoding`` without decoding either strut;
-the term is zero when two of a, c, x are equal.  ``expand_along`` builds its row the same way,
-from the special strut ``bytes((c, fixed))``.  Provenance text is built
-only for rows kept after dedup, and only when asked for: the dumps ask,
+a rest strut {c, x} gives Y{a, c, x} oriented (a, c, x), one
+``_graft_terms`` pair like any other, zero when two of a, c, x are
+equal.  ``expand_along`` builds its row the same way, from the special
+strut ``bytes((c, fixed))``.  Provenance text is built only for rows
+kept after dedup, and only when asked for: the dumps ask,
 ``pipeline.build_relations`` does not.
 
 A single-Y block is usually certified without its rows.  A column
@@ -95,7 +95,6 @@ from .diagrams import (
     render_component,
     render_encoding,
     strut_encoding,
-    y_encoding,
 )
 from .errors import DomainError, Value, _set
 from .records import DEFAULT_MAX_ROWS
@@ -294,15 +293,11 @@ def _graft_terms(marked: bytes, host: bytes,
     the host component with canonical encoding ``host``, zeros dropped.
     The key leaves out k: a graft does not depend on it.
 
-    ``host`` has a leaf of the leg's color (``_rest_hosts``).  The marked
-    strut (c*, a) grafted on the strut {c, x} is Y{a, c, x} oriented
-    (a, c, x), read off ``y_encoding``; any other pair is decoded, joined
-    and canonicalized.
+    ``host`` has a leaf of the leg's color (``_rest_hosts``).  Every pair,
+    a marked strut on a strut among them, is decoded, joined and
+    canonicalized the same way.
     """
     color = marked[0]
-    if len(marked) == len(host) == 2:
-        enc, sign = y_encoding(marked[1], color, host[1] if host[0] == color else host[0])
-        return ((enc, sign),) if sign else ()
     m_comp, comp = decode_component(marked), decode_component(host)
     terms: dict[bytes, int] = {}
     for v, c in comp.leaves():
@@ -376,7 +371,7 @@ def y_peel_passes(basis: Basis) -> tuple[list[int], int]:
     """
     if basis.spec.space != "y":
         raise DomainError("the row-free peel needs a single-Y basis")
-    k = basis.spec.k
+    k, mode = basis.spec.k, basis.spec.mode
     passes = [0] * len(basis)
     num_rows = 0
     unpeeled = []
@@ -404,7 +399,7 @@ def y_peel_passes(basis: Basis) -> tuple[list[int], int]:
     for col in unpeeled:
         parts = component_encodings(basis.elements[col].encoding)
         rows = []
-        for row in _y_rows(index, parts, _y_bands(max(parts, key=len), k)):
+        for row in _y_rows(index, parts, _y_bands(max(parts, key=len), k), mode):
             if all(passes[other] == 1 for other in row):
                 passes[col] = 2
                 break
@@ -442,22 +437,25 @@ def _y_bands(y_part: bytes, k: int) -> tuple[tuple, ...]:
     return tuple(bands)
 
 
-def _y_rows(index: dict[bytes, int], parts: list[bytes],
-            bands: tuple) -> Iterator[list[int]]:
+def _y_rows(index: dict[bytes, int], parts: list[bytes], bands: tuple,
+            mode: Mode) -> Iterator[list[int]]:
     """The other columns of each row of the single-Y column with
     components ``parts``, whose Y has the ``_y_bands`` ``bands``: for the
     configuration (a, c, S + {c, x}), the columns
-    Y{a, c, y} + S - {c, y} + {c, x} with y in O_c."""
+    Y{a, c, y} + S - {c, y} + {c, x} with y in O_c.  Each Y{a, c, y} is
+    the row's own graft of the marked strut ``bytes((c, a))`` on the
+    strut {c, y}, read from ``_graft_terms``."""
     struts = [part for part in parts if len(part) == 2]
     for below, between, above, c, x1, cx1, x2, cx2 in bands:
         outside = below | between | above
-        ends = {strut: sum(strut) - c for strut in struts if strut in outside}
+        ends = dict.fromkeys(strut for strut in struts if strut in outside)
         for a, cx in ((x2, cx1), (x1, cx2)):
+            marked = bytes((c, a))
             row = []
-            for cy, y in ends.items():
+            for cy in ends:
                 rest = list(struts)
                 rest.remove(cy)
-                rest += (cx, y_encoding(a, c, y)[0])
+                rest += (cx, _graft_terms(marked, cy, mode)[0][0])
                 row.append(_term_column(index, rest))
             yield row
 

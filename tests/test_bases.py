@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from collections import Counter
@@ -255,6 +256,19 @@ class TestForests:
         for c in range(d + 2):
             assert list(forest_encodings(k, d, mode, components=c)) == \
                 [forest for forest in whole if len(forest) == c], c
+
+    @pytest.mark.parametrize("mode", [H, C])
+    def test_a_block_listing_frees_its_memo_without_the_gc(self, mode):
+        # The listing's recursive closures refer to themselves; if that
+        # cycle outlived the listing, each block's strut memo would stay
+        # until the next cyclic collection, raising the peak across blocks.
+        gc.collect()
+        gc.disable()
+        try:
+            forests = list(forest_encodings(4, 5, mode, (3, 2, 2, 2)))
+            assert forests and gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_y_cell_is_the_slice_of_n_plus_one_components(self):
         for mode, k, n in ((H, 5, 2), (C, 3, 3)):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import strutforge.linalg as linalg
-from brute_force import echelon_block_min_scan, echelon_by_column_blocks
+from brute_force import echelon_block_min_scan, echelon_by_column_blocks, peel_passes
 from strutforge.bases import enumerate_basis, enumerate_y_basis
 from strutforge.diagrams import Mode, decode_diagram
 from strutforge.errors import DomainError, UnluckyPrimeError
@@ -333,6 +333,38 @@ def test_heap_pivot_order_matches_min_scan(m):
 def test_one_heap_pivots_match_column_blocks(m):
     for p in (P, 5):
         assert sorted(linalg._echelon(m, p)) == sorted(echelon_by_column_blocks(m, p))
+
+
+@st.composite
+def peeling_matrix(draw):
+    """A small integer matrix whose rows peel completely: the columns of
+    ``order`` each get a row on that column and some earlier ones, and
+    any further rows lie on those columns; rows come shuffled."""
+    num_cols = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(num_cols)))[:draw(st.integers(0, num_cols))]
+    col_sets = [{col} | (draw(st.sets(st.sampled_from(order[:i]))) if i else set())
+                for i, col in enumerate(order)]
+    if order:
+        col_sets += draw(st.lists(st.sets(st.sampled_from(order), min_size=1), max_size=4))
+    coefficient = st.integers(-4, 4).filter(bool)
+    return SparseMatrix.from_rows(
+        [RelationRow(tuple(sorted((col, draw(coefficient)) for col in cols)))
+         for cols in draw(st.permutations(col_sets))], num_cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(peeling_matrix())
+def test_a_matrix_that_peels_pivots_on_single_entry_rows(m):
+    # The shortest-row heap takes a one-entry row whenever there is one,
+    # and a one-entry pivot only deletes its column from other rows, so
+    # on a matrix that peels it runs the singleton peel: every pivot row
+    # has one entry, and the pivots are the touched columns.
+    touched = {c for row in m.rows for c, _ in row.entries}
+    assert set(peel_passes(m.rows)) == touched
+    for p in (P, 5):
+        pivots = linalg._echelon_block(linalg._rows_mod_p(m, p), p)
+        assert all(len(pivot_row) == 1 for _, pivot_row in pivots)
+        assert sorted(pc for pc, _ in pivots) == sorted(touched)
 
 
 @settings(max_examples=80, deadline=None)

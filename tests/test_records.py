@@ -87,6 +87,20 @@ def test_a_line_that_is_not_utf8_raises_at_load(tmp_path):
         ResultCache(tmp_path).lookup(H, "y", 3, 0)
 
 
+def test_a_torn_line_closed_off_by_an_append_loads_quietly(tmp_path, capsys):
+    # A writer killed mid-record leaves a torn line; the next append
+    # closes it off with a newline and a blank line before its record.
+    # A fresh cache skips that line and the blank lines silently.
+    torn = line(k=4)[:-9]
+    (tmp_path / "results.jsonl").write_text(
+        f"{line(k=3)}\n{torn}\n\n{line(k=5)}\n\n{line(k=6)}\n")
+    cache = ResultCache(tmp_path)
+    for k in (3, 5, 6):
+        assert cache.lookup(H, "y", k, 0) == ResultRecord.from_json(line(k=k))
+    assert cache.lookup(H, "y", 4, 0) is None
+    assert capsys.readouterr().err == ""
+
+
 def history_with_a_bad_middle_line(directory):
     lines = [line(k=10 + i) for i in range(5000)]
     lines[2499] = "{not json"

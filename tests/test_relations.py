@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from strutforge.bases import enumerate_basis, enumerate_y_basis, tree_components
+from strutforge.bases import _build_basis, enumerate_basis, enumerate_y_basis, tree_components
 from strutforge.diagrams import (
     Mode,
     canonicalize,
@@ -156,6 +156,18 @@ class TestLinkRelations:
         assert len(ihx_relations(3, 4, C, basis)) == 3
         with pytest.raises(DomainError, match="basis does not match"):
             ihx_relations(3, d, mode, basis)
+
+    def test_a_block_basis_missing_a_column_is_refused(self):
+        # Every column of this block is a term of one of its rows, so a
+        # block basis rebuilt without any one of them meets a term it
+        # cannot place (``_term_column``).
+        block = enumerate_basis(4, 3, H, leaves=(2, 1, 1, 1))
+        assert link_relations(4, 3, H, block)
+        for drop in range(len(block)):
+            short = _build_basis(block.spec, [element.encoding for col, element
+                                              in enumerate(block.elements) if col != drop])
+            with pytest.raises(DomainError, match="relation term falls outside the basis"):
+                link_relations(4, 3, H, short)
 
     def test_unmatched_color_emits_nothing(self):
         # Degree 1: the only legs live on the marked strut itself.

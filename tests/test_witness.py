@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 from brute_force import witness_ungraded
 from cli_runner import invoke
 import strutforge.pipeline as pipeline
+from strutforge.bases import enumerate_basis
 from strutforge.cli import _witness_parts
 from strutforge.diagrams import Mode
 from strutforge.pipeline import compute_witness, sparse_witness
@@ -50,6 +51,17 @@ def test_witness_bytes_equal_the_ungraded_oracle(mode, space, k, param):
 def test_per_block_reduction_gives_the_same_bytes(monkeypatch, mode, space, k, param):
     monkeypatch.setattr(pipeline, "_unit_columns", lambda *_: None)
     _check_written_bytes(mode, space, k, param)
+
+
+def test_carry_needs_every_functional_to_be_a_unit_vector():
+    # ``_unit_columns`` gives the free columns only when no functional
+    # has two nonzero entries; otherwise the orbit is reduced block by block.
+    block = enumerate_basis(3, 2, H)
+    unit = [[int(col == free) for col in range(len(block))] for free in (1, 4)]
+    assert pipeline._unit_columns(block, unit) == \
+        [block.elements[1].encoding, block.elements[4].encoding]
+    two = [1 if col in (0, 4) else 0 for col in range(len(block))]
+    assert pipeline._unit_columns(block, [unit[0], two]) is None
 
 
 def test_cli_writes_the_oracle_bytes(tmp_path):

@@ -25,8 +25,6 @@ from strutforge.diagrams import (
     render_component,
     strut,
     strut_encoding,
-    y_encoding,
-    y_tree,
 )
 from strutforge.errors import DomainError
 from strutforge.relations import (
@@ -78,12 +76,6 @@ def assert_matches_oracle(k, n, mode):
 
 
 class TestEncodings:
-    def test_y_encoding_matches_canonical_form(self):
-        for mode in (H, C):
-            for a, c, x in itertools.product(range(1, 7), repeat=3):
-                assert y_encoding(a, c, x) == canonicalize_component(
-                    y_tree(a, c, x), mode), (mode, a, c, x)
-
     def test_strut_encoding_matches_canonical_form(self):
         for mode in (H, C):
             for i, j in itertools.product(range(1, 7), repeat=2):

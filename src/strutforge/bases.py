@@ -425,11 +425,24 @@ def check_cell(spec: BasisSpec, max_elements: float = math.inf,
     multiset, C(k, 3) times ``strut_union_count`` forests, and
     ``y_link_config_count`` configurations; a full cell has
     ``forest_count`` forests and ``count_link_configs`` configurations.
+    Both are closed form except in a full concordance cell, whose exact
+    counts list its trees.  Its homotopy counts, closed form, bound them
+    from below (a homotopy tree has distinct colours, so it is a nonzero
+    concordance tree, and its marked trees and forests are concordance
+    ones), so the caps are checked on those first.
     """
     k, param, mode = spec.k, spec.param, spec.mode
     y = spec.space == "y"
     if y and mode is Mode.HOMOTOPY and k < 3:
         raise DomainError("the homotopy Y-subspace needs k >= 3")
+    if not y and mode is Mode.CONCORDANCE:
+        low = forest_count(k, param, Mode.HOMOTOPY)
+        if low > max_elements:
+            raise CapacityError(f"at least {low} basis elements exceed the cap {max_elements}")
+        low = count_link_configs(k, param, Mode.HOMOTOPY)
+        if low > max_rows:
+            raise CapacityError(
+                f"at least {low} link configurations exceed the cap {max_rows}")
     size = math.comb(k, 3) * strut_union_count(k, param, mode) if y \
         else forest_count(k, param, mode)
     if size > max_elements:

@@ -24,6 +24,9 @@ from .errors import DomainError, UnluckyPrimeError, Value, _set
 from .records import DEFAULT_PRIMES, PRIME_POOL, is_prime
 from .relations import RelationRow
 
+# Rounds of fresh primes ``rank_multiprime`` tries after the given primes disagree.
+MAX_RETRIES = 3
+
 
 class SparseMatrix(Value):
     """Relation rows over a fixed column count."""
@@ -162,8 +165,8 @@ def rank_bound(m: SparseMatrix) -> int:
     return min(nonzero, touched.count(1))
 
 
-def rank_multiprime(m: SparseMatrix, primes: Sequence[int] = DEFAULT_PRIMES,
-                    max_retries: int = 3) -> RankResult:
+def rank_multiprime(m: SparseMatrix, primes: Sequence[int] = DEFAULT_PRIMES
+                    ) -> RankResult:
     """Exact rank, certified by the first prime where possible.
 
     A rank mod p never exceeds the rank over Q, which never exceeds
@@ -171,9 +174,9 @@ def rank_multiprime(m: SparseMatrix, primes: Sequence[int] = DEFAULT_PRIMES,
     returned with ``primes == primes[:1]`` and ``certified`` set.  Below
     the bound, the remaining primes are ranked too (the first prime's
     rank is reused) and must agree.  Disagreement (an unlucky prime
-    undershooting) triggers retries with fresh primes from the pool;
-    persistent disagreement raises UnluckyPrimeError rather than
-    guessing.
+    undershooting) triggers up to ``MAX_RETRIES`` retries with fresh
+    primes from the pool; persistent disagreement raises
+    UnluckyPrimeError rather than guessing.
     """
     primes = tuple(primes)
     if len(set(primes)) < 2:
@@ -187,14 +190,14 @@ def rank_multiprime(m: SparseMatrix, primes: Sequence[int] = DEFAULT_PRIMES,
     used = set(primes)
     observed_max = max(ranks)
     attempt_primes = primes
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         if len(set(ranks)) == 1:
             return RankResult(rank=ranks[0], primes=attempt_primes,
                               agreement=True,
                               quotient_dim=m.num_cols - ranks[0],
                               certified=ranks[0] == bound)
         fresh = [p for p in PRIME_POOL if p not in used][:len(primes)]
-        if attempt == max_retries or len(fresh) < 2:
+        if attempt == MAX_RETRIES or len(fresh) < 2:
             break
         used.update(fresh)
         attempt_primes = tuple(fresh)

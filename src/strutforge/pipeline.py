@@ -1,22 +1,14 @@
 """End-to-end dimension pipeline: the guards, then a cell's blocks,
 ranks and witness functionals.
 
-Every cell takes one path, whichever its space: a single-Y cell is the
-slice of the forests of degree n + 2 with n + 1 components
-(``bases.BasisSpec``), and its bases and rows come from the same
-generators as a full cell's.  ``bases.check_cell`` runs the domain
-checks and the capacity guards on the cell's exact counts before
-anything is listed; ``dim``, ``witness`` and ``relations`` all call it
-first.  A dimension run then ranks the cell block by block, sums the
-weighted block counts and emits an immutable ResultRecord.  A single-Y
-block is first peeled from its column encodings
-(``relations.peel_y_block``); when every column peels, its rank is its
-column count, exact over Q, and no row is built.  Any other block is
-ranked from its rows: one prime when that rank certifies itself, more
-otherwise.  The records, the run defaults and the JSON-lines result
-cache live in ``records``, which imports no engine module; this module
-re-exports their names, and ``ResultCache.get_or_compute`` imports it
-only on a cache miss.
+A single-Y cell is the slice of the forests of degree n + 2 with n + 1
+components (``bases.BasisSpec``), so both spaces share one path.
+``dim``, ``witness`` and ``relations`` first run ``bases.check_cell``:
+the domain checks and the capacity guards, before anything is listed.
+The records, the run defaults and the JSON-lines result cache live in
+``records``, which imports no engine module; this module re-exports
+their names, and ``ResultCache.get_or_compute`` imports it only on a
+cache miss.
 
 No cell's relations are built whole.  Its diagrams split by leaf-colour
 multiset M, and every relation row is homogeneous in M (see
@@ -30,12 +22,13 @@ the permuted configuration of sM, whose row is the image of the first
 under that signed column bijection.  Rank ignores a signed permutation
 of the columns, and distinct rows stay distinct, so every block of an
 orbit has the same columns, distinct nonzero rows, IHX instances and
-rank, and the cell ranks one representative block per orbit
-(``bases.leaf_orbits``) weighted by the orbit's size.  A block-diagonal
-rank is exact when every block's rank meets its own bound, so the cell
-is certified when every block is.  ``witness`` reads the same blocks
-(``sparse_witness``), and a peeled block adds no functional; only the
-``relations`` dump builds a cell whole.
+rank.  A dimension run folds the plain counts of one block per orbit
+(``bases.leaf_orbits``, ``_block_counts``), times the orbit's size, into
+an immutable ResultRecord, and a witness run gathers each orbit's
+functionals (``_orbit_functionals``).  Each block is built and dropped
+inside one call, so one is resident at a time.  A single-Y block whose
+columns all peel (``relations.peel_y_block``) builds no row and adds no
+functional.  Only the ``relations`` dump builds a cell whole.
 """
 
 from __future__ import annotations
@@ -127,60 +120,54 @@ def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
                 f"prime {p} does not exceed the coefficient bound {bound} of this space")
 
 
-def _blocks(mode: Mode, space: str, k: int, param: int) -> Iterator[
-        tuple[tuple[int, ...], int, Basis, Optional[tuple[int, int]]]]:
-    """(leaf multiset, weight, basis, peel) of the blocks a cell is
-    ranked by: one representative block with columns per orbit of the
-    colour permutations, weighted by the orbit's size.  The peel is
-    ``peel_y_block``'s (rank, distinct nonzero rows) for a single-Y block
-    whose columns all peel, and None for any other block, whose rows are
-    built and reduced."""
-    for leaves, orbit in leaf_orbits(k, space, param):
-        block = build_basis(mode, space, k, param, leaves=leaves)
-        if block.elements:
-            yield leaves, orbit, block, peel_y_block(block) if space == "y" else None
+def _block_counts(mode: Mode, space: str, k: int, param: int,
+                  leaves: tuple[int, ...], primes: Sequence[int]
+                  ) -> tuple[int, int, int, int, tuple[int, ...], bool]:
+    """(columns, distinct nonzero rows, rank, IHX instances, primes,
+    certified) of the block with leaf multiset ``leaves``.  A single-Y
+    block whose columns all peel builds no row: its rank is exact over Q
+    and equals its rank mod ``primes[0]`` (``relations.peel_y_block``),
+    so it counts as certified on the first prime."""
+    block = build_basis(mode, space, k, param, leaves=leaves)
+    if not block.elements:
+        return 0, 0, 0, 0, (), True
+    peeled = peel_y_block(block) if space == "y" else None
+    if peeled is not None:
+        return len(block), peeled[1], peeled[0], 0, tuple(primes[:1]), True
+    rows, ihx = build_relations(mode, space, k, param, block)
+    result = rank_multiprime(SparseMatrix.from_rows(rows, len(block)), primes)
+    return len(block), len(rows), result.rank, ihx, result.primes, result.certified
 
 
 def compute_dimension(mode: Mode, space: str, k: int, param: int,
                       primes: Sequence[int] = DEFAULT_PRIMES,
                       max_elements: int = DEFAULT_MAX_ELEMENTS,
                       max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
-    """Full pipeline for one cell: the guards, then each block's basis
-    and its peel or its relations and certified or multi-prime rank.
+    """Full pipeline for one cell: the guards, then the ``_block_counts``
+    of one block per orbit times the orbit's size (``leaf_orbits``).
 
-    Columns, distinct nonzero rows and rank are the block counts times
-    their weights.  The raw relation count is the cell's link
-    configurations plus the weighted IHX instances of its blocks.  The
-    cell is certified when every block is, and ``primes`` is every prime
-    a block's rank came from, in first-use order: ``primes[:1]`` when
-    every block certified on the first prime.  A peeled block's rank is
-    exact over Q and equals its rank mod ``primes[0]``
-    (``relations.peel_y_block``), so it counts as certified on the first
-    prime, which is what ranking its rows would give.  The record's
-    ``timestamp`` is the finishing time in UTC to the second, as
-    ``2026-10-19T12:01:30+00:00``.
+    The raw relation count is the cell's link configurations plus the
+    blocks' IHX instances.  The cell is certified when every block is,
+    and ``primes`` is every prime a block's rank came from, in first-use
+    order: ``primes[:1]`` when every block certified on the first prime.
+    The record's ``timestamp`` is the finishing time in UTC to the
+    second, as ``2026-10-19T12:01:30+00:00``.
     """
     if len(set(primes)) < 2:
         raise DomainError("need at least two distinct primes")
     _check_prime_bound(space, param, primes)
     start = time.monotonic()
     _, raw = check_cell(BasisSpec(mode, k, space, param), max_elements, max_rows)
-    cols = num_rows = rank = 0
+    totals = [0, 0, 0, raw]  # columns, distinct nonzero rows, rank, raw relations
     used: list[int] = []
     certified = True
-    for _, weight, basis, peeled in _blocks(mode, space, k, param):
-        if peeled is None:
-            rows, ihx = build_relations(mode, space, k, param, basis)
-            result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
-            raw += weight * ihx
-            certified = certified and result.certified
-            block_rank, block_rows, block_primes = result.rank, len(rows), result.primes
-        else:
-            (block_rank, block_rows), block_primes = peeled, primes[:1]
-        cols += weight * len(basis)
-        rank += weight * block_rank
-        num_rows += weight * block_rows
+    for leaves, weight in leaf_orbits(k, space, param):
+        *counts, block_primes, block_certified = _block_counts(
+            mode, space, k, param, leaves, primes)
+        totals = [total + weight * count for total, count in zip(totals, counts)]
         used += [p for p in block_primes if p not in used]
+        certified = certified and block_certified
+    cols, num_rows, rank, raw = totals
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ResultRecord(
         mode=mode.value, space=space, k=k, param=param,
@@ -205,47 +192,59 @@ def sparse_witness(mode: Mode, space: str, k: int, param: int,
     Blocks and cell list their columns in encoding order, and the
     relation matrix is block diagonal, so the cell's reduced echelon form
     is its blocks' side by side, and each functional is a block's on that
-    block's columns.  A representative block that peels (``_blocks``)
-    has full column rank, so its orbit adds no functional and no row of
-    it is built.  Any other representative is reduced; when its
-    functionals are unit vectors (``_unit_columns``), the colour
-    permutations carry them across the orbit, else each block is reduced.
+    block's columns: ``_orbit_functionals`` gives those of each orbit.
     """
     _check_prime_bound(space, param, (prime,))
     check_cell(BasisSpec(mode, k, space, param), max_elements, max_rows)
     basis = build_basis(mode, space, k, param, max_elements)
     found: dict[int, list[tuple[int, int]]] = {}  # free column -> entries, on the cell's columns
-    for leaves, _, block, peeled in _blocks(mode, space, k, param):
-        if peeled is not None:
-            continue
-        rows = build_relations(mode, space, k, param, block)[0]
-        vecs = cokernel_functionals(SparseMatrix.from_rows(rows, len(block)), prime)
-        unit = _unit_columns(block, vecs)
-        if unit == []:
-            continue
-        for image in _rearrangements(leaves):
-            if unit is not None:
-                table = _colour_table(leaves, image)
-                for enc in unit:
-                    col = basis.index[recoloured_encoding(enc, table, mode)]
-                    found[col] = [(col, 1)]
-                continue
-            image_block, image_vecs = block, vecs
-            if image != leaves:
-                image_block = build_basis(mode, space, k, param, leaves=image)
-                image_rows = build_relations(mode, space, k, param, image_block)[0]
-                image_vecs = cokernel_functionals(
-                    SparseMatrix.from_rows(image_rows, len(image_block)), prime)
-            for vec in image_vecs:
-                # a functional's free column is its last nonzero entry
-                entries = sorted((basis.index[image_block.elements[c].encoding], v)
-                                 for c, v in enumerate(vec) if v)
-                found[entries[-1][0]] = entries
+    for leaves, _ in leaf_orbits(k, space, param):
+        found.update(_orbit_functionals(mode, space, k, param, leaves, prime, basis.index))
     return {
         "basis": [cd.encoding.hex() for cd in basis.elements],
         "prime": prime,
         "functionals": [found[free] for free in sorted(found)],
     }
+
+
+def _block_functionals(mode: Mode, space: str, k: int, param: int,
+                       leaves: tuple[int, ...], prime: int
+                       ) -> tuple[Basis, list[list[int]]]:
+    """The block with leaf multiset ``leaves`` and its dense cokernel
+    functionals mod ``prime``: none, and no row built, for a block
+    without columns or a single-Y block that peels (full column rank)."""
+    block = build_basis(mode, space, k, param, leaves=leaves)
+    if not block.elements or (space == "y" and peel_y_block(block) is not None):
+        return block, []
+    rows = build_relations(mode, space, k, param, block)[0]
+    return block, cokernel_functionals(SparseMatrix.from_rows(rows, len(block)), prime)
+
+
+def _orbit_functionals(mode: Mode, space: str, k: int, param: int,
+                       leaves: tuple[int, ...], prime: int, index: dict[bytes, int]
+                       ) -> dict[int, list[tuple[int, int]]]:
+    """{free column: sorted (column, value) entries} of the orbit of
+    ``leaves`` on the cell's columns ``index``: the representative's unit
+    functionals (``_unit_columns``) carried across the orbit by the
+    colour permutations, or else every block's own."""
+    block, vecs = _block_functionals(mode, space, k, param, leaves, prime)
+    if not vecs:
+        return {}
+    unit = _unit_columns(block, vecs)
+    if unit is not None:
+        tables = (_colour_table(leaves, image) for image in _rearrangements(leaves))
+        cols = (index[recoloured_encoding(enc, table, mode)] for table in tables for enc in unit)
+        return {col: [(col, 1)] for col in cols}
+    found: dict[int, list[tuple[int, int]]] = {}
+    for image in _rearrangements(leaves):
+        image_block, image_vecs = (block, vecs) if image == leaves else \
+            _block_functionals(mode, space, k, param, image, prime)
+        for vec in image_vecs:
+            # a functional's free column is its last nonzero entry
+            entries = sorted((index[image_block.elements[c].encoding], v)
+                             for c, v in enumerate(vec) if v)
+            found[entries[-1][0]] = entries
+    return found
 
 
 def compute_witness(mode: Mode, space: str, k: int, param: int,

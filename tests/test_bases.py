@@ -366,6 +366,28 @@ class TestClosedFormCounts:
         assert tree_count(4, 3, H) == 3 and tree_count(4, 4, H) == 0
         assert count_link_configs(4, 40, H) > forest_count(4, 39, H) > 0
 
+    def test_homotopy_counts_bound_the_concordance_counts(self):
+        # a homotopy tree has distinct colours, so it is a nonzero
+        # concordance tree; its marked trees and forests are concordance ones
+        for k in range(1, 6):
+            for d in range(1, 7):
+                assert forest_count(k, d, H) <= forest_count(k, d, C), (k, d)
+                assert count_link_configs(k, d, H) <= count_link_configs(k, d, C), (k, d)
+
+    def test_full_concordance_caps_refuse_on_the_bound_first(self, monkeypatch):
+        def never(*_):
+            raise AssertionError("trees listed before the closed-form bound")
+
+        for name in ("tree_components", "rooted_expressions"):
+            monkeypatch.setattr(bases, name, never)
+        spec = BasisSpec(C, 4, "full", 8)
+        with pytest.raises(CapacityError,
+                           match="^at least 6608 basis elements exceed the cap 1$"):
+            bases.check_cell(spec, max_elements=1)
+        with pytest.raises(CapacityError,
+                           match="^at least 62748 link configurations exceed the cap 1$"):
+            bases.check_cell(spec, max_rows=1)
+
     def test_tree_count_rejects_bad_input(self):
         with pytest.raises(DomainError):
             tree_count(3, 0, H)

@@ -1,9 +1,10 @@
+import gc
 import json
 
 import pytest
 
 from strutforge import __version__
-from strutforge.bases import enumerate_basis, enumerate_y_basis, leaf_orbits
+from strutforge.bases import Basis, enumerate_basis, enumerate_y_basis, leaf_orbits
 from strutforge.diagrams import Mode, encoding_trivalent_count
 from strutforge.errors import CacheError, DomainError
 import strutforge.linalg as linalg
@@ -117,6 +118,28 @@ class TestComputeDimension:
         assert a.to_json() != "" and strip_volatile(a).to_json() == \
             strip_volatile(b).to_json()
 
+
+
+@pytest.mark.parametrize("run,space,k,param", [
+    (compute_dimension, "y", 5, 2), (compute_dimension, "full", 4, 3),
+    (pipeline.sparse_witness, "full", 4, 3)])
+def test_no_block_outlives_its_step(monkeypatch, run, space, k, param):
+    # Each block is built, used and dropped inside one call, so when the
+    # next block is asked for no earlier block is alive.  (The per-block
+    # witness branch keeps its representative while it reduces the
+    # orbit's other blocks; no cell here takes it.)
+    real = pipeline.build_basis
+    alive = []
+
+    def counted(*args, leaves=None, **kwargs):
+        if leaves is not None:
+            alive.append(sum(isinstance(obj, Basis) and obj.spec.leaves is not None
+                             for obj in gc.get_objects()))
+        return real(*args, leaves=leaves, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_basis", counted)
+    run(H, space, k, param)
+    assert len(alive) > 1 and max(alive) == 0
 
 class TestRecordSerialization:
     def test_json_roundtrip(self):

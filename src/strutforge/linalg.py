@@ -18,11 +18,13 @@ kept alongside as the small-matrix oracle.
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, UnluckyPrimeError, Value, _set
 from .records import DEFAULT_PRIMES, PRIME_POOL, is_prime
-from .relations import RelationRow
+
+if TYPE_CHECKING:  # rows are only read through ``row.entries``
+    from .relations import RelationRow
 
 # Rounds of fresh primes ``rank_multiprime`` tries after the given primes disagree.
 MAX_RETRIES = 3

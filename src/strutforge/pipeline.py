@@ -27,26 +27,31 @@ rank.  A dimension run folds the plain counts of one block per orbit
 an immutable ResultRecord, and a witness run gathers each orbit's
 functionals (``_orbit_functionals``).  Each block is built and dropped
 inside one call, so one is resident at a time.  A single-Y block whose
-columns all peel (``relations.peel_y_block``) builds no row and adds no
-functional.  Only the ``relations`` dump builds a cell whole.
+columns all peel (``peel.peel_y_block``) builds no row and adds no
+functional, and loads neither ``relations`` nor ``linalg``: a cell
+reaches them only through a block that does not peel, every full block
+and a single-Y block whose peel is refused.  Only the ``relations``
+dump builds a cell whole.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .bases import (
     Basis,
     BasisSpec,
     check_cell,
+    count_link_configs,
     enumerate_basis,
     enumerate_y_basis,
     leaf_orbits,
+    y_link_config_count,
 )
 from .diagrams import recoloured_encoding
 from .errors import DomainError
-from .linalg import SparseMatrix, cokernel_functionals, rank_multiprime
+from .peel import coefficient_bound, peel_y_block
 # The records layer's names stay importable from here as well.
 from .records import (
     CACHE_ENV_VAR,
@@ -62,21 +67,52 @@ from .records import (
     is_prime,
     resolve_cache_dir,
 )
-# count_link_configs, y_link_config_count and y_link_relations are not
-# called here: they are imported only to stay attributes of this module,
-# where perfbench/traced_op.py wraps them and tests/test_y_graded.py
-# patches y_link_relations.
-from .relations import (
-    RelationRow,
-    coefficient_bound,
-    count_ihx_instances,
-    count_link_configs,
-    ihx_relations,
-    link_relations,
-    peel_y_block,
-    y_link_config_count,
-    y_link_relations,
-)
+
+if TYPE_CHECKING:
+    from .relations import RelationRow
+
+# The row builder (``relations``) and the elimination kernel (``linalg``)
+# load on first use, which only a block that does not peel makes.  The
+# six functions below call into them by name, and count_link_configs and
+# y_link_config_count are imported uncalled: each stays an attribute of
+# this module because perfbench/traced_op.py wraps it there and the tests
+# patch it there.
+
+
+def link_relations(*args, **kwargs):
+    """``relations.link_relations``, importing the row builder on first use."""
+    from .relations import link_relations
+    return link_relations(*args, **kwargs)
+
+
+def ihx_relations(*args, **kwargs):
+    """``relations.ihx_relations``, importing the row builder on first use."""
+    from .relations import ihx_relations
+    return ihx_relations(*args, **kwargs)
+
+
+def y_link_relations(*args, **kwargs):
+    """``relations.y_link_relations``, importing the row builder on first use."""
+    from .relations import y_link_relations
+    return y_link_relations(*args, **kwargs)
+
+
+def count_ihx_instances(*args, **kwargs):
+    """``relations.count_ihx_instances``, importing the row builder on first use."""
+    from .relations import count_ihx_instances
+    return count_ihx_instances(*args, **kwargs)
+
+
+def rank_multiprime(*args, **kwargs):
+    """``linalg.rank_multiprime``, importing the elimination kernel on first use."""
+    from .linalg import rank_multiprime
+    return rank_multiprime(*args, **kwargs)
+
+
+def cokernel_functionals(*args, **kwargs):
+    """``linalg.cokernel_functionals``, importing the elimination kernel on first use."""
+    from .linalg import cokernel_functionals
+    return cokernel_functionals(*args, **kwargs)
 
 
 def build_basis(mode: Mode, space: str, k: int, param: int,
@@ -126,7 +162,7 @@ def _block_counts(mode: Mode, space: str, k: int, param: int,
     """(columns, distinct nonzero rows, rank, IHX instances, primes,
     certified) of the block with leaf multiset ``leaves``.  A single-Y
     block whose columns all peel builds no row: its rank is exact over Q
-    and equals its rank mod ``primes[0]`` (``relations.peel_y_block``),
+    and equals its rank mod ``primes[0]`` (``peel.peel_y_block``),
     so it counts as certified on the first prime."""
     block = build_basis(mode, space, k, param, leaves=leaves)
     if not block.elements:
@@ -134,6 +170,7 @@ def _block_counts(mode: Mode, space: str, k: int, param: int,
     peeled = peel_y_block(block) if space == "y" else None
     if peeled is not None:
         return len(block), peeled[1], peeled[0], 0, tuple(primes[:1]), True
+    from .linalg import SparseMatrix
     rows, ihx = build_relations(mode, space, k, param, block)
     result = rank_multiprime(SparseMatrix.from_rows(rows, len(block)), primes)
     return len(block), len(rows), result.rank, ihx, result.primes, result.certified
@@ -216,6 +253,7 @@ def _block_functionals(mode: Mode, space: str, k: int, param: int,
     block = build_basis(mode, space, k, param, leaves=leaves)
     if not block.elements or (space == "y" and peel_y_block(block) is not None):
         return block, []
+    from .linalg import SparseMatrix
     rows = build_relations(mode, space, k, param, block)[0]
     return block, cokernel_functionals(SparseMatrix.from_rows(rows, len(block)), prime)
 

@@ -26,7 +26,7 @@ one reduced echelon form of the whole matrix.
 
 The singleton peel of a block's real rows (``peel_passes``), the oracle
 for the row-free peel of a single-Y block, ``y_peel_passes`` in
-``strutforge.relations``.
+``strutforge.peel``.
 
 Echelon pivot order, the oracle for the heap pivot queue of
 ``strutforge.linalg._echelon_block``: every pivot is the minimum over a

@@ -27,8 +27,8 @@ from strutforge.diagrams import (
     strut,
     strut_encoding,
 )
+from strutforge.peel import _graft_terms
 from strutforge.relations import (
-    _graft_terms,
     _ihx_terms,
     count_ihx_instances,
     count_link_configs,

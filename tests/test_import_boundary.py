@@ -2,9 +2,12 @@
 
 ``--version``, a cache-hit ``dim`` and a fully cached ``sweep`` import
 ``strutforge.records`` and no engine module; a cache miss imports the
-pipeline.  No command loads click, and no module imports it.  No
-command loads ``dataclasses``, ``inspect`` or ``datetime`` beyond what a
-bare interpreter loads, and no module imports the first or the last.  The
+pipeline.  A single-Y ``dim`` or ``witness`` whose blocks all peel loads
+neither the row builder nor the elimination kernel, which a full cell
+loads on its first block.  No command loads click, and no module
+imports it.  No command loads ``dataclasses``, ``inspect`` or
+``datetime`` beyond what a bare interpreter loads, and no module
+imports the first or the last.  The
 package exports its names lazily, every name moved into ``records`` is
 the same object under its old module, and every module attribute that
 ``perfbench/traced_op.py`` patches still resolves.  The cache's line
@@ -28,7 +31,7 @@ from strutforge.pipeline import ResultCache
 
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE = {f"strutforge.{name}" for name in
-          ("bases", "diagrams", "relations", "linalg", "pipeline", "counting")}
+          ("bases", "diagrams", "peel", "relations", "linalg", "pipeline", "counting")}
 
 # Runs the CLI as ``python -m strutforge.cli`` would, then writes the
 # strutforge modules it loaded, how many times it built the cache's line
@@ -83,6 +86,48 @@ def test_cache_hit_dim_loads_no_engine(tmp_path):
     assert "(cache hit)" in proc.stderr
     assert json.loads(proc.stdout)["num_diagrams"] == 24
     assert not modules & ENGINE
+
+
+# What a cache-miss single-Y dim or witness loads: the blocks peel
+# (``peel``), so no row is built and no matrix ranked.
+Y_PEEL = {"strutforge", *(f"strutforge.{name}" for name in
+                          ("errors", "records", "pipeline", "bases", "diagrams", "peel"))}
+
+
+def test_peeled_y_commands_load_no_rows_or_linalg(tmp_path):
+    y = ["--space", "y", "--k", "4", "--n", "1"]
+    runs = [["dim", *y, "--mode", mode, "--cache-dir", str(tmp_path / mode)]
+            for mode in ("homotopy", "concordance")]
+    runs.append(["witness", *y, "--out", str(tmp_path / "w.json")])
+    for args in runs:
+        modules, proc = loaded_modules(tmp_path, *args)
+        assert "(cache hit)" not in proc.stderr
+        assert modules == Y_PEEL, args
+    modules, _ = loaded_modules(tmp_path, "dim", "--space", "full", "--k", "3",
+                                "--degree", "2", "--cache-dir", str(tmp_path / "full"))
+    assert {"strutforge.relations", "strutforge.linalg"} <= modules
+
+
+@pytest.mark.parametrize("module,loads", [
+    # the peel needs canonical forms only, and the elimination kernel
+    # reads rows only through their entries
+    ("peel", {"errors", "records", "diagrams", "peel"}),
+    ("linalg", {"errors", "records", "linalg"}),
+])
+def test_peel_and_linalg_load_no_row_builder(module, loads):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, strutforge.{module}; "
+         "print(*(m for m in sys.modules if m.startswith('strutforge')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == {"strutforge", *(f"strutforge.{m}" for m in loads)}
+
+
+def test_rows_and_peel_share_one_graft_memo():
+    from strutforge import peel, relations
+    assert relations._graft_terms is peel._graft_terms
+    assert relations._term_column is peel._term_column
 
 
 def test_no_command_loads_click(tmp_path):

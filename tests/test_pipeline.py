@@ -21,7 +21,8 @@ from strutforge.pipeline import (
     compute_witness,
     resolve_cache_dir,
 )
-from strutforge.relations import RelationRow, coefficient_bound, y_link_relations
+from strutforge.peel import coefficient_bound
+from strutforge.relations import RelationRow, y_link_relations
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE

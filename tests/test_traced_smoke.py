@@ -3,7 +3,10 @@
 ``perfbench/traced_op.py`` replaces module attributes by name; if one of
 them is renamed the traced run breaks or records nothing for that span.
 These tests run it on tiny cells and check that the tree-generation,
-basis and linalg spans fill.
+basis, row and linalg spans fill.  ``pipeline`` reaches the row builder
+and the elimination kernel through functions that import them on first
+use; the spans fill only if the pipeline calls those functions by the
+names the tracer patches.
 """
 
 import json
@@ -26,11 +29,12 @@ def run_traced(tmp_path, *command):
 
 
 def test_dim_fills_rank_span(tmp_path):
-    # a full cell's blocks are ranked from their rows; a Y cell's blocks
-    # peel and rank nothing
-    trace = run_traced(tmp_path, "dim", "--space", "full", "--k", "3", "--degree", "2",
+    # a full cell's blocks build link and IHX rows and are ranked; a Y
+    # cell's blocks peel and rank nothing
+    trace = run_traced(tmp_path, "dim", "--space", "full", "--k", "4", "--degree", "3",
                        "--cache-dir", str(tmp_path / "cache"))
-    assert trace["self_s"].get("linalg.rank", 0) > 0
+    for span in ("relations.link", "relations.ihx", "linalg.rank"):
+        assert trace["self_s"].get(span, 0) > 0, span
 
 
 def test_y_dim_fills_basis_span(tmp_path):

@@ -1,6 +1,6 @@
 """The row-free peel of single-Y blocks against their real rows.
 
-``relations.y_peel_passes`` reads each column's peel pass and the
+``peel.y_peel_passes`` reads each column's peel pass and the
 block's distinct row count off the column encodings; the oracle peels
 the rows ``pipeline.build_relations`` builds for the same block
 (``brute_force.peel_passes``) and ranks them with ``rank_multiprime``.
@@ -18,7 +18,7 @@ from strutforge.diagrams import Mode
 from strutforge.errors import DomainError
 from strutforge.linalg import SparseMatrix, rank_multiprime
 from strutforge.pipeline import build_relations, compute_dimension
-from strutforge.relations import peel_y_block, y_peel_passes
+from strutforge.peel import peel_y_block, y_peel_passes
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE

@@ -73,8 +73,6 @@ def _parse_mode(value: str) -> Mode:
 
 
 def _parse_primes(value: str) -> tuple[int, ...]:
-    if not value:
-        return DEFAULT_PRIMES
     try:
         primes = tuple(int(tok) for tok in value.replace(";", ",").split(",") if tok)
     except ValueError:

@@ -36,19 +36,11 @@ dump builds a cell whole.
 
 from __future__ import annotations
 
+import importlib
 import time
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .bases import (
-    Basis,
-    BasisSpec,
-    check_cell,
-    count_link_configs,
-    enumerate_basis,
-    enumerate_y_basis,
-    leaf_orbits,
-    y_link_config_count,
-)
+from .bases import Basis, BasisSpec, check_cell, enumerate_basis, enumerate_y_basis, leaf_orbits
 from .diagrams import recoloured_encoding
 from .errors import DomainError
 from .peel import coefficient_bound, peel_y_block
@@ -71,48 +63,31 @@ from .records import (
 if TYPE_CHECKING:
     from .relations import RelationRow
 
-# The row builder (``relations``) and the elimination kernel (``linalg``)
-# load on first use, which only a block that does not peel makes.  The
-# six functions below call into them by name, and count_link_configs and
-# y_link_config_count are imported uncalled: each stays an attribute of
-# this module because perfbench/traced_op.py wraps it there and the tests
-# patch it there.
+# These names live here for perfbench/traced_op.py, which wraps each one
+# in this module, and for the tests, which patch them here (ROADMAP item
+# 1 C).  The row builder (``relations``) and the elimination kernel
+# (``linalg``) load on first use, which only a block that does not peel
+# makes; count_link_configs and y_link_config_count are never called here.
+from .bases import count_link_configs, y_link_config_count
 
 
-def link_relations(*args, **kwargs):
-    """``relations.link_relations``, importing the row builder on first use."""
-    from .relations import link_relations
-    return link_relations(*args, **kwargs)
+def _first_use(module: str, name: str):
+    """``strutforge.<module>.<name>``, looked up on every call and so
+    imported on the first."""
+    def call(*args, **kwargs):
+        target = getattr(importlib.import_module(f".{module}", __package__), name)
+        return target(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    call.__doc__ = f"``{module}.{name}``, importing ``{module}`` on first use."
+    return call
 
 
-def ihx_relations(*args, **kwargs):
-    """``relations.ihx_relations``, importing the row builder on first use."""
-    from .relations import ihx_relations
-    return ihx_relations(*args, **kwargs)
-
-
-def y_link_relations(*args, **kwargs):
-    """``relations.y_link_relations``, importing the row builder on first use."""
-    from .relations import y_link_relations
-    return y_link_relations(*args, **kwargs)
-
-
-def count_ihx_instances(*args, **kwargs):
-    """``relations.count_ihx_instances``, importing the row builder on first use."""
-    from .relations import count_ihx_instances
-    return count_ihx_instances(*args, **kwargs)
-
-
-def rank_multiprime(*args, **kwargs):
-    """``linalg.rank_multiprime``, importing the elimination kernel on first use."""
-    from .linalg import rank_multiprime
-    return rank_multiprime(*args, **kwargs)
-
-
-def cokernel_functionals(*args, **kwargs):
-    """``linalg.cokernel_functionals``, importing the elimination kernel on first use."""
-    from .linalg import cokernel_functionals
-    return cokernel_functionals(*args, **kwargs)
+link_relations = _first_use("relations", "link_relations")
+ihx_relations = _first_use("relations", "ihx_relations")
+y_link_relations = _first_use("relations", "y_link_relations")
+count_ihx_instances = _first_use("relations", "count_ihx_instances")
+rank_multiprime = _first_use("linalg", "rank_multiprime")
+cokernel_functionals = _first_use("linalg", "cokernel_functionals")
 
 
 def build_basis(mode: Mode, space: str, k: int, param: int,

@@ -11,7 +11,7 @@ from cli_runner import invoke
 from strutforge.cli import cli
 from strutforge.bases import enumerate_y_basis, enumerate_basis
 from strutforge.diagrams import Mode
-from strutforge.pipeline import CSV_HEADER
+from strutforge.pipeline import CSV_HEADER, compute_dimension
 from strutforge.relations import RelationRow
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -40,6 +40,12 @@ class TestCount:
         assert data["existence_bound"] > 0
         assert data["invariant_type"] == 212
 
+    def test_headline_table_certifies_the_invariant(self):
+        assert run_ok("count", "--k", "9", "--n", "210").splitlines()[-1] == \
+            "nontrivial invariant of type 212 certified"
+        # existence bound 0: nothing is certified
+        assert "certified" not in run_ok("count", "--k", "9", "--n", "209")
+
     def test_small_values_table(self):
         out = run_ok("count", "--k", "3", "--n", "1")
         assert "u (diagrams)       = 3" in out
@@ -48,6 +54,11 @@ class TestCount:
     def test_domain_error_exit(self):
         result = invoke(["count", "--k", "2", "--n", "0"])
         assert result.exit_code != 0
+
+
+def test_crossing():
+    assert json.loads(run_ok("crossing", "--k", "9")) == \
+        {"k": 9, "root": "209/1", "ceiling": 209}
 
 
 class TestDim:
@@ -178,6 +189,27 @@ class TestSweep:
         assert out_file.read_text() == cold
         assert reads == ["r"]
 
+    def test_full_space_sweep_matches_the_records_and_resumes(self, tmp_path, monkeypatch):
+        out_file = tmp_path / "sweep.csv"
+        args = ["sweep", "--space", "full", "--mode", "concordance", "--k-range", "1:3",
+                "--degree-range", "1:3", "--out", str(out_file), "--cache-dir", str(tmp_path)]
+        run_ok(*args)
+        lines = out_file.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        unstamped = [line.split(",") for line in lines[1:]]
+        for cells in unstamped:
+            cells[10] = cells[12] = ""  # elapsed_ms, timestamp
+        assert unstamped == [
+            compute_dimension(Mode.CONCORDANCE, "full", k, d)
+            .replace(elapsed_ms="", timestamp="").csv_row().split(",")
+            for k in (1, 2, 3) for d in (1, 2, 3)]
+        assert unstamped[-1][4:9] == ["68", "285", "15", "12", "56"]  # (3, 3)
+        cache = (tmp_path / "results.jsonl").read_text()
+        monkeypatch.setattr("strutforge.pipeline.compute_dimension", _never)
+        run_ok(*args)
+        assert out_file.read_text().splitlines() == lines
+        assert (tmp_path / "results.jsonl").read_text() == cache
+
     def test_error_marker_continues(self, tmp_path):
         out_file = tmp_path / "sweep.csv"
         run_ok("sweep", "--space", "y", "--k-range", "3:5",
@@ -299,6 +331,7 @@ USAGE_ERRORS = [
     (["sweep", "--k-range", "4:3", "--n-range", "0", "--out", "s.csv"],
      "argument --k-range: must be 'lo:hi' or a comma list, got '4:3'"),
     (["dim", *CELL, "--primes", "7"], "need at least two primes"),
+    (["dim", *CELL, "--primes", ""], "need at least two primes"),
     (["dim", *CELL, "--primes", "7,x"], "primes must be integers: '7,x'"),
     (["dim", *CELL, "--primes", "7,9"], "9 is not a prime"),
     (["dim", *CELL, "--primes", f"7,{2**64}"], "primality is only checked below 2**64"),
@@ -354,6 +387,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args,message", [
         (["count", "--k", "2", "--n", "0"], "u(n, k) needs k >= 3, got k=2"),
+        (["crossing", "--k", "8"], "ratio(n, 8) stays >= 1 for all n (limit 1)"),
         (["dim", *CELL, "--max-basis", "10"], "24 basis elements exceed the cap 10"),
         (["dim", *CELL, "--max-basis", "0"], "24 basis elements exceed the cap 0"),
     ])

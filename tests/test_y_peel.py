@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from brute_force import peel_passes
 import strutforge.pipeline as pipeline
 from strutforge.bases import enumerate_basis, enumerate_y_basis, leaf_orbits
-from strutforge.diagrams import Mode
+from strutforge import peel
+from strutforge.diagrams import Mode, diagram_encoding
 from strutforge.errors import DomainError
 from strutforge.linalg import SparseMatrix, rank_multiprime
 from strutforge.pipeline import build_relations, compute_dimension
@@ -80,6 +81,35 @@ def test_refused_peel_falls_back_to_the_same_record(monkeypatch, mode, k, n):
     ranked = compute_dimension(mode, "y", k, n)
     assert peeled.replace(elapsed_ms=0, timestamp="") == \
         ranked.replace(elapsed_ms=0, timestamp="")
+
+
+def test_a_round_that_peels_nothing_gives_up(monkeypatch):
+    # each row of a column that fails pass 1 also holds that column, so
+    # none of those columns ever peels and the first later round stops
+    unpatched = compute_dimension(H, "y", 4, 3)
+    real_rows = peel._y_rows
+
+    def stuck_rows(index, parts, bands, mode):
+        col = index[diagram_encoding(parts)]
+        for row in real_rows(index, parts, bands, mode):
+            yield row + [col]
+
+    monkeypatch.setattr(peel, "_y_rows", stuck_rows)
+    block = enumerate_y_basis(4, 3, H, leaves=(3, 2, 2, 2))
+    assert y_peel_passes(block)[0] == [1, 0, 1, 1, 1, 1, 1, 1, 1, 1]
+    assert peel_y_block(block) is None
+    built = []
+    real_build = pipeline.build_relations
+
+    def counted_build(*args, **kwargs):
+        built.append(args[4])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_relations", counted_build)
+    record = compute_dimension(H, "y", 4, 3)
+    assert built and record.certified  # the refused blocks took the row path
+    assert record.replace(elapsed_ms=0, timestamp="") == \
+        unpatched.replace(elapsed_ms=0, timestamp="")
 
 
 def test_a_peeled_block_builds_no_rows(monkeypatch):

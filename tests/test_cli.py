@@ -331,7 +331,6 @@ USAGE_ERRORS = [
     (["sweep", "--k-range", "4:3", "--n-range", "0", "--out", "s.csv"],
      "argument --k-range: must be 'lo:hi' or a comma list, got '4:3'"),
     (["dim", *CELL, "--primes", "7"], "need at least two primes"),
-    (["dim", *CELL, "--primes", ""], "need at least two primes"),
     (["dim", *CELL, "--primes", "7,x"], "primes must be integers: '7,x'"),
     (["dim", *CELL, "--primes", "7,9"], "9 is not a prime"),
     (["dim", *CELL, "--primes", f"7,{2**64}"], "primality is only checked below 2**64"),
@@ -352,6 +351,7 @@ USAGE_ERRORS = [
      "argument --n-range: must be 'lo:hi' or a comma list, got ','"),
     (["sweep", "--space", "full", "--k-range", "3", "--degree-range", ",", "--out", "s.csv"],
      "argument --degree-range: must be 'lo:hi' or a comma list, got ','"),
+    (["dim", *CELL, "--primes", ""], "need at least two primes"),
 ]
 
 
@@ -387,9 +387,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args,message", [
         (["count", "--k", "2", "--n", "0"], "u(n, k) needs k >= 3, got k=2"),
-        (["crossing", "--k", "8"], "ratio(n, 8) stays >= 1 for all n (limit 1)"),
         (["dim", *CELL, "--max-basis", "10"], "24 basis elements exceed the cap 10"),
         (["dim", *CELL, "--max-basis", "0"], "24 basis elements exceed the cap 0"),
+        (["crossing", "--k", "8"], "ratio(n, 8) stays >= 1 for all n (limit 1)"),
     ])
     def test_failed_run_exits_1(self, capsys, tmp_path, args, message):
         code, out, err = run_split(capsys, args + (

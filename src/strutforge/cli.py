@@ -11,9 +11,9 @@ parses the arguments, runs one command and exits with
 - 2 for a usage error, after the usage line and ``Error: <message>`` on
   stderr: an unknown option (abbreviations are refused too), a bad
   choice, integer, prime list or range, a negative ``--max-basis`` or
-  ``--max-rows``, a missing ``--n``/``--degree``, or an ``--out`` that
-  names a directory.  Each is refused before any
-  work.
+  ``--max-rows``, a missing ``--n``/``--degree``, the other space's
+  option, or an ``--out`` that is empty or names a directory.  Each is
+  refused before any work.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ def _file_error(path: str, reason: str) -> _CommandError:
     return _CommandError(f"Could not open file '{path}': {reason}")
 
 
-def _parse_mode(value: str) -> Mode:
-    return Mode(value)
-
-
 def _parse_primes(value: str) -> tuple[int, ...]:
     try:
         primes = tuple(int(tok) for tok in value.replace(";", ",").split(",") if tok)
@@ -119,19 +115,30 @@ def _cap(value: str) -> int:
 
 
 def _out_file(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("a file name cannot be empty")
     if os.path.isdir(value):
         raise argparse.ArgumentTypeError(f"File '{value}' is a directory.")
     return value
 
 
-def _resolve_space_param(space: str, n: Optional[int], deg: Optional[int]) -> int:
-    if space == "y":
-        if n is None:
-            raise _UsageError("--space y needs --n")
-        return n
-    if deg is None:
-        raise _UsageError("--space full needs --degree")
-    return deg
+def _resolve_cell(options: dict) -> None:
+    """Turn a cell command's options into the engine's arguments: the
+    mode name into a ``Mode``, and the option its space names (``--n``
+    or ``--degree``, their ``-range`` forms for ``sweep``) into ``param``
+    (``params``), refusing a missing one or the other space's."""
+    if "space" not in options:
+        return
+    space = options["space"]
+    suffix = "_range" if "k_range" in options else ""
+    own, other = ("n", "degree") if space == "y" else ("degree", "n")
+    value = options.pop(own + suffix)
+    if options.pop(other + suffix) is not None:
+        raise _UsageError(f"--space {space} takes no --{other}{suffix}".replace("_", "-"))
+    if value is None:
+        raise _UsageError(f"--space {space} needs --{own}{suffix}".replace("_", "-"))
+    options["params" if suffix else "param"] = value
+    options["mode"] = Mode(options["mode"])
 
 
 def cmd_count(k: int, n: int, fmt: str) -> None:
@@ -170,37 +177,25 @@ def cmd_crossing(k: int) -> None:
     }))
 
 
-def cmd_dim(mode: str, space: str, k: int, n: Optional[int],
-            degree: Optional[int], primes: tuple[int, ...],
+def cmd_dim(mode: Mode, space: str, k: int, param: int, primes: tuple[int, ...],
             cache_dir: Optional[str], max_basis: int, max_rows: int) -> None:
     """Quotient dimension of one diagram space."""
-    param = _resolve_space_param(space, n, degree)
     cache = ResultCache(resolve_cache_dir(cache_dir))
-    record, cached = cache.get_or_compute(
-        _parse_mode(mode), space, k, param, primes, max_basis, max_rows)
+    record, cached = cache.get_or_compute(mode, space, k, param, primes, max_basis, max_rows)
     print(record.to_json())
     if cached:
         print("(cache hit)", file=sys.stderr)
 
 
-def cmd_sweep(mode: str, space: str, k_range: list[int], n_range: Optional[list[int]],
-              degree_range: Optional[list[int]], out: str, primes: tuple[int, ...],
-              cache_dir: Optional[str], max_basis: int, max_rows: int) -> None:
+def cmd_sweep(mode: Mode, space: str, k_range: list[int], params: list[int], out: str,
+              primes: tuple[int, ...], cache_dir: Optional[str], max_basis: int,
+              max_rows: int) -> None:
     """Dimension table over a (k, parameter) grid, flushed row by row.
 
     Failing cells leave an error marker in the quotient_dim column and the
     sweep continues; re-runs resume from the cache.
     """
-    if space == "y":
-        if n_range is None:
-            raise _UsageError("--space y needs --n-range")
-        params = n_range
-    else:
-        if degree_range is None:
-            raise _UsageError("--space full needs --degree-range")
-        params = degree_range
     cache = ResultCache(resolve_cache_dir(cache_dir))
-    mode_v = _parse_mode(mode)
     try:
         fh = open(out, "w", encoding="utf-8")
     except OSError as exc:
@@ -212,7 +207,7 @@ def cmd_sweep(mode: str, space: str, k_range: list[int], n_range: Optional[list[
             for param in params:
                 try:
                     record, _ = cache.get_or_compute(
-                        mode_v, space, k, param, primes, max_basis, max_rows)
+                        mode, space, k, param, primes, max_basis, max_rows)
                     fh.write(record.csv_row() + "\n")
                 except _ERRORS as exc:
                     marker = f"error:{type(exc).__name__}"
@@ -229,16 +224,13 @@ def compute_witness(*args):
     return pipeline.sparse_witness(*args)
 
 
-def cmd_witness(mode: str, space: str, k: int, n: Optional[int],
-                degree: Optional[int], primes: tuple[int, ...],
+def cmd_witness(mode: Mode, space: str, k: int, param: int, primes: tuple[int, ...],
                 cache_dir: Optional[str], max_basis: int, max_rows: int,
                 out: Optional[str]) -> None:
     """Basis encodings plus the functionals vanishing on all relations."""
-    param = _resolve_space_param(space, n, degree)
     if out:
         _check_out_dir(out)
-    doc = compute_witness(_parse_mode(mode), space, k, param,
-                          primes[0], max_basis, max_rows)
+    doc = compute_witness(mode, space, k, param, primes[0], max_basis, max_rows)
     parts = itertools.chain(_witness_parts(doc), ["\n"])
     if out:
         _write_replacing(out, parts)
@@ -296,25 +288,22 @@ def _witness_parts(doc: dict) -> Iterator[str]:
     yield "]}"
 
 
-def cmd_relations(mode: str, space: str, k: int, n: Optional[int],
-                  degree: Optional[int], dump: bool) -> None:
+def cmd_relations(mode: Mode, space: str, k: int, param: int, dump: bool) -> None:
     """Relation rows with provenance (small parameters only).
 
     Each dumped line is '<coeff>*<column encoding hex> ...  # <provenance>';
     the row part re-parses via RelationRow.from_dump_text.
     """
     from . import bases, pipeline, relations
-    param = _resolve_space_param(space, n, degree)
-    mode_v = _parse_mode(mode)
-    _, raw = bases.check_cell(bases.BasisSpec(mode_v, k, space, param),
+    _, raw = bases.check_cell(bases.BasisSpec(mode, k, space, param),
                               max_rows=_DUMP_MAX_CONFIGS)
-    basis = pipeline.build_basis(mode_v, space, k, param)
+    basis = pipeline.build_basis(mode, space, k, param)
     if space == "y":
         rows = [row for row, targets
-                in relations.iter_y_link_rows(k, param, mode_v, basis) if targets]
+                in relations.iter_y_link_rows(k, param, mode, basis) if targets]
     else:
-        rows = (relations.link_relations(k, param, mode_v, basis)
-                + relations.ihx_relations(k, param, mode_v, basis))
+        rows = (relations.link_relations(k, param, mode, basis)
+                + relations.ihx_relations(k, param, mode, basis))
         raw += relations.count_ihx_instances(basis)
     if dump:
         for row in rows:
@@ -471,6 +460,7 @@ class Cli:
         if extra:
             sub.error(f"unrecognized arguments: {' '.join(extra)}")
         try:
+            _resolve_cell(options)
             run(**options)
             sys.stdout.flush()  # a closed stdout fails here, not at exit
         except _UsageError as exc:

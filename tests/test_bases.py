@@ -228,6 +228,10 @@ class TestBasisStructure:
             BasisSpec(H, 3, "full", 0)
         with pytest.raises(DomainError):
             BasisSpec(H, 0, "y", 1)
+        # a Y cell with one strut has 2n + 3 = 5 leaves, not 3
+        with pytest.raises(DomainError,
+                           match=r"leaves \(1, 1, 1\) is not a leaf multiset of this space"):
+            BasisSpec(H, 3, "y", 1, (1, 1, 1))
 
 
 def forests(k, d, mode):

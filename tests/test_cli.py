@@ -221,6 +221,18 @@ class TestSweep:
         assert len(lines[3].split(",")) == len(CSV_HEADER.split(","))
         assert int(lines[1].split(",")[8]) == 0  # k=3 cell still computed
 
+    @pytest.mark.parametrize("args,row", [
+        (["--space", "y", "--k-range", "6", "--n-range", "2", "--primes", "2,3"],
+         "homotopy,y,6,2,,,,,error:DomainError,,,0.1.0,"),
+        (["--space", "full", "--mode", "concordance", "--k-range", "2",
+          "--degree-range", "2", "--max-basis", "0"],
+         "concordance,full,2,2,,,,,error:CapacityError,,,0.1.0,"),
+    ])
+    def test_failure_row_bytes(self, tmp_path, args, row):
+        out_file = tmp_path / "sweep.csv"
+        run_ok("sweep", *args, "--out", str(out_file), "--cache-dir", str(tmp_path))
+        assert out_file.read_text() == f"{CSV_HEADER}\n{row}\n"
+
 
 class TestWitnessCommand:
     def test_schema(self, tmp_path):
@@ -352,6 +364,20 @@ USAGE_ERRORS = [
     (["sweep", "--space", "full", "--k-range", "3", "--degree-range", ",", "--out", "s.csv"],
      "argument --degree-range: must be 'lo:hi' or a comma list, got ','"),
     (["dim", *CELL, "--primes", ""], "need at least two primes"),
+    (["witness", "--space", "y", "--k", "3", "--n", "0", "--out", ""],
+     "argument --out: a file name cannot be empty"),
+    (["sweep", "--k-range", "3", "--n-range", "0", "--out", ""],
+     "argument --out: a file name cannot be empty"),
+    (["dim", "--space", "full", "--k", "3", "--degree", "2", "--n", "5"],
+     "--space full takes no --n"),
+    (["witness", "--space", "y", "--k", "4", "--n", "1", "--degree", "3"],
+     "--space y takes no --degree"),
+    (["relations", "--space", "full", "--k", "3", "--degree", "2", "--n", "1"],
+     "--space full takes no --n"),
+    (["sweep", "--space", "full", "--k-range", "3", "--degree-range", "2", "--n-range", "7",
+      "--out", "s.csv"], "--space full takes no --n-range"),
+    (["sweep", "--space", "y", "--k-range", "3", "--n-range", "1", "--degree-range", "2",
+      "--out", "s.csv"], "--space y takes no --degree-range"),
 ]
 
 

@@ -86,6 +86,16 @@ class TestCanonicalizeComponent:
             TreeComponent(((1, 2), (0, 2), (0, 1)), (1, 2, 3))  # cycle, degree 2
         with pytest.raises(StructuralError):
             TreeComponent(((1,), (0,)), (1, 0))  # uncolored leaf
+        k4 = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+        struts = ((5,), (4,), (7,), (6,), (9,), (8,))
+        for adj, colors, message in (
+                (((),), (1,), "a component has at least two vertices"),
+                (((1,), (2,), (1,)), (1, 0, 2), "adjacency is not symmetric"),
+                (k4, (0,) * 4, "wrong edge count"),
+                # ten vertices and nine edges, the edge count of a tree
+                (k4 + struts, (0,) * 4 + (1, 2) * 3, "component is not connected")):
+            with pytest.raises(StructuralError, match=message):
+                TreeComponent(adj, colors)
 
 
 class TestCanonicalizeDiagram:
@@ -187,6 +197,11 @@ class TestDecode:
             decode_component(b"\x01")
         with pytest.raises(StructuralError):
             decode_component(b"\x01\x7e\x02")
+        for enc, message in ((bytes([1, 0x7E, 2, 0x90]), "bad byte 0x90 in component encoding"),
+                             (bytes([0x7E, 1, 2]), "must start with a color byte"),
+                             (bytes([1, 2, 3]), "trailing bytes in component encoding")):
+            with pytest.raises(StructuralError, match=message):
+                decode_component(enc)
 
 
 class TestEncodingHelpers:

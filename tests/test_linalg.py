@@ -87,6 +87,13 @@ def matrix(num_cols, *rows_):
     return SparseMatrix.from_rows([row(*r) for r in rows_], num_cols)
 
 
+def test_a_matrix_refuses_a_negative_width_and_a_column_beyond_it():
+    with pytest.raises(DomainError, match="num_cols must be >= 0"):
+        SparseMatrix((), -1)
+    with pytest.raises(DomainError, match="row references a column beyond num_cols"):
+        SparseMatrix((RelationRow(((0, 1), (2, 1))),), 2)
+
+
 class TestIsPrime:
     def test_matches_trial_division(self):
         def trial(n):

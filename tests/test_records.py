@@ -341,6 +341,19 @@ def test_other_spellings_load_as_json_loads_reads_them(monkeypatch, tmp_path):
         + ["None"]
 
 
+def test_a_cache_directory_that_is_a_file_fails_to_write_and_to_read(tmp_path):
+    not_a_directory = tmp_path / "cache"
+    not_a_directory.write_text("")
+    with pytest.raises(CacheError, match=re.escape(f"cannot write cache {not_a_directory}")):
+        ResultCache(not_a_directory).append(ResultRecord.from_json(line()))
+    result = invoke(["dim", "--space", "y", "--k", "3", "--n", "0",
+                     "--cache-dir", str(not_a_directory)])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: unreadable cache {not_a_directory}/results.jsonl: "
+                                    "[Errno 20] Not a directory")
+    assert not_a_directory.read_text() == ""
+
+
 def test_a_mode_made_from_its_value_hits_a_cache_entry_of_its_member():
     # ``Mode`` hashes by identity, which holds because a member is
     # looked up, never built, from its value or from a pickle

@@ -115,6 +115,9 @@ class TestYLinkRelations:
         basis = enumerate_y_basis(4, 1, H)
         with pytest.raises(DomainError):
             y_link_relations(4, 2, H, basis)
+        with pytest.raises(DomainError,
+                           match=r"basis does not match enumerate_y_basis\(k, n, mode\)"):
+            list(iter_y_link_rows(4, 1, H, enumerate_y_basis(3, 1, H)))
 
 
 class TestCountEffectiveRelations:
@@ -342,6 +345,12 @@ class TestExpandAlong:
             (diagram([y_tree(1, 3, 5), strut(3, 4), strut(2, 3), strut(3, 4)], H, 5), 1),
         )
         assert row.entries == expected
+
+    def test_refuses_one_color_for_both_legs(self):
+        basis = enumerate_y_basis(3, 0, H)
+        d = decode_diagram(basis.elements[0].encoding, H, 3)
+        with pytest.raises(DomainError, match="expansion needs two distinct leg colors"):
+            expand_along(d, 1, 1, basis)
 
     def test_bare_y_gives_single_term(self):
         basis = enumerate_y_basis(3, 0, H)

@@ -12,8 +12,8 @@ parses the arguments, runs one command and exits with
   stderr: an unknown option (abbreviations are refused too), a bad
   choice, integer, prime list or range, a negative ``--max-basis`` or
   ``--max-rows``, a missing ``--n``/``--degree``, the other space's
-  option, or an ``--out`` that is empty or names a directory.  Each is
-  refused before any work.
+  option, an ``--out`` that is empty or names a directory, or a
+  ``--cache-dir`` that is not one.  Each is refused before any work.
 """
 
 from __future__ import annotations
@@ -119,6 +119,12 @@ def _out_file(value: str) -> str:
         raise argparse.ArgumentTypeError("a file name cannot be empty")
     if os.path.isdir(value):
         raise argparse.ArgumentTypeError(f"File '{value}' is a directory.")
+    return value
+
+
+def _cache_dir(value: str) -> str:
+    if os.path.exists(value) and not os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"'{value}' is not a directory.")
     return value
 
 
@@ -295,9 +301,9 @@ def cmd_relations(mode: Mode, space: str, k: int, param: int, dump: bool) -> Non
     the row part re-parses via RelationRow.from_dump_text.
     """
     from . import bases, pipeline, relations
-    _, raw = bases.check_cell(bases.BasisSpec(mode, k, space, param),
+    _, raw = bases.check_cell(cell := bases.BasisSpec(mode, k, space, param),
                               max_rows=_DUMP_MAX_CONFIGS)
-    basis = pipeline.build_basis(mode, space, k, param)
+    basis = pipeline.build_basis(cell)
     if space == "y":
         rows = [row for row, targets
                 in relations.iter_y_link_rows(k, param, mode, basis) if targets]
@@ -387,7 +393,7 @@ def _parser(prog: str, command_name: Optional[str]) -> _Parser:
     def run_options(arg):
         arg("--primes", type=_parse_primes, metavar="TEXT", help=_PRIMES_HELP,
             default=",".join(map(str, DEFAULT_PRIMES)))
-        arg("--cache-dir", metavar="TEXT",
+        arg("--cache-dir", type=_cache_dir, metavar="TEXT",
             help="Cache directory (else $STRUTFORGE_CACHE_DIR, else ./cache).")
         arg("--max-basis", type=_cap, metavar="INTEGER", default=DEFAULT_MAX_ELEMENTS,
             help="Basis size guard (>= 0).")

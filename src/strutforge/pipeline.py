@@ -25,13 +25,14 @@ orbit has the same columns, distinct nonzero rows, IHX instances and
 rank.  A dimension run folds the plain counts of one block per orbit
 (``bases.leaf_orbits``, ``_block_counts``), times the orbit's size, into
 an immutable ResultRecord, and a witness run gathers each orbit's
-functionals (``_orbit_functionals``).  Each block is built and dropped
-inside one call, so one is resident at a time.  A single-Y block whose
-columns all peel (``peel.peel_y_block``) builds no row and adds no
-functional, and loads neither ``relations`` nor ``linalg``: a cell
-reaches them only through a block that does not peel, every full block
-and a single-Y block whose peel is refused.  Only the ``relations``
-dump builds a cell whole.
+functionals (``_orbit_functionals``).  Each step takes its block's
+``BasisSpec``, the cell's with the block's ``leaves``, and builds and
+drops the block inside one call, so one is resident at a time.  A
+single-Y block whose columns all peel (``peel.peel_y_block``) builds no
+row and adds no functional, and loads neither ``relations`` nor
+``linalg``: a cell reaches them only through a block that does not
+peel, every full block and a single-Y block whose peel is refused.
+Only the ``relations`` dump builds a cell whole.
 """
 
 from __future__ import annotations
@@ -90,28 +91,23 @@ rank_multiprime = _first_use("linalg", "rank_multiprime")
 cokernel_functionals = _first_use("linalg", "cokernel_functionals")
 
 
-def build_basis(mode: Mode, space: str, k: int, param: int,
-                max_elements: int = DEFAULT_MAX_ELEMENTS,
-                leaves: Optional[Sequence[int]] = None) -> Basis:
-    """The cell's basis, or its block with leaf multiset ``leaves``."""
-    BasisSpec(mode, k, space, param)  # refuses an unknown space
-    return (enumerate_y_basis if space == "y" else enumerate_basis)(
-        k, param, mode, max_elements, leaves)
+def build_basis(spec: BasisSpec, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Basis:
+    """The basis of the cell or block ``spec``."""
+    return (enumerate_y_basis if spec.space == "y" else enumerate_basis)(
+        spec.k, spec.param, spec.mode, max_elements, spec.leaves)
 
 
-def build_relations(mode: Mode, space: str, k: int, param: int, basis: Basis,
-                    max_rows: int = DEFAULT_MAX_ROWS
-                    ) -> tuple[list[RelationRow], int]:
+def build_relations(basis: Basis) -> tuple[list[RelationRow], int]:
     """(deduplicated nonzero rows, IHX instances) over a cell's or a
-    block's basis.
+    block's basis, in the mode, colours and degree of ``basis.spec``.
 
     The link configurations are counted once per cell, by
     ``bases.check_cell``; the IHX instances, one per internal edge of a
     column, here (a single-Y basis has none).
     """
-    d = BasisSpec(mode, k, space, param).degree
-    link = link_relations(k, d, mode, basis, max_rows, provenance=False)
-    ihx = ihx_relations(k, d, mode, basis, provenance=False)
+    spec = basis.spec
+    link = link_relations(spec.k, spec.degree, spec.mode, basis, provenance=False)
+    ihx = ihx_relations(spec.k, spec.degree, spec.mode, basis, provenance=False)
     seen = {row.entries: row for row in link}
     for row in ihx:
         seen.setdefault(row.entries, row)
@@ -131,24 +127,23 @@ def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
                 f"prime {p} does not exceed the coefficient bound {bound} of this space")
 
 
-def _block_counts(mode: Mode, space: str, k: int, param: int,
-                  leaves: tuple[int, ...], primes: Sequence[int]
+def _block_counts(block: BasisSpec, primes: Sequence[int]
                   ) -> tuple[int, int, int, int, tuple[int, ...], bool]:
     """(columns, distinct nonzero rows, rank, IHX instances, primes,
-    certified) of the block with leaf multiset ``leaves``.  A single-Y
-    block whose columns all peel builds no row: its rank is exact over Q
-    and equals its rank mod ``primes[0]`` (``peel.peel_y_block``),
-    so it counts as certified on the first prime."""
-    block = build_basis(mode, space, k, param, leaves=leaves)
-    if not block.elements:
+    certified) of the block ``block``.  A single-Y block whose columns
+    all peel builds no row: its rank is exact over Q and equals its rank
+    mod ``primes[0]`` (``peel.peel_y_block``), so it counts as certified
+    on the first prime."""
+    basis = build_basis(block)
+    if not basis.elements:
         return 0, 0, 0, 0, (), True
-    peeled = peel_y_block(block) if space == "y" else None
+    peeled = peel_y_block(basis) if block.space == "y" else None
     if peeled is not None:
-        return len(block), peeled[1], peeled[0], 0, tuple(primes[:1]), True
+        return len(basis), peeled[1], peeled[0], 0, tuple(primes[:1]), True
     from .linalg import SparseMatrix
-    rows, ihx = build_relations(mode, space, k, param, block)
-    result = rank_multiprime(SparseMatrix.from_rows(rows, len(block)), primes)
-    return len(block), len(rows), result.rank, ihx, result.primes, result.certified
+    rows, ihx = build_relations(basis)
+    result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
+    return len(basis), len(rows), result.rank, ihx, result.primes, result.certified
 
 
 def compute_dimension(mode: Mode, space: str, k: int, param: int,
@@ -169,13 +164,12 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
         raise DomainError("need at least two distinct primes")
     _check_prime_bound(space, param, primes)
     start = time.monotonic()
-    _, raw = check_cell(BasisSpec(mode, k, space, param), max_elements, max_rows)
+    _, raw = check_cell(cell := BasisSpec(mode, k, space, param), max_elements, max_rows)
     totals = [0, 0, 0, raw]  # columns, distinct nonzero rows, rank, raw relations
     used: list[int] = []
     certified = True
     for leaves, weight in leaf_orbits(k, space, param):
-        *counts, block_primes, block_certified = _block_counts(
-            mode, space, k, param, leaves, primes)
+        *counts, block_primes, block_certified = _block_counts(cell.replace(leaves=leaves), primes)
         totals = [total + weight * count for total, count in zip(totals, counts)]
         used += [p for p in block_primes if p not in used]
         certified = certified and block_certified
@@ -207,11 +201,11 @@ def sparse_witness(mode: Mode, space: str, k: int, param: int,
     block's columns: ``_orbit_functionals`` gives those of each orbit.
     """
     _check_prime_bound(space, param, (prime,))
-    check_cell(BasisSpec(mode, k, space, param), max_elements, max_rows)
-    basis = build_basis(mode, space, k, param, max_elements)
+    check_cell(cell := BasisSpec(mode, k, space, param), max_elements, max_rows)
+    basis = build_basis(cell, max_elements)
     found: dict[int, list[tuple[int, int]]] = {}  # free column -> entries, on the cell's columns
     for leaves, _ in leaf_orbits(k, space, param):
-        found.update(_orbit_functionals(mode, space, k, param, leaves, prime, basis.index))
+        found.update(_orbit_functionals(cell.replace(leaves=leaves), prime, basis.index))
     return {
         "basis": [cd.encoding.hex() for cd in basis.elements],
         "prime": prime,
@@ -219,42 +213,40 @@ def sparse_witness(mode: Mode, space: str, k: int, param: int,
     }
 
 
-def _block_functionals(mode: Mode, space: str, k: int, param: int,
-                       leaves: tuple[int, ...], prime: int
-                       ) -> tuple[Basis, list[list[int]]]:
-    """The block with leaf multiset ``leaves`` and its dense cokernel
+def _block_functionals(block: BasisSpec, prime: int) -> tuple[Basis, list[list[int]]]:
+    """The basis of the block ``block`` and its dense cokernel
     functionals mod ``prime``: none, and no row built, for a block
     without columns or a single-Y block that peels (full column rank)."""
-    block = build_basis(mode, space, k, param, leaves=leaves)
-    if not block.elements or (space == "y" and peel_y_block(block) is not None):
-        return block, []
+    basis = build_basis(block)
+    if not basis.elements or (block.space == "y" and peel_y_block(basis) is not None):
+        return basis, []
     from .linalg import SparseMatrix
-    rows = build_relations(mode, space, k, param, block)[0]
-    return block, cokernel_functionals(SparseMatrix.from_rows(rows, len(block)), prime)
+    rows = build_relations(basis)[0]
+    return basis, cokernel_functionals(SparseMatrix.from_rows(rows, len(basis)), prime)
 
 
-def _orbit_functionals(mode: Mode, space: str, k: int, param: int,
-                       leaves: tuple[int, ...], prime: int, index: dict[bytes, int]
+def _orbit_functionals(block: BasisSpec, prime: int, index: dict[bytes, int]
                        ) -> dict[int, list[tuple[int, int]]]:
-    """{free column: sorted (column, value) entries} of the orbit of
-    ``leaves`` on the cell's columns ``index``: the representative's unit
-    functionals (``_unit_columns``) carried across the orbit by the
+    """{free column: sorted (column, value) entries} of the orbit of the
+    block ``block`` on the cell's columns ``index``: the representative's
+    unit functionals (``_unit_columns``) carried across the orbit by the
     colour permutations, or else every block's own."""
-    block, vecs = _block_functionals(mode, space, k, param, leaves, prime)
+    basis, vecs = _block_functionals(block, prime)
     if not vecs:
         return {}
-    unit = _unit_columns(block, vecs)
+    unit = _unit_columns(basis, vecs)
     if unit is not None:
-        tables = (_colour_table(leaves, image) for image in _rearrangements(leaves))
-        cols = (index[recoloured_encoding(enc, table, mode)] for table in tables for enc in unit)
+        tables = (_colour_table(block.leaves, image) for image in _rearrangements(block.leaves))
+        cols = (index[recoloured_encoding(enc, table, block.mode)]
+                for table in tables for enc in unit)
         return {col: [(col, 1)] for col in cols}
     found: dict[int, list[tuple[int, int]]] = {}
-    for image in _rearrangements(leaves):
-        image_block, image_vecs = (block, vecs) if image == leaves else \
-            _block_functionals(mode, space, k, param, image, prime)
+    for image in _rearrangements(block.leaves):
+        image_basis, image_vecs = (basis, vecs) if image == block.leaves else \
+            _block_functionals(block.replace(leaves=image), prime)
         for vec in image_vecs:
             # a functional's free column is its last nonzero entry
-            entries = sorted((index[image_block.elements[c].encoding], v)
+            entries = sorted((index[image_basis.elements[c].encoding], v)
                              for c, v in enumerate(vec) if v)
             found[entries[-1][0]] = entries
     return found
@@ -276,7 +268,7 @@ def compute_witness(mode: Mode, space: str, k: int, param: int,
     return {**doc, "functionals": functionals}
 
 
-def _unit_columns(block: Basis, vecs: Sequence[list[int]]) -> Optional[list[bytes]]:
+def _unit_columns(basis: Basis, vecs: Sequence[list[int]]) -> Optional[list[bytes]]:
     """The free columns' encodings if all functionals are unit vectors, else None.
 
     Reduced over F_p, the functional of a free column f is 1 at f and
@@ -288,7 +280,7 @@ def _unit_columns(block: Basis, vecs: Sequence[list[int]]) -> Optional[list[byte
     """
     if any(vec.count(0) != len(vec) - 1 for vec in vecs):
         return None
-    return [block.elements[vec.index(1)].encoding for vec in vecs]
+    return [basis.elements[vec.index(1)].encoding for vec in vecs]
 
 
 def _rearrangements(leaves: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -310,7 +310,8 @@ class ResultCache:
                     records.setdefault((data["mode"], data["space"], data["k"],
                                         data["param"], data["tool_version"]), line)
         except (OSError, ValueError) as exc:
-            message = f"unreadable cache {self.path}: {exc}"
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            message = f"unreadable cache {self.path}: {reason}"
             if st is not None:
                 # the same file fails the same way: keep the error, not the parse
                 self._records, self._stamp = {}, (st.st_size, st.st_mtime_ns)
@@ -326,7 +327,7 @@ class ResultCache:
         except FileNotFoundError:
             self._records, self._stamp, self._error = {}, (0, 0), None
         except OSError as exc:
-            raise CacheError(f"unreadable cache {self.path}: {exc}") from exc
+            raise CacheError(f"unreadable cache {self.path}: {exc.strerror}") from exc
         else:
             if (st.st_size, st.st_mtime_ns) != self._stamp:
                 self._load()
@@ -351,7 +352,7 @@ class ResultCache:
                 written = fh.write(data)
                 st = os.fstat(fh.fileno())
         except OSError as exc:
-            raise CacheError(f"cannot write cache {self.path}: {exc}") from exc
+            raise CacheError(f"cannot write cache {self.path}: {exc.strerror}") from exc
         if written != len(data):
             raise CacheError(f"short write to cache {self.path}")
         if self._error is None and self._stamp is not None and end == self._stamp[0]:

@@ -274,11 +274,10 @@ def _rest_hosts(rest: tuple[bytes, ...]) -> dict[int, list[tuple[bytes, int, lis
 
 
 def _link_row(marked: bytes, hosts: dict[int, list[tuple[bytes, int, list[bytes]]]],
-              index: dict[bytes, int], mode: Mode,
-              scale: int = 1) -> tuple[tuple[int, int], ...]:
+              index: dict[bytes, int], mode: Mode) -> tuple[tuple[int, int], ...]:
     """Sorted entries of the link row that grafts the leg of the marked
     tree ``marked`` above every same-colored leaf of the rest forest with
-    these ``_rest_hosts``, times ``scale``.
+    these ``_rest_hosts``.
 
     A host repeated m times in the rest contributes its graft terms m
     times.  No two terms share a column, so no coefficient is summed
@@ -289,7 +288,7 @@ def _link_row(marked: bytes, hosts: dict[int, list[tuple[bytes, int, list[bytes]
     entries = []
     for host, mult, others in hosts.get(marked[0], ()):
         for enc, sign in _graft_terms(marked, host, mode):
-            entries.append((_term_column(index, others + [enc]), mult * scale * sign))
+            entries.append((_term_column(index, others + [enc]), mult * sign))
     entries.sort()
     return tuple(entries)
 
@@ -510,6 +509,7 @@ def expand_along(d: Diagram, c: int, fixed: int, basis: Basis) -> RelationRow:
         raise DomainError(f"no Y-component with legs including {c} and {fixed}")
     others = canon[:idx] + canon[idx + 1:]
     rest = tuple(sorted([enc for enc, _ in others] + [strut_encoding(c, third)]))
-    entries = _link_row(bytes((c, fixed)), _rest_hosts(rest), basis.index, d.mode,
-                        math.prod(sign for _, sign in others))
-    return RelationRow(entries, f"expand along {c} fixing {fixed}")
+    scale = math.prod(sign for _, sign in others)
+    entries = _link_row(bytes((c, fixed)), _rest_hosts(rest), basis.index, d.mode)
+    return RelationRow(tuple((col, scale * v) for col, v in entries),
+                       f"expand along {c} fixing {fixed}")

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from strutforge import __version__, bases
-from strutforge.bases import DEFAULT_MAX_ELEMENTS, Basis
+from strutforge.bases import DEFAULT_MAX_ELEMENTS, Basis, BasisSpec
 from strutforge.diagrams import (
     MARKED_COLOR,
     Diagram,
@@ -66,7 +66,6 @@ from strutforge.linalg import (
 )
 from strutforge.pipeline import ResultRecord, build_basis, build_relations
 from strutforge.relations import (
-    DEFAULT_MAX_ROWS,
     RelationRow,
     count_link_configs,
     ihx_instances,
@@ -449,12 +448,11 @@ def echelon_by_column_blocks(m: SparseMatrix, p: int) -> list[tuple[int, dict[in
 
 def dimension_ungraded(mode: Mode, space: str, k: int, param: int,
                        primes=DEFAULT_PRIMES,
-                       max_elements: int = DEFAULT_MAX_ELEMENTS,
-                       max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
+                       max_elements: int = DEFAULT_MAX_ELEMENTS) -> ResultRecord:
     """The ``dim`` record of a cell from the whole basis and row set,
     with ``elapsed_ms`` 0 and an empty timestamp."""
-    basis = build_basis(mode, space, k, param, max_elements)
-    rows, ihx = build_relations(mode, space, k, param, basis, max_rows)
+    basis = build_basis(BasisSpec(mode, k, space, param), max_elements)
+    rows, ihx = build_relations(basis)
     raw = (y_link_config_count(k, param, mode) if space == "y"
            else count_link_configs(k, param, mode) + ihx)
     result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
@@ -469,8 +467,8 @@ def witness_ungraded(mode: Mode, space: str, k: int, param: int,
                      prime: int = DEFAULT_PRIMES[0]) -> dict:
     """The ``witness`` document of a cell from the reduced echelon form
     of its whole relation matrix."""
-    basis = build_basis(mode, space, k, param)
-    rows, _ = build_relations(mode, space, k, param, basis)
+    basis = build_basis(BasisSpec(mode, k, space, param))
+    rows, _ = build_relations(basis)
     return {
         "basis": [cd.encoding.hex() for cd in basis.elements],
         "prime": prime,

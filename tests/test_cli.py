@@ -378,6 +378,10 @@ USAGE_ERRORS = [
       "--out", "s.csv"], "--space full takes no --n-range"),
     (["sweep", "--space", "y", "--k-range", "3", "--n-range", "1", "--degree-range", "2",
       "--out", "s.csv"], "--space y takes no --degree-range"),
+    (["dim", *CELL, "--cache-dir", os.devnull],
+     f"argument --cache-dir: '{os.devnull}' is not a directory."),
+    (["sweep", "--k-range", "3:4", "--n-range", "0", "--cache-dir", os.devnull,
+      "--out", "s.csv"], f"argument --cache-dir: '{os.devnull}' is not a directory."),
 ]
 
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strutforge.bases import BasisSpec
 from strutforge.diagrams import (
     CanonicalDiagram,
     Diagram,
@@ -316,7 +317,7 @@ def test_least_color_rooting_on_every_small_tree(mode, k):
 
 @pytest.mark.parametrize("mode,k,d", [(H, 4, 3), (H, 4, 4), (C, 3, 4), (C, 2, 5)])
 def test_recoloured_encoding_is_decode_and_canonicalize(mode, k, d):
-    encodings = [cd.encoding for cd in build_basis(mode, "full", k, d).elements]
+    encodings = [cd.encoding for cd in build_basis(BasisSpec(mode, k, "full", d)).elements]
     for perm in itertools.permutations(range(1, k + 1)):
         table = bytes([0, *perm, *range(k + 1, 256)])
         for enc in encodings:

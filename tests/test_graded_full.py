@@ -59,7 +59,7 @@ def whole_cell(mode, k, d):
     basis = enumerate_basis(k, d, mode)
     for cd in basis.elements:
         cols.setdefault(leaf_vector(cd.encoding, k), []).append(cd.encoding)
-    for row in build_relations(mode, "full", k, d, basis)[0]:
+    for row in build_relations(basis)[0]:
         first = basis.elements[row.entries[0][0]].encoding
         rows.setdefault(leaf_vector(first, k), set()).add(row.entries)
     return basis, forests, cols, rows
@@ -84,7 +84,7 @@ def test_blocks_partition_the_cell(cell):
         block = enumerate_basis(k, d, mode, leaves=leaves)
         assert [cd.encoding for cd in block.elements] == cols.get(leaves, []), leaves
         mapped = {tuple((basis.index[block.elements[c].encoding], v) for c, v in row.entries)
-                  for row in build_relations(mode, "full", k, d, block)[0]}
+                  for row in build_relations(block)[0]}
         assert mapped == rows.get(leaves, set()), leaves
     weighted = sum(orbit * len(enumerate_basis(k, d, mode, leaves=leaves))
                    for leaves, orbit in leaf_orbits(k, "full", d))
@@ -103,7 +103,7 @@ def test_blocks_without_an_edge_skip_no_ihx_row(mode, k, d):
         ihx = ihx_relations(k, d, mode, scanned)
         assert ihx_relations(k, d, mode, block) == ihx, leaves
         rows = {row.entries for row in link_relations(k, d, mode, block) + ihx}
-        built, instances = build_relations(mode, "full", k, d, block)
+        built, instances = build_relations(block)
         assert ([row.entries for row in built], instances) == \
             (sorted(rows), count_ihx_instances(scanned)), leaves
         skipped += 2 * d - sum(leaves) + 1 < 3 and len(block) > 0

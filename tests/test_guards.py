@@ -1,13 +1,18 @@
 """Every command checks a cell's domain and capacity before it lists
 anything: ``dim``, ``witness`` and ``relations`` on both spaces refuse
 with the guard's own error while every basis and forest generator is
-patched to fail."""
+patched to fail.  The library's own domain checks refuse an argument
+outside their domain with their message."""
+
+import re
 
 import pytest
 
 from cli_runner import invoke
-from strutforge.diagrams import Mode
-from strutforge.errors import CapacityError, DomainError
+from strutforge.bases import strut_union_count, tree_components
+from strutforge.counting import r, ratio, ratio_limit
+from strutforge.diagrams import MARKED_COLOR, Diagram, Mode, check_color, strut, y_tree
+from strutforge.errors import CapacityError, DomainError, StructuralError
 from strutforge.pipeline import compute_dimension, compute_witness
 
 H = Mode.HOMOTOPY
@@ -92,3 +97,23 @@ def test_non_prime_is_refused_before_any_listing(no_listing):
         compute_dimension(H, "full", 5, 4, primes=(2147483647, 2147483646))
     with pytest.raises(DomainError, match="2147483646 is not a prime"):
         compute_witness(H, "full", 5, 4, prime=2147483646)
+
+
+@pytest.mark.parametrize("check,error,message", [
+    (lambda: tree_components(3, 0, H), DomainError, "tree degree must be >= 1, got 0"),
+    (lambda: strut_union_count(3, -1, H), DomainError, "degree must be >= 0, got -1"),
+    (lambda: r(-1, 3), DomainError, "r(n, k) needs n >= 0, got n=-1"),
+    (lambda: ratio(0, 2), DomainError, "ratio(n, k) needs k >= 3, got k=2"),
+    (lambda: ratio(-1, 3), DomainError, "ratio(n, k) needs n >= 0, got n=-1"),
+    (lambda: ratio_limit(2), DomainError, "ratio_limit(k) needs k >= 3, got k=2"),
+    (lambda: check_color(0), DomainError,
+     f"color must be an integer in 1..{MARKED_COLOR}, got 0"),
+    (lambda: y_tree(1, 2, 3).strut_ends(), DomainError, "not a strut"),
+    (lambda: strut(1, 2).with_flip(0), DomainError, "vertex 0 is not trivalent"),
+    (lambda: Diagram((strut(1, 2),), H, 3, is_zero=True), StructuralError,
+     "the zero diagram carries no components"),
+    (lambda: Diagram((strut(1, 4),), H, 3), DomainError, "leaf color 4 exceeds k=3"),
+])
+def test_an_argument_outside_the_domain_is_refused(check, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        check()

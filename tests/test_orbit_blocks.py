@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from strutforge.bases import leaf_orbits
+from strutforge.bases import BasisSpec, leaf_orbits
 from strutforge.diagrams import (
     Diagram,
     Mode,
@@ -47,8 +47,8 @@ def recoloured(d: Diagram, table: bytes) -> Diagram:
 
 def block(mode, space, k, param, leaves):
     """(basis, set of distinct rows' entries) of one block."""
-    basis = build_basis(mode, space, k, param, leaves=leaves)
-    rows = build_relations(mode, space, k, param, basis)[0]
+    basis = build_basis(BasisSpec(mode, k, space, param, leaves))
+    rows = build_relations(basis)[0]
     return basis, {row.entries for row in rows}
 
 

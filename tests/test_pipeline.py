@@ -4,7 +4,7 @@ import json
 import pytest
 
 from strutforge import __version__
-from strutforge.bases import Basis, enumerate_basis, enumerate_y_basis, leaf_orbits
+from strutforge.bases import Basis, BasisSpec, enumerate_basis, enumerate_y_basis, leaf_orbits
 from strutforge.diagrams import Mode, encoding_trivalent_count
 from strutforge.errors import CacheError, DomainError
 import strutforge.linalg as linalg
@@ -132,11 +132,11 @@ def test_no_block_outlives_its_step(monkeypatch, run, space, k, param):
     real = pipeline.build_basis
     alive = []
 
-    def counted(*args, leaves=None, **kwargs):
-        if leaves is not None:
+    def counted(spec, *args, **kwargs):
+        if spec.leaves is not None:
             alive.append(sum(isinstance(obj, Basis) and obj.spec.leaves is not None
                              for obj in gc.get_objects()))
-        return real(*args, leaves=leaves, **kwargs)
+        return real(spec, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "build_basis", counted)
     run(H, space, k, param)
@@ -262,8 +262,8 @@ class TestCoefficientBound:
                  + [(mode, "full", k, d) for mode in (H, C)
                     for k in range(1, 6) for d in range(1, 5)])
         for mode, space, k, param in cells:
-            basis = build_basis(mode, space, k, param)
-            rows, _ = build_relations(mode, space, k, param, basis)
+            basis = build_basis(BasisSpec(mode, k, space, param))
+            rows, _ = build_relations(basis)
             largest = SparseMatrix.from_rows(rows, len(basis)).max_abs_coefficient()
             bound = coefficient_bound(space, param)
             # n + 1 equal rest struts give a Y row its largest coefficient.
@@ -303,5 +303,5 @@ class TestBlockAgreement:
             y_dim = rank_multiprime(
                 SparseMatrix.from_rows(y_rows, len(y_basis))).quotient_dim
             full = enumerate_basis(k, n + 2, H)
-            rows, _ = build_relations(H, "full", k, n + 2, full)
+            rows, _ = build_relations(full)
             assert trivalent_block_quotient(full, rows, 1) == y_dim

@@ -348,10 +348,21 @@ def test_a_cache_directory_that_is_a_file_fails_to_write_and_to_read(tmp_path):
         ResultCache(not_a_directory).append(ResultRecord.from_json(line()))
     result = invoke(["dim", "--space", "y", "--k", "3", "--n", "0",
                      "--cache-dir", str(not_a_directory)])
-    assert result.exit_code == 1
-    assert result.output.startswith(f"Error: unreadable cache {not_a_directory}/results.jsonl: "
-                                    "[Errno 20] Not a directory")
+    assert result.exit_code == 2
+    assert result.output.endswith(
+        f"Error: argument --cache-dir: '{not_a_directory}' is not a directory.\n")
     assert not_a_directory.read_text() == ""
+
+
+def test_a_cache_error_names_its_path_once(tmp_path):
+    (tmp_path / "file").write_text("")
+    below_a_file = tmp_path / "file" / "cache"
+    with pytest.raises(CacheError) as failed:
+        ResultCache(below_a_file).lookup(Mode.HOMOTOPY, "y", 3, 0)
+    assert str(failed.value) == f"unreadable cache {below_a_file}/results.jsonl: Not a directory"
+    with pytest.raises(CacheError) as failed:
+        ResultCache(below_a_file).append(ResultRecord.from_json(line()))
+    assert str(failed.value) == f"cannot write cache {below_a_file}/results.jsonl: Not a directory"
 
 
 def test_a_mode_made_from_its_value_hits_a_cache_entry_of_its_member():

@@ -38,7 +38,7 @@ def y_blocks(mode, k, n):
 @pytest.mark.parametrize("mode,k,n", SMALL_CELLS)
 def test_passes_and_counts_equal_the_rows(mode, k, n):
     for leaves, block in y_blocks(mode, k, n):
-        rows = build_relations(mode, "y", k, n, block)[0]
+        rows = build_relations(block)[0]
         passes, num_rows = y_peel_passes(block)
         oracle = peel_passes(rows)
         assert passes == [oracle.get(col, 0) for col in range(len(block))], leaves
@@ -56,7 +56,7 @@ def test_a_random_block_peels_as_its_rows_do(mode, k, n, data):
     orbits = list(leaf_orbits(k, "y", n))
     leaves, _ = data.draw(st.sampled_from(orbits))
     block = enumerate_y_basis(k, n, mode, leaves=leaves)
-    rows = build_relations(mode, "y", k, n, block)[0]
+    rows = build_relations(block)[0]
     oracle = peel_passes(rows)
     passes, num_rows = y_peel_passes(block)
     assert passes == [oracle.get(col, 0) for col in range(len(block))]
@@ -68,7 +68,7 @@ def test_a_third_pass_equals_the_rows(mode):
     # some columns of this block peel in pass 3, so the rounds after the
     # pass-2 lookups run too
     block = enumerate_y_basis(5, 5, mode, leaves=(3, 3, 3, 2, 2))
-    oracle = peel_passes(build_relations(mode, "y", 5, 5, block)[0])
+    oracle = peel_passes(build_relations(block)[0])
     passes = y_peel_passes(block)[0]
     assert passes == [oracle.get(col, 0) for col in range(len(block))]
     assert max(passes) == 3
@@ -101,9 +101,9 @@ def test_a_round_that_peels_nothing_gives_up(monkeypatch):
     built = []
     real_build = pipeline.build_relations
 
-    def counted_build(*args, **kwargs):
-        built.append(args[4])
-        return real_build(*args, **kwargs)
+    def counted_build(basis):
+        built.append(basis)
+        return real_build(basis)
 
     monkeypatch.setattr(pipeline, "build_relations", counted_build)
     record = compute_dimension(H, "y", 4, 3)

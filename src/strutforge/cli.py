@@ -13,7 +13,8 @@ parses the arguments, runs one command and exits with
   choice, integer, prime list or range, a negative ``--max-basis`` or
   ``--max-rows``, a missing ``--n``/``--degree``, the other space's
   option, an ``--out`` that is empty or names a directory, or a
-  ``--cache-dir`` that is not one.  Each is refused before any work.
+  ``--cache-dir`` that is, or lies below, an existing non-directory.
+  Each is refused before any work.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .records import (
     ResultCache,
     csv_line,
     is_prime,
+    not_a_directory,
     resolve_cache_dir,
 )
 
@@ -123,8 +125,9 @@ def _out_file(value: str) -> str:
 
 
 def _cache_dir(value: str) -> str:
-    if os.path.exists(value) and not os.path.isdir(value):
-        raise argparse.ArgumentTypeError(f"'{value}' is not a directory.")
+    reason = not_a_directory(value)
+    if reason:
+        raise argparse.ArgumentTypeError(reason)
     return value
 
 

@@ -133,17 +133,6 @@ class TreeComponent(Value):
         return TreeComponent(tuple(new_adj), self.colors)
 
 
-def _built_component(adj: tuple[tuple[int, ...], ...],
-                     colors: tuple[int, ...]) -> TreeComponent:
-    """A TreeComponent without the structural checks, for tables that
-    are a tree by construction: a parsed encoding, or a splice or
-    rewiring of valid components."""
-    comp = object.__new__(TreeComponent)
-    _set(comp, "adj", adj)
-    _set(comp, "colors", colors)
-    return comp
-
-
 def strut(a: int, b: int) -> TreeComponent:
     """A single edge with ends colored ``a`` and ``b``."""
     check_color(a)
@@ -387,7 +376,11 @@ def decode_component(enc: bytes) -> TreeComponent:
     if pos != len(enc):
         raise StructuralError("trailing bytes in component encoding")
     adj[0] = [child]
-    return _built_component(tuple(tuple(n) for n in adj), tuple(colors))
+    # a parsed encoding is a tree by construction: skip the checks
+    comp = object.__new__(TreeComponent)
+    _set(comp, "adj", tuple(tuple(n) for n in adj))
+    _set(comp, "colors", tuple(colors))
+    return comp
 
 
 def decode_diagram(enc: bytes, mode: Mode, k: int) -> Diagram:
@@ -396,40 +389,6 @@ def decode_diagram(enc: bytes, mode: Mode, k: int) -> Diagram:
         return Diagram.zero(mode, k)
     comps = tuple(decode_component(part) for part in component_encodings(enc))
     return Diagram(comps, mode, k)
-
-
-def _join_components(marked: TreeComponent, marked_leg: int,
-                     host_comp: TreeComponent, host_leg: int) -> TreeComponent:
-    """Splice ``marked`` onto ``host_comp`` just above ``host_leg``.
-
-    The marked leaf disappears into a new trivalent vertex sitting on the
-    host leaf's edge; the new vertex is oriented (edge from the marked
-    component, edge to the surviving host leaf, edge into the rest of the
-    host component).
-    """
-    h = len(host_comp.adj)
-    m = len(marked.adj)
-    # Host vertices keep ids; marked vertices shift by h; the marked leaf
-    # is dropped and the new trivalent vertex takes the final id.
-    w = h + m - 1
-
-    def shift(u: int) -> int:
-        return u if u < marked_leg else u - 1
-
-    adj: list[list[int]] = [list(nbrs) for nbrs in host_comp.adj]
-    colors: list[int] = list(host_comp.colors)
-    for u in range(m):
-        if u == marked_leg:
-            continue
-        adj.append([w if x == marked_leg else h + shift(x) for x in marked.adj[u]])
-        colors.append(marked.colors[u])
-    q = h + shift(marked.adj[marked_leg][0])  # stump of the marked leg's edge
-    p = host_comp.adj[host_leg][0]            # host leaf's old neighbor
-    adj.append([q, host_leg, p])
-    colors.append(0)
-    adj[host_leg] = [w]
-    adj[p] = [w if x == host_leg else x for x in adj[p]]
-    return _built_component(tuple(tuple(n) for n in adj), tuple(colors))
 
 
 def encoding_trivalent_count(enc: bytes) -> int:

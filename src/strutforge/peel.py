@@ -15,9 +15,12 @@ and ``linalg`` ranks them.
 The peel reads each Y{a, c, y} of a row as the row's own graft of the
 marked strut ``bytes((c, a))`` on the strut {c, y}, so it and the link
 rows of ``relations`` share one graft memo (``_graft_terms``) and one
-column lookup (``_term_column``).  This module imports only ``diagrams``
-and ``errors``: a single-Y ``dim`` whose blocks all peel loads neither
-the row builder nor the elimination kernel.
+column lookup (``_term_column``).  A graft is spliced on the two
+encodings, the marked expression taking the grafted leaf's byte, and
+the result is decoded and canonicalized: no adjacency table is joined.
+This module imports only ``diagrams`` and ``errors``: a single-Y
+``dim`` whose blocks all peel loads neither the row builder nor the
+elimination kernel.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .diagrams import (
+    _NODE_BYTE,
     Mode,
-    _join_components,
     canonicalize_component,
     component_encodings,
     decode_component,
@@ -73,15 +76,20 @@ def _graft_terms(marked: bytes, host: bytes,
     The key leaves out k: a graft does not depend on it.
 
     ``host`` has a leaf of the leg's color (``relations._rest_hosts``).
-    Every pair, a marked strut on a strut among them, is decoded, joined
-    and canonicalized the same way.
+    Each graft is spliced on the encodings, then decoded and
+    canonicalized.  With ``marked`` = c + E, the c-leaf byte at position
+    i > 0 of ``host`` becomes a node whose children are E and that leaf,
+    NODE + E + c; the new vertex is oriented (host side, E, leaf).  A
+    c-coloured root leaf stays the root, and its node takes the rest of
+    the host and then E: c + NODE + host[1:] + E.
     """
-    color = marked[0]
-    m_comp, comp = decode_component(marked), decode_component(host)
+    color, expr = marked[:1], marked[1:]
     terms: dict[bytes, int] = {}
-    for v, c in comp.leaves():
-        if c == color:
-            enc, sign = canonicalize_component(_join_components(m_comp, 0, comp, v), mode)
+    for i, byte in enumerate(host):
+        if byte == marked[0]:
+            spliced = (color + _NODE_BYTE + host[1:] + expr if i == 0
+                       else host[:i] + _NODE_BYTE + expr + color + host[i + 1:])
+            enc, sign = canonicalize_component(decode_component(spliced), mode)
             if sign:
                 terms[enc] = terms.get(enc, 0) + sign
     return tuple((enc, sign) for enc, sign in terms.items() if sign)

@@ -231,13 +231,27 @@ def _line_pattern() -> re.Pattern:
 
 def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
     """Cache directory precedence: flag, then the environment variable,
-    then ./cache."""
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.cwd() / "cache"
+    then ./cache.  One that cannot be a directory (``not_a_directory``)
+    raises CacheError."""
+    path = Path(flag_value or os.environ.get(CACHE_ENV_VAR) or Path.cwd() / "cache")
+    reason = not_a_directory(path)
+    if reason:
+        raise CacheError(f"bad cache directory: {reason}")
+    return path
+
+
+def not_a_directory(path: str | Path) -> Optional[str]:
+    """Why ``path`` cannot be a directory, or None: its nearest existing
+    ancestor, itself included, is not a directory."""
+    path = Path(path)
+    for blocker in (path, *path.parents):
+        if os.path.exists(blocker):
+            break
+    if os.path.isdir(blocker):
+        return None
+    if blocker == path:
+        return f"'{path}' is not a directory."
+    return f"'{path}' lies below '{blocker}', which is not a directory."
 
 
 class ResultCache:
@@ -342,7 +356,10 @@ class ResultCache:
     def append(self, record: ResultRecord) -> None:
         data = (record.to_json() + "\n").encode("utf-8")
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            except FileExistsError:
+                pass  # not a directory, which opening the file reports
             with self.path.open("a+b", buffering=0) as fh:
                 end = fh.seek(0, os.SEEK_END)
                 if end:

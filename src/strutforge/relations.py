@@ -43,6 +43,13 @@ reads its rows' terms from the same graft memo, so ``_graft_terms`` and
 the column lookup ``_term_column`` live in ``peel``, which loads neither
 this module nor ``linalg``, and every row here grafts through them.
 
+Both memos build their terms as bytes: a graft replaces the grafted
+leaf's byte in the host's encoding with a node over the marked tree's
+expression and that leaf, and an IHX term reassembles the four
+subexpressions around an internal edge.  Each spliced encoding is then
+decoded and canonicalized, so no tree is built here but by decoding an
+encoding.
+
 Grafting the leg of a marked tree onto a leaf of a rest forest F keeps
 the leaves of F and of the expression E hanging off the leg, so every
 term of the row has the leaves E + F, and an IHX rewiring keeps a
@@ -57,7 +64,9 @@ IHX row.
 The graft-then-canonicalize constructions of all these rows, with a
 concrete diagram per term, live in ``tests/brute_force.py``
 (``PreGraftConfig`` and ``graft``) as the oracles the rows here,
-``expand_along``'s included, are checked against.
+``expand_along``'s included, are checked against, and so does the
+adjacency surgery the splices replace (``join_components``, ``rewire``
+and ``ihx_instances``).
 """
 
 from __future__ import annotations
@@ -79,10 +88,9 @@ from .bases import (
 )
 from .diagrams import (
     _NODE,
+    _NODE_BYTE,
     Diagram,
     Mode,
-    TreeComponent,
-    _built_component,
     canonicalize_component,
     component_encodings,
     decode_component,
@@ -388,45 +396,47 @@ def _marked_groups(k: int, deg: int, mode: Mode) -> tuple[
     return _leaf_groups(marked_trees(k, deg, mode), k, skip=1)
 
 
-def _rewire(comp: TreeComponent, u: int, v: int,
-            at_u: tuple[int, int], at_v: tuple[int, int]) -> TreeComponent:
-    """Reattach the four subtrees around the internal edge (u, v):
-    ``at_u`` hang off u (oriented (v, x1, x2)), ``at_v`` off v."""
-    adj = [list(ns) for ns in comp.adj]
-    adj[u] = [v, at_u[0], at_u[1]]
-    adj[v] = [u, at_v[0], at_v[1]]
-    for x, parent in ((at_u[0], u), (at_u[1], u), (at_v[0], v), (at_v[1], v)):
-        old = u if u in comp.adj[x] else v
-        adj[x] = [parent if t == old else t for t in adj[x]]
-    return _built_component(tuple(tuple(n) for n in adj), comp.colors)
-
-
-def ihx_instances(comp: TreeComponent) -> Iterator[tuple[TreeComponent, TreeComponent, TreeComponent]]:
-    """(I, H, X) component triples, one per internal edge.
-
-    With the four subtrees read cyclically after the edge as (A, B) at one
-    end and (C, D) at the other, the Jacobi identity gives
-    I(A,B|C,D) - H(A,C|B,D) + X(B,C|A,D) = 0 under this package's
-    orientation conventions.  The I term hangs each subtree where it
-    already was, so it is ``comp`` itself.
-    """
-    for u, v in comp.internal_edges():
-        iu = comp.adj[u].index(v)
-        a, b = comp.adj[u][(iu + 1) % 3], comp.adj[u][(iu + 2) % 3]
-        jv = comp.adj[v].index(u)
-        c, d = comp.adj[v][(jv + 1) % 3], comp.adj[v][(jv + 2) % 3]
-        yield (comp, _rewire(comp, u, v, (a, c), (b, d)),
-               _rewire(comp, u, v, (b, c), (a, d)))
-
-
 @lru_cache(maxsize=1 << 14)
 def _ihx_terms(enc: bytes, mode: Mode) -> tuple[tuple[tuple[bytes, int], ...], ...]:
     """Canonical (encoding, sign) of the I, H and X terms of each internal
-    edge of the component with canonical encoding ``enc``.  The I term is
-    the component itself (``ihx_instances``), so it is ``(enc, 1)``, and
-    only H and X are canonicalized."""
-    return tuple(((enc, 1), canonicalize_component(h, mode), canonicalize_component(x, mode))
-                 for _, h, x in ihx_instances(decode_component(enc)))
+    edge of the component with canonical encoding ``enc``, in the order
+    ``TreeComponent.internal_edges`` lists them on its decoding.
+
+    An internal edge joins a node P = NODE + S1 + S2 of the encoding to
+    a child Q = NODE + T1 + T2 that is a node too, taken by the position
+    of P and then S1 before S2.  The I term is the
+    component itself, ``(enc, 1)``.  H and X splice a rewired
+    subexpression in place of P's and are decoded and canonicalized: for
+    Q = S1, H is NODE + T2 + (NODE + S2 + T1) and X is
+    NODE + T1 + (NODE + S2 + T2); for Q = S2, H is
+    NODE + T1 + (NODE + S1 + T2) and X is NODE + T2 + (NODE + S1 + T1).
+    With the four subtrees read cyclically after the edge as (A, B) at
+    one end and (C, D) at the other, these are I(A,B|C,D), H(A,C|B,D)
+    and X(B,C|A,D), and I - H + X = 0 is the Jacobi identity under this
+    package's orientation conventions.
+    """
+    # end[i]: the position just past the subexpression starting at i
+    end = [0] * (len(enc) + 1)
+    for i in range(len(enc) - 1, 0, -1):
+        end[i] = end[end[i + 1]] if enc[i] == _NODE else i + 1
+    out = []
+    for p in range(1, len(enc)):
+        if enc[p] != _NODE:
+            continue
+        s2 = end[p + 1]
+        head, tail = enc[:p] + _NODE_BYTE, enc[end[p]:]
+        for q, keep in ((p + 1, enc[s2:end[p]]), (s2, enc[p + 1:s2])):
+            if enc[q] != _NODE:
+                continue
+            t2 = end[q + 1]
+            a, b = enc[q + 1:t2], enc[t2:end[q]]
+            if q != s2:
+                a, b = b, a
+            h = head + a + _NODE_BYTE + keep + b + tail
+            x = head + b + _NODE_BYTE + keep + a + tail
+            out.append(((enc, 1), canonicalize_component(decode_component(h), mode),
+                        canonicalize_component(decode_component(x), mode)))
+    return tuple(out)
 
 
 def ihx_relations(k: int, d: int, mode: Mode, basis: Basis,

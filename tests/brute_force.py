@@ -12,12 +12,17 @@ Tree enumeration, the oracle for the rooted-expression generator in
 insertion, colored in all mode-legal ways, canonicalized and
 deduplicated, so completeness rests only on the canonical form.
 
-Relation rows by grafting concrete diagrams: ``graft`` splices a marked
-component onto a host diagram, and ``PreGraftConfig`` sums those grafts
-into one row, each term canonicalized as a whole diagram.  They are the
-oracle for ``y_link_relations``, ``link_relations`` and ``expand_along``
-in ``strutforge.relations``.  The IHX oracle rewires the decoded basis
-diagrams, for ``ihx_relations`` and ``count_ihx_instances``.
+Relation rows by grafting concrete diagrams: ``join_components`` splices
+the adjacency tables of a marked component and a host component,
+``graft`` joins a marked component onto a host diagram, and
+``PreGraftConfig`` sums those grafts into one row, each term
+canonicalized as a whole diagram.  They are the oracle for
+``y_link_relations``, ``link_relations`` and ``expand_along`` in
+``strutforge.relations``, and ``join_components`` for the encoding
+splices of ``strutforge.peel._graft_terms``.  The IHX oracle rewires
+the adjacency of the decoded basis diagrams (``rewire`` and
+``ihx_instances``), for ``ihx_relations``, ``count_ihx_instances`` and
+the encoding splices of ``strutforge.relations._ihx_terms``.
 
 The ungraded dimension and witness, the oracles for the orbit-graded
 ``compute_dimension`` and ``compute_witness`` of ``strutforge.pipeline``
@@ -49,7 +54,6 @@ from strutforge.diagrams import (
     Mode,
     TreeComponent,
     _encode_rooted,
-    _join_components,
     canonicalize,
     canonicalize_component,
     decode_component,
@@ -68,7 +72,6 @@ from strutforge.pipeline import ResultRecord, build_basis, build_relations
 from strutforge.relations import (
     RelationRow,
     count_link_configs,
-    ihx_instances,
     marked_trees,
     y_link_config_count,
 )
@@ -215,6 +218,40 @@ def forests(k: int, d: int, mode: Mode) -> Iterator[tuple[TreeComponent, ...]]:
             yield tuple(itertools.chain.from_iterable(choice))
 
 
+def join_components(marked: TreeComponent, marked_leg: int,
+                    host_comp: TreeComponent, host_leg: int) -> TreeComponent:
+    """Splice ``marked`` onto ``host_comp`` just above ``host_leg``.
+
+    The marked leaf disappears into a new trivalent vertex sitting on the
+    host leaf's edge; the new vertex is oriented (edge from the marked
+    component, edge to the surviving host leaf, edge into the rest of the
+    host component).
+    """
+    h = len(host_comp.adj)
+    m = len(marked.adj)
+    # Host vertices keep ids; marked vertices shift by h; the marked leaf
+    # is dropped and the new trivalent vertex takes the final id.
+    w = h + m - 1
+
+    def shift(u: int) -> int:
+        return u if u < marked_leg else u - 1
+
+    adj: list[list[int]] = [list(nbrs) for nbrs in host_comp.adj]
+    colors: list[int] = list(host_comp.colors)
+    for u in range(m):
+        if u == marked_leg:
+            continue
+        adj.append([w if x == marked_leg else h + shift(x) for x in marked.adj[u]])
+        colors.append(marked.colors[u])
+    q = h + shift(marked.adj[marked_leg][0])  # stump of the marked leg's edge
+    p = host_comp.adj[host_leg][0]            # host leaf's old neighbor
+    adj.append([q, host_leg, p])
+    colors.append(0)
+    adj[host_leg] = [w]
+    adj[p] = [w if x == host_leg else x for x in adj[p]]
+    return TreeComponent(tuple(tuple(n) for n in adj), tuple(colors))
+
+
 def graft(marked: TreeComponent, marked_leg: int, host: Diagram,
           host_leg: tuple[int, int], marked_index: Optional[int] = None) -> Diagram:
     """Attach the marked component's distinguished leg just above a host leg.
@@ -245,7 +282,7 @@ def graft(marked: TreeComponent, marked_leg: int, host: Diagram,
         raise DomainError(
             f"leg colors differ: marked {marked.colors[marked_leg]}, "
             f"host {host_comp.colors[v]}")
-    joined = _join_components(marked, marked_leg, host_comp, v)
+    joined = join_components(marked, marked_leg, host_comp, v)
     rest = [comp for idx, comp in enumerate(host.components)
             if idx != ci and idx != marked_index]
     return Diagram(tuple(rest) + (joined,), host.mode, host.k)
@@ -349,6 +386,37 @@ def _signed_row(basis, weighted: list[tuple[Diagram, int]], provenance: str) -> 
             col = basis.index[cd.encoding]
             coeffs[col] = coeffs.get(col, 0) + weight * cd.sign
     return RelationRow(tuple(sorted((c, v) for c, v in coeffs.items() if v)), provenance)
+
+
+def rewire(comp: TreeComponent, u: int, v: int,
+           at_u: tuple[int, int], at_v: tuple[int, int]) -> TreeComponent:
+    """Reattach the four subtrees around the internal edge (u, v):
+    ``at_u`` hang off u (oriented (v, x1, x2)), ``at_v`` off v."""
+    adj = [list(ns) for ns in comp.adj]
+    adj[u] = [v, at_u[0], at_u[1]]
+    adj[v] = [u, at_v[0], at_v[1]]
+    for x, parent in ((at_u[0], u), (at_u[1], u), (at_v[0], v), (at_v[1], v)):
+        old = u if u in comp.adj[x] else v
+        adj[x] = [parent if t == old else t for t in adj[x]]
+    return TreeComponent(tuple(tuple(n) for n in adj), comp.colors)
+
+
+def ihx_instances(comp: TreeComponent) -> Iterator[tuple[TreeComponent, TreeComponent, TreeComponent]]:
+    """(I, H, X) component triples, one per internal edge.
+
+    With the four subtrees read cyclically after the edge as (A, B) at one
+    end and (C, D) at the other, the Jacobi identity gives
+    I(A,B|C,D) - H(A,C|B,D) + X(B,C|A,D) = 0 under the package's
+    orientation conventions.  The I term hangs each subtree where it
+    already was, so it is ``comp`` itself.
+    """
+    for u, v in comp.internal_edges():
+        iu = comp.adj[u].index(v)
+        a, b = comp.adj[u][(iu + 1) % 3], comp.adj[u][(iu + 2) % 3]
+        jv = comp.adj[v].index(u)
+        c, d = comp.adj[v][(jv + 1) % 3], comp.adj[v][(jv + 2) % 3]
+        yield (comp, rewire(comp, u, v, (a, c), (b, d)),
+               rewire(comp, u, v, (b, c), (a, d)))
 
 
 def ihx_rows(k: int, d: int, mode: Mode, basis) -> list[RelationRow]:

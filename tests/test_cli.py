@@ -382,6 +382,12 @@ USAGE_ERRORS = [
      f"argument --cache-dir: '{os.devnull}' is not a directory."),
     (["sweep", "--k-range", "3:4", "--n-range", "0", "--cache-dir", os.devnull,
       "--out", "s.csv"], f"argument --cache-dir: '{os.devnull}' is not a directory."),
+    (["dim", *CELL, "--cache-dir", f"{os.devnull}/sub"],
+     f"argument --cache-dir: '{os.devnull}/sub' lies below '{os.devnull}', "
+     "which is not a directory."),
+    (["sweep", "--k-range", "3:4", "--n-range", "0", "--cache-dir", f"{os.devnull}/sub",
+      "--out", "s.csv"], f"argument --cache-dir: '{os.devnull}/sub' lies below "
+     f"'{os.devnull}', which is not a directory."),
 ]
 
 
@@ -425,6 +431,22 @@ class TestExitCodes:
         code, out, err = run_split(capsys, args + (
             ["--cache-dir", str(tmp_path)] if args[0] == "dim" else []))
         assert (code, out, err) == (1, "", f"Error: {message}\n")
+
+    @pytest.mark.parametrize("command", [
+        ["dim", *CELL], ["sweep", "--k-range", "3:4", "--n-range", "0", "--out", "s.csv"]])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_cache_env_var_that_cannot_be_a_directory_exits_1_before_any_work(
+            self, capsys, monkeypatch, tmp_path, command, below):
+        (tmp_path / "file").write_text("")
+        cache_dir = tmp_path / "file" / "sub" if below else tmp_path / "file"
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("STRUTFORGE_CACHE_DIR", str(cache_dir))
+        monkeypatch.setattr("strutforge.pipeline.build_basis", _never)
+        reason = (f"'{cache_dir}' lies below '{tmp_path / 'file'}', which is not a directory."
+                  if below else f"'{cache_dir}' is not a directory.")
+        assert run_split(capsys, command) == (1, "", f"Error: bad cache directory: {reason}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "file"]
+        assert (tmp_path / "file").read_text() == ""
 
     def test_unwritable_output_exits_1(self, capsys, tmp_path):
         out_file = tmp_path / "no" / "s.csv"

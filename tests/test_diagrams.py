@@ -118,6 +118,8 @@ class TestCanonicalizeDiagram:
 
     def test_zero_diagram_encodes_empty(self):
         assert canonicalize(Diagram.zero(H, 3)) == CanonicalDiagram(b"", 0)
+        assert canonicalize(Diagram.zero(H, 3)).is_zero
+        assert not canonicalize(diagram([y_tree(1, 2, 3)], H, 3)).is_zero
 
 
 class TestDegreeAndStruts:
@@ -126,6 +128,7 @@ class TestDegreeAndStruts:
         assert degree(diagram([y_tree(1, 2, 3)], H, 3)) == 2
         d = diagram([y_tree(1, 2, 3), strut(1, 2), strut(1, 3), strut(2, 3)], H, 3)
         assert degree(d) == 5
+        assert degree(Diagram.zero(C, 4)) == 0
 
     def test_strut_count(self):
         d = diagram([y_tree(1, 2, 3), strut(1, 2), strut(1, 2), strut(1, 4)], H, 4)
@@ -133,6 +136,7 @@ class TestDegreeAndStruts:
         assert strut_count(d, 2, 1) == 2
         assert strut_count(d, 1, 4) == 1
         assert strut_count(d, 2, 3) == 0
+        assert strut_count(Diagram.zero(C, 4), 1, 2) == 0
 
 
 class TestGraft:

@@ -17,11 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cli_runner import invoke
-from strutforge.bases import enumerate_basis, enumerate_y_basis, tree_components
+from strutforge.bases import enumerate_basis, enumerate_y_basis, tree_components, tree_encodings
 from strutforge.diagrams import (
     Diagram,
     Mode,
-    _join_components,
     canonicalize_component,
     decode_component,
     strut,
@@ -114,7 +113,8 @@ def joined_graft_terms(marked, host, mode):
     terms = {}
     for v, color in comp.leaves():
         if color == marked[0]:
-            enc, sign = canonicalize_component(_join_components(m_comp, 0, comp, v), mode)
+            enc, sign = canonicalize_component(
+                brute_force.join_components(m_comp, 0, comp, v), mode)
             terms[enc] = terms.get(enc, 0) + sign
     return tuple((enc, sign) for enc, sign in terms.items() if sign)
 
@@ -125,6 +125,45 @@ def test_strut_on_strut_graft_is_the_joined_graft():
             marked, host = bytes((c, a)), strut_encoding(c, x)
             assert _graft_terms(marked, host, mode) == \
                 joined_graft_terms(marked, host, mode), (mode, c, a, x)
+
+
+def graft_pairs(k):
+    """Every (marked tree, host tree, mode) on k colours with marked
+    degree 1 to 3 and host degree 1 to 4 whose host has a leaf of the
+    leg's colour."""
+    for mode in (H, C):
+        hosts = [host for dh in range(1, 5) for host in tree_encodings(k, dh, mode)]
+        for dm in range(1, 4):
+            for marked in marked_trees(k, dm, mode):
+                for host in hosts:
+                    if marked[0] in host:
+                        yield marked, host, mode
+
+
+# every pair up to four colours, and every ninth of the 72,320 at five,
+# to stay within a couple of seconds
+@pytest.mark.parametrize("k,stride", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 9)])
+def test_graft_splice_is_the_joined_graft(k, stride):
+    for marked, host, mode in itertools.islice(graft_pairs(k), 0, None, stride):
+        assert _graft_terms.__wrapped__(marked, host, mode) == \
+            joined_graft_terms(marked, host, mode), (marked, host, mode)
+
+
+def rewired_ihx_terms(enc, mode):
+    """``_ihx_terms`` the generic way: decode the component, rewire each
+    internal edge's adjacency into H and X, and canonicalize them."""
+    return tuple(((enc, 1), canonicalize_component(h, mode), canonicalize_component(x, mode))
+                 for _, h, x in brute_force.ihx_instances(decode_component(enc)))
+
+
+# every tree of degree 3 to 6 up to four colours, and every fifth of the
+# 10,080 at five and every 23rd of the 39,020 at six
+@pytest.mark.parametrize("k,stride", [(2, 1), (3, 1), (4, 1), (5, 5), (6, 23)])
+def test_ihx_splice_is_the_rewired_triple(k, stride):
+    trees = [(enc, mode) for mode in (H, C) for deg in range(3, 7)
+             for enc in tree_encodings(k, deg, mode)]
+    for enc, mode in trees[::stride]:
+        assert _ihx_terms.__wrapped__(enc, mode) == rewired_ihx_terms(enc, mode), (enc, mode)
 
 
 MEMOS = (canonicalize_component, _graft_terms, _ihx_terms)

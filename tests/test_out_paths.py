@@ -2,6 +2,7 @@
 a one-line error and no traceback, and ``witness --out`` never leaves a
 partial witness: it writes beside the target and renames at the end."""
 
+import errno
 import json
 
 import pytest
@@ -56,6 +57,20 @@ def test_witness_failing_mid_write_leaves_no_partial_file(monkeypatch, tmp_path)
     assert isinstance(result.exception, RuntimeError)
     assert list(tmp_path.iterdir()) == [out]
     assert out.read_text() == "earlier witness\n"
+
+
+def test_witness_write_that_fails_exits_1_and_leaves_no_file(monkeypatch, tmp_path):
+    def full_disk(doc):
+        yield "{"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli_module, "_witness_parts", full_disk)
+    out = tmp_path / "w.json"
+    result = invoke(["witness", "--space", "full", "--k", "3",
+                     "--degree", "1", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: Could not open file '{out}': No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_witness_replaces_an_earlier_file(tmp_path):

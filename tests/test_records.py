@@ -11,6 +11,7 @@ import functools
 import json
 import pickle
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -363,6 +364,44 @@ def test_a_cache_error_names_its_path_once(tmp_path):
     with pytest.raises(CacheError) as failed:
         ResultCache(below_a_file).append(ResultRecord.from_json(line()))
     assert str(failed.value) == f"cannot write cache {below_a_file}/results.jsonl: Not a directory"
+
+
+def test_appending_into_a_file_says_it_is_not_a_directory(tmp_path):
+    not_a_directory = tmp_path / "cache"
+    not_a_directory.write_text("")
+    with pytest.raises(CacheError) as failed:
+        ResultCache(not_a_directory).append(ResultRecord.from_json(line()))
+    assert str(failed.value) == \
+        f"cannot write cache {not_a_directory}/results.jsonl: Not a directory"
+    assert not_a_directory.read_text() == ""
+
+
+def test_a_short_write_is_a_cache_error(tmp_path, monkeypatch):
+    class ShortWrites:
+        """A file whose writes all stop one byte short."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, data):
+            return self.fh.write(data[:-1])
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    real_open = Path.open
+    monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs:
+                        ShortWrites(real_open(path, *args, **kwargs)))
+    cache = ResultCache(tmp_path)
+    with pytest.raises(CacheError) as failed:
+        cache.append(ResultRecord.from_json(line()))
+    assert str(failed.value) == f"short write to cache {tmp_path}/results.jsonl"
 
 
 def test_a_mode_made_from_its_value_hits_a_cache_entry_of_its_member():

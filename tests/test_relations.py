@@ -18,11 +18,9 @@ from strutforge.diagrams import (
 from strutforge.errors import CapacityError, DomainError
 from strutforge.relations import (
     RelationRow,
-    _rewire,
     count_effective_relations,
     count_ihx_instances,
     expand_along,
-    ihx_instances,
     ihx_relations,
     iter_y_link_rows,
     link_relations,
@@ -31,7 +29,7 @@ from strutforge.relations import (
     y_link_relations,
 )
 
-from brute_force import PreGraftConfig
+from brute_force import PreGraftConfig, ihx_instances, rewire
 
 H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
@@ -303,7 +301,7 @@ class TestIhxRelations:
                             iu, jv = comp.adj[u].index(v), comp.adj[v].index(u)
                             at_u = (comp.adj[u][(iu + 1) % 3], comp.adj[u][(iu + 2) % 3])
                             at_v = (comp.adj[v][(jv + 1) % 3], comp.adj[v][(jv + 2) % 3])
-                            rewired = _rewire(comp, u, v, at_u, at_v)
+                            rewired = rewire(comp, u, v, at_u, at_v)
                             assert canonicalize_component(rewired, mode) == own, \
                                 (mode, k, deg, comp, u, v)
                         assert all(term_i is comp for term_i, _, _ in ihx_instances(comp))

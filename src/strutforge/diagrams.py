@@ -312,18 +312,6 @@ def component_encodings(enc: bytes) -> list[bytes]:
     return enc.split(_SEP_BYTE)
 
 
-def recoloured_encoding(enc: bytes, table: bytes, mode: Mode) -> bytes:
-    """Encoding of the nonzero encoded diagram with each leaf color c
-    replaced by ``table[c]``, a permutation of the colors: the translated
-    bytes encode the recolored components, which are canonicalized
-    again.  A strut needs only its ends ordered: a permutation keeps
-    them distinct or equal, as they were."""
-    return diagram_encoding(
-        strut_encoding(*part) if len(part) == 2
-        else canonicalize_component(decode_component(part), mode)[0]
-        for part in component_encodings(enc.translate(table)))
-
-
 def degree(d: Diagram) -> int:
     """Half the vertex count: the sum of (leaf count - 1) per component."""
     if d.is_zero:

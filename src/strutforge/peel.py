@@ -1,32 +1,32 @@
-"""Row-free certification of single-Y blocks, and the graft memo the
-link rows share with it.
+"""Certification of blocks by the singleton peel, and the graft memo
+the link rows share with it.
 
-A single-Y block is usually certified without its rows.  A column
+Peeling takes a row with one live column, marks that column and
+deletes it from every row: the singleton phase of LaMacchia & Odlyzko's
+structured Gaussian elimination (CRYPTO '90).  A peeled column has a row
+whose other columns peeled before it, so those rows form a triangular
+minor whose diagonal entries are nonzero and at most
+``coefficient_bound`` in absolute value.  When every column of a block
+peels, its rank is its column count, exact over Q and mod every prime
+above that bound.  ``peel_rows`` peels built rows.  A single-Y column
 Y{p, q, r} + S lies in exactly six link rows, one per ordered pair
-(a, c) of its Y colours, and each row's terms can be read off the
-column's encoding, so ``y_peel_passes`` runs the singleton peel of the
-block's rows (LaMacchia & Odlyzko's structured Gaussian elimination,
-CRYPTO '90) and counts its distinct rows from the column encodings
-alone.  When every column peels, ``peel_y_block`` gives the block's rank
-as its column count, exact over Q and mod every prime above
-``coefficient_bound``; otherwise ``relations`` builds the block's rows,
-and ``linalg`` ranks them.
+(a, c) of its Y colours, each read off the column's encoding, so
+``y_peel_passes`` peels a single-Y block, and counts its distinct rows,
+without building them (``peel_y_block``).
 
-The peel reads each Y{a, c, y} of a row as the row's own graft of the
+The Y peel reads each Y{a, c, y} of a row as the row's own graft of the
 marked strut ``bytes((c, a))`` on the strut {c, y}, so it and the link
 rows of ``relations`` share one graft memo (``_graft_terms``) and one
 column lookup (``_term_column``).  A graft is spliced on the two
-encodings, the marked expression taking the grafted leaf's byte, and
-the result is decoded and canonicalized: no adjacency table is joined.
-This module imports only ``diagrams`` and ``errors``: a single-Y
-``dim`` whose blocks all peel loads neither the row builder nor the
-elimination kernel.
+encodings, then decoded and canonicalized.  This module imports only
+``diagrams`` and ``errors``, so a peeled block loads no elimination
+kernel, and a single-Y ``dim`` whose blocks all peel no row builder.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .diagrams import (
     _NODE_BYTE,
@@ -41,6 +41,7 @@ from .errors import DomainError
 
 if TYPE_CHECKING:
     from .bases import Basis
+    from .relations import RelationRow
 
 
 def coefficient_bound(space: str, param: int) -> int:
@@ -105,10 +106,8 @@ def y_peel_passes(basis: Basis) -> tuple[list[int], int]:
     (a, c, R = S + {c, x}).  That row has one term Y{a, c, y} + (R - {c, y})
     per strut type {c, y} of R with y not in {a, c}, so its terms are y = x
     and y in O_c, the ends outside the Y of the struts of S at c.
-    Peeling takes a row with one live column, marks that column and
-    deletes it from every row (the singleton phase of structured Gaussian
-    elimination), so a column's pass is 1 + the least, over its rows, of
-    the largest pass among the row's other columns.  It is 1 exactly when
+    A column's pass in the peel is 1 + the least, over its rows, of the
+    largest pass among the row's other columns.  It is 1 exactly when
     some O_c is empty.  Only the other columns look up their rows' other
     columns in ``basis.index``, one row at a time until one has only
     pass-1 columns (pass 2), or all six for the later passes, which are
@@ -213,14 +212,35 @@ def _y_rows(index: dict[bytes, int], parts: list[bytes], bands: tuple,
 
 def peel_y_block(basis: Basis) -> Optional[tuple[int, int]]:
     """(rank, distinct nonzero rows) of a single-Y block whose columns
-    all peel (``y_peel_passes``), else None.
-
-    Each peeled column has a row in which every other column peeled
-    earlier, so those rows, by pass, form a triangular minor: the rank
-    is the column count, exact over Q.  Each diagonal entry is
-    mult_R({c, x}) * sign(a, c, x), nonzero with absolute value at most
-    n + 1 (``coefficient_bound``), so the rank mod any prime above that
-    bound is the column count too.
-    """
+    all peel (``y_peel_passes``), else None: the rank is the column
+    count, each diagonal entry of the minor being mult_R({c, x}) *
+    sign(a, c, x), at most n + 1 in absolute value."""
     passes, num_rows = y_peel_passes(basis)
     return None if 0 in passes else (len(passes), num_rows)
+
+
+def peel_rows(rows: Sequence[RelationRow], num_cols: int) -> list[int]:
+    """The columns the singleton peel of ``rows`` marks, each after the
+    other columns of one of its rows.  A row is queued when one column
+    is left live in it; the marked set is the least closed under the
+    rule, in any order, and so that of a peel by passes."""
+    live = [len(row.entries) for row in rows]
+    col_rows: list[list[int]] = [[] for _ in range(num_cols)]
+    for rid, row in enumerate(rows):
+        for col, _ in row.entries:
+            col_rows[col].append(rid)
+    marked = bytearray(num_cols)
+    order = []
+    queue = [rid for rid, count in enumerate(live) if count == 1]
+    while queue:
+        rid = queue.pop()
+        if live[rid] != 1:
+            continue
+        col = next(col for col, _ in rows[rid].entries if not marked[col])
+        marked[col] = 1
+        order.append(col)
+        for other in col_rows[col]:
+            live[other] -= 1
+            if live[other] == 1:
+                queue.append(other)
+    return order

@@ -27,24 +27,29 @@ rank.  A dimension run folds the plain counts of one block per orbit
 an immutable ResultRecord, and a witness run gathers each orbit's
 functionals (``_orbit_functionals``).  Each step takes its block's
 ``BasisSpec``, the cell's with the block's ``leaves``, and builds and
-drops the block inside one call, so one is resident at a time.  A
-single-Y block whose columns all peel (``peel.peel_y_block``) builds no
-row and adds no functional, and loads neither ``relations`` nor
-``linalg``: a cell reaches them only through a block that does not
-peel, every full block and a single-Y block whose peel is refused.
-Only the ``relations`` dump builds a cell whole.
+drops the block inside one call, so one is resident at a time.
+
+A full cell's strut-only forests, its blocks on 2d leaves, lie in no
+row, so they are not listed as blocks: ``dim`` counts them
+(``strut_union_count``), and ``witness`` gives each its unit
+functional.  A block whose columns all peel (``peel``) has full column
+rank: a single-Y block peels without rows, and loads neither
+``relations`` nor ``linalg``; any other peels its link rows, and for
+``dim`` its IHX rows too.  Only a block whose peel falls short loads
+``linalg`` and, in a witness, builds IHX rows.  Only the ``relations``
+dump builds a cell whole.
 """
 
 from __future__ import annotations
 
 import importlib
 import time
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .bases import Basis, BasisSpec, check_cell, enumerate_basis, enumerate_y_basis, leaf_orbits
-from .diagrams import recoloured_encoding
+from .diagrams import _NODE_BYTE
 from .errors import DomainError
-from .peel import coefficient_bound, peel_y_block
+from .peel import coefficient_bound, peel_rows, peel_y_block
 # The records layer's names stay importable from here as well.
 from .records import (
     CACHE_ENV_VAR,
@@ -67,9 +72,9 @@ if TYPE_CHECKING:
 # These names live here for perfbench/traced_op.py, which wraps each one
 # in this module, and for the tests, which patch them here (ROADMAP item
 # 1 C).  The row builder (``relations``) and the elimination kernel
-# (``linalg``) load on first use, which only a block that does not peel
-# makes; count_link_configs and y_link_config_count are never called here.
-from .bases import count_link_configs, y_link_config_count
+# (``linalg``) load on first use (see above); count_link_configs and
+# y_link_config_count are never called here.
+from .bases import count_link_configs, strut_union_count, y_link_config_count
 
 
 def _first_use(module: str, name: str):
@@ -127,21 +132,30 @@ def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
                 f"prime {p} does not exceed the coefficient bound {bound} of this space")
 
 
+def _orbits_with_rows(cell: BasisSpec) -> Iterator[tuple[BasisSpec, int]]:
+    """(representative block, orbit size) per orbit (``leaf_orbits``)
+    but the strut-only ones, on 2d leaves, which no row touches."""
+    for leaves, weight in leaf_orbits(cell.k, cell.space, cell.param):
+        if sum(leaves) < 2 * cell.degree:
+            yield cell.replace(leaves=leaves), weight
+
+
 def _block_counts(block: BasisSpec, primes: Sequence[int]
                   ) -> tuple[int, int, int, int, tuple[int, ...], bool]:
     """(columns, distinct nonzero rows, rank, IHX instances, primes,
-    certified) of the block ``block``.  A single-Y block whose columns
-    all peel builds no row: its rank is exact over Q and equals its rank
-    mod ``primes[0]`` (``peel.peel_y_block``), so it counts as certified
-    on the first prime."""
+    certified) of the block ``block``.  A block whose columns all peel
+    (``peel_y_block`` or ``peel_rows``) counts as certified on the first
+    prime; only one whose peel falls short is ranked."""
     basis = build_basis(block)
     if not basis.elements:
         return 0, 0, 0, 0, (), True
     peeled = peel_y_block(basis) if block.space == "y" else None
     if peeled is not None:
         return len(basis), peeled[1], peeled[0], 0, tuple(primes[:1]), True
-    from .linalg import SparseMatrix
     rows, ihx = build_relations(basis)
+    if len(peel_rows(rows, len(basis))) == len(basis):
+        return len(basis), len(rows), len(basis), ihx, tuple(primes[:1]), True
+    from .linalg import SparseMatrix
     result = rank_multiprime(SparseMatrix.from_rows(rows, len(basis)), primes)
     return len(basis), len(rows), result.rank, ihx, result.primes, result.certified
 
@@ -151,12 +165,14 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
                       max_elements: int = DEFAULT_MAX_ELEMENTS,
                       max_rows: int = DEFAULT_MAX_ROWS) -> ResultRecord:
     """Full pipeline for one cell: the guards, then the ``_block_counts``
-    of one block per orbit times the orbit's size (``leaf_orbits``).
+    of one block per orbit times the orbit's size, and a full cell's
+    strut-only forests, certified on the first prime.
 
     The raw relation count is the cell's link configurations plus the
     blocks' IHX instances.  The cell is certified when every block is,
     and ``primes`` is every prime a block's rank came from, in first-use
-    order: ``primes[:1]`` when every block certified on the first prime.
+    order (the strut-only blocks last, as in ``leaf_orbits``):
+    ``primes[:1]`` when every block certified on the first prime.
     The record's ``timestamp`` is the finishing time in UTC to the
     second, as ``2026-10-19T12:01:30+00:00``.
     """
@@ -165,14 +181,16 @@ def compute_dimension(mode: Mode, space: str, k: int, param: int,
     _check_prime_bound(space, param, primes)
     start = time.monotonic()
     _, raw = check_cell(cell := BasisSpec(mode, k, space, param), max_elements, max_rows)
-    totals = [0, 0, 0, raw]  # columns, distinct nonzero rows, rank, raw relations
+    struts = strut_union_count(k, param, mode) if space == "full" else 0
+    totals = [struts, 0, 0, raw]  # columns, distinct nonzero rows, rank, raw relations
     used: list[int] = []
     certified = True
-    for leaves, weight in leaf_orbits(k, space, param):
-        *counts, block_primes, block_certified = _block_counts(cell.replace(leaves=leaves), primes)
+    for block, weight in _orbits_with_rows(cell):
+        *counts, block_primes, block_certified = _block_counts(block, primes)
         totals = [total + weight * count for total, count in zip(totals, counts)]
         used += [p for p in block_primes if p not in used]
         certified = certified and block_certified
+    used += [p for p in primes[:1] if struts and p not in used]
     cols, num_rows, rank, raw = totals
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ResultRecord(
@@ -198,14 +216,17 @@ def sparse_witness(mode: Mode, space: str, k: int, param: int,
     Blocks and cell list their columns in encoding order, and the
     relation matrix is block diagonal, so the cell's reduced echelon form
     is its blocks' side by side, and each functional is a block's on that
-    block's columns: ``_orbit_functionals`` gives those of each orbit.
+    block's columns: ``_orbit_functionals`` gives those of each orbit,
+    and a strut-only column, with no node byte, is in no row and has its
+    unit functional.
     """
     _check_prime_bound(space, param, (prime,))
     check_cell(cell := BasisSpec(mode, k, space, param), max_elements, max_rows)
     basis = build_basis(cell, max_elements)
-    found: dict[int, list[tuple[int, int]]] = {}  # free column -> entries, on the cell's columns
-    for leaves, _ in leaf_orbits(k, space, param):
-        found.update(_orbit_functionals(cell.replace(leaves=leaves), prime, basis.index))
+    found = {col: [(col, 1)] for col, cd in enumerate(basis.elements)  # free column -> entries
+             if _NODE_BYTE not in cd.encoding}
+    for block, _ in _orbits_with_rows(cell):
+        found.update(_orbit_functionals(block, prime, basis.index))
     return {
         "basis": [cd.encoding.hex() for cd in basis.elements],
         "prime": prime,
@@ -215,10 +236,14 @@ def sparse_witness(mode: Mode, space: str, k: int, param: int,
 
 def _block_functionals(block: BasisSpec, prime: int) -> tuple[Basis, list[list[int]]]:
     """The basis of the block ``block`` and its dense cokernel
-    functionals mod ``prime``: none, and no row built, for a block
-    without columns or a single-Y block that peels (full column rank)."""
+    functionals mod ``prime``: none for a block without columns or whose
+    columns all peel, a single-Y block without rows and any other on its
+    link rows; only a block whose peel falls short builds IHX rows."""
     basis = build_basis(block)
     if not basis.elements or (block.space == "y" and peel_y_block(basis) is not None):
+        return basis, []
+    link = link_relations(block.k, block.degree, block.mode, basis, provenance=False)
+    if len(peel_rows(link, len(basis))) == len(basis):
         return basis, []
     from .linalg import SparseMatrix
     rows = build_relations(basis)[0]
@@ -228,18 +253,11 @@ def _block_functionals(block: BasisSpec, prime: int) -> tuple[Basis, list[list[i
 def _orbit_functionals(block: BasisSpec, prime: int, index: dict[bytes, int]
                        ) -> dict[int, list[tuple[int, int]]]:
     """{free column: sorted (column, value) entries} of the orbit of the
-    block ``block`` on the cell's columns ``index``: the representative's
-    unit functionals (``_unit_columns``) carried across the orbit by the
-    colour permutations, or else every block's own."""
+    block ``block`` on the cell's columns ``index``: none when the
+    representative has full column rank, else every block's own."""
     basis, vecs = _block_functionals(block, prime)
     if not vecs:
         return {}
-    unit = _unit_columns(basis, vecs)
-    if unit is not None:
-        tables = (_colour_table(block.leaves, image) for image in _rearrangements(block.leaves))
-        cols = (index[recoloured_encoding(enc, table, block.mode)]
-                for table in tables for enc in unit)
-        return {col: [(col, 1)] for col in cols}
     found: dict[int, list[tuple[int, int]]] = {}
     for image in _rearrangements(block.leaves):
         image_basis, image_vecs = (basis, vecs) if image == block.leaves else \
@@ -268,21 +286,6 @@ def compute_witness(mode: Mode, space: str, k: int, param: int,
     return {**doc, "functionals": functionals}
 
 
-def _unit_columns(basis: Basis, vecs: Sequence[list[int]]) -> Optional[list[bytes]]:
-    """The free columns' encodings if all functionals are unit vectors, else None.
-
-    Reduced over F_p, the functional of a free column f is 1 at f and
-    -R[q][f] at each pivot q: it is e_f exactly when no reduced row, and
-    so no row, touches f, as p exceeds every coefficient
-    (``_check_prime_bound``).  Pivot columns are touched, so all are unit
-    vectors exactly when the rank meets the touched columns
-    (``linalg.rank_bound``); the free columns are then the untouched ones.
-    """
-    if any(vec.count(0) != len(vec) - 1 for vec in vecs):
-        return None
-    return [basis.elements[vec.index(1)].encoding for vec in vecs]
-
-
 def _rearrangements(leaves: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Every distinct rearrangement of ``leaves``: the orbit of a leaf
     multiset under the colour permutations."""
@@ -294,15 +297,3 @@ def _rearrangements(leaves: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         rest.remove(first)
         for tail in _rearrangements(tuple(rest)):
             yield (first,) + tail
-
-
-def _colour_table(leaves: Sequence[int], image: Sequence[int]) -> bytes:
-    """A byte translation table of a colour permutation s with
-    image[s(i) - 1] == leaves[i - 1] for every colour i."""
-    targets: dict[int, list[int]] = {}
-    for c, m in reversed(list(enumerate(image, 1))):
-        targets.setdefault(m, []).append(c)
-    table = bytearray(range(256))
-    for c, m in enumerate(leaves, 1):
-        table[c] = targets[m].pop()
-    return bytes(table)

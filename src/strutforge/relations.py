@@ -38,7 +38,9 @@ kept after dedup, and only when asked for: the dumps ask,
 
 A single-Y block is usually certified without its rows, by the
 row-free peel in ``peel`` (``peel_y_block``); this module builds the
-rows of a block that does not peel, and of every full block.  The peel
+rows of a block that does not peel, and of every full block but the
+strut-only ones, which no row touches.  ``peel.peel_rows`` peels those
+rows, and only a block they leave short is ranked.  The Y peel
 reads its rows' terms from the same graft memo, so ``_graft_terms`` and
 the column lookup ``_term_column`` live in ``peel``, which loads neither
 this module nor ``linalg``, and every row here grafts through them.

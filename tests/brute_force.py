@@ -5,7 +5,10 @@ oracle for ``strutforge.diagrams.canonicalize_component``, which roots
 only at the leaves of the least color.
 
 Leaf recolouring and vertex relabelling of a concrete component, for
-the marked-tree oracle and the canonical-form property tests.
+the marked-tree oracle and the canonical-form property tests.  A colour
+permutation as a byte table (``colour_table``) and the recoloured
+canonical encoding of a diagram (``recoloured_encoding``), for the
+orbit tests that map each block onto the other blocks of its orbit.
 
 Tree enumeration, the oracle for the rooted-expression generator in
 ``strutforge.bases``: every unitrivalent tree shape is grown by leaf
@@ -29,8 +32,9 @@ The ungraded dimension and witness, the oracles for the orbit-graded
 on both spaces: the whole basis, the whole row set, and one rank or
 one reduced echelon form of the whole matrix.
 
-The singleton peel of a block's real rows (``peel_passes``), the oracle
-for the row-free peel of a single-Y block, ``y_peel_passes`` in
+The singleton peel of a block's real rows by passes (``peel_passes``),
+the oracle for the row-free peel of a single-Y block, ``y_peel_passes``,
+and for the queued peel of built rows, ``peel_rows``, in
 ``strutforge.peel``.
 
 Echelon pivot order, the oracle for the heap pivot queue of
@@ -56,8 +60,11 @@ from strutforge.diagrams import (
     _encode_rooted,
     canonicalize,
     canonicalize_component,
+    component_encodings,
     decode_component,
+    diagram_encoding,
     render_component,
+    strut_encoding,
 )
 from strutforge.errors import DomainError
 from strutforge.linalg import (
@@ -72,7 +79,6 @@ from strutforge.pipeline import ResultRecord, build_basis, build_relations
 from strutforge.relations import (
     RelationRow,
     count_link_configs,
-    marked_trees,
     y_link_config_count,
 )
 
@@ -177,6 +183,30 @@ def relabeled(comp: TreeComponent, perm: Sequence[int]) -> TreeComponent:
         adj[perm[v]] = tuple(perm[u] for u in comp.adj[v])
         colors[perm[v]] = comp.colors[v]
     return TreeComponent(tuple(adj), tuple(colors))
+
+
+def colour_table(leaves: Sequence[int], image: Sequence[int]) -> bytes:
+    """A byte translation table of a colour permutation s with
+    image[s(i) - 1] == leaves[i - 1] for every colour i."""
+    targets: dict[int, list[int]] = {}
+    for c, m in reversed(list(enumerate(image, 1))):
+        targets.setdefault(m, []).append(c)
+    table = bytearray(range(256))
+    for c, m in enumerate(leaves, 1):
+        table[c] = targets[m].pop()
+    return bytes(table)
+
+
+def recoloured_encoding(enc: bytes, table: bytes, mode: Mode) -> bytes:
+    """Encoding of the nonzero encoded diagram with each leaf color c
+    replaced by ``table[c]``, a permutation of the colors: the translated
+    bytes encode the recolored components, which are canonicalized
+    again.  A strut needs only its ends ordered: a permutation keeps
+    them distinct or equal, as they were."""
+    return diagram_encoding(
+        strut_encoding(*part) if len(part) == 2
+        else canonicalize_component(decode_component(part), mode)[0]
+        for part in component_encodings(enc.translate(table)))
 
 
 def marked_tree_key(comp: TreeComponent, leg: int) -> tuple[int, bytes]:

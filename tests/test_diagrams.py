@@ -19,7 +19,6 @@ from strutforge.diagrams import (
     diagram_encoding,
     encoding_leaf_colors,
     encoding_trivalent_count,
-    recoloured_encoding,
     strut,
     strut_count,
     y_tree,
@@ -31,6 +30,7 @@ from brute_force import (
     canonicalize_component_all_leaves,
     colored_trees,
     graft,
+    recoloured_encoding,
     relabeled,
     tree_shapes,
 )

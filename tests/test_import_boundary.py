@@ -3,8 +3,10 @@
 ``--version``, a cache-hit ``dim`` and a fully cached ``sweep`` import
 ``strutforge.records`` and no engine module; a cache miss imports the
 pipeline.  A single-Y ``dim`` or ``witness`` whose blocks all peel loads
-neither the row builder nor the elimination kernel, which a full cell
-loads on its first block.  No command loads click, and no module
+neither the row builder nor the elimination kernel.  A full ``dim`` or
+``witness`` builds its blocks' rows, but loads the elimination kernel
+only for a block whose rows leave a column unpeeled, which full
+concordance (3, 7) has.  No command loads click, and no module
 imports it.  No command loads ``dataclasses``, ``inspect`` or
 ``datetime`` beyond what a bare interpreter loads, and no module
 imports the first or the last.  The
@@ -103,9 +105,20 @@ def test_peeled_y_commands_load_no_rows_or_linalg(tmp_path):
         modules, proc = loaded_modules(tmp_path, *args)
         assert "(cache hit)" not in proc.stderr
         assert modules == Y_PEEL, args
-    modules, _ = loaded_modules(tmp_path, "dim", "--space", "full", "--k", "3",
-                                "--degree", "2", "--cache-dir", str(tmp_path / "full"))
-    assert {"strutforge.relations", "strutforge.linalg"} <= modules
+
+
+@pytest.mark.parametrize("command,mode,k,degree,linalg", [
+    ("dim", "homotopy", "3", "2", False), ("witness", "homotopy", "4", "3", False),
+    ("dim", "concordance", "3", "7", True)])
+def test_full_commands_load_linalg_only_for_a_block_that_does_not_peel(
+        tmp_path, command, mode, k, degree, linalg):
+    out = ["--cache-dir", str(tmp_path / "cache")] if command == "dim" else \
+        ["--out", str(tmp_path / "w.json")]
+    modules, proc = loaded_modules(tmp_path, command, "--space", "full", "--mode", mode,
+                                   "--k", k, "--degree", degree, *out)
+    assert "(cache hit)" not in proc.stderr
+    assert "strutforge.relations" in modules
+    assert ("strutforge.linalg" in modules) is linalg
 
 
 @pytest.mark.parametrize("module,loads", [

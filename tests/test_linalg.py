@@ -17,6 +17,7 @@ from strutforge.linalg import (
     rank_mod_p,
     rank_multiprime,
 )
+from strutforge.peel import peel_rows
 from strutforge.relations import (
     RelationRow,
     link_relations,
@@ -374,16 +375,34 @@ def test_a_matrix_that_peels_pivots_on_single_entry_rows(m):
         assert sorted(pc for pc, _ in pivots) == sorted(touched)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_sparse_matrix(), peeling_matrix()))
+def test_the_queued_peel_marks_the_columns_of_the_peel_by_passes(m):
+    # ``peel_rows`` marks exactly the columns the peel by passes marks,
+    # each after every other column of a row of it: a triangular minor,
+    # so a peel of every column is the full rank, exact over Q.
+    order = peel_rows(m.rows, m.num_cols)
+    assert len(order) == len(set(order))
+    assert set(order) == set(peel_passes(m.rows))
+    position = {col: i for i, col in enumerate(order)}
+    for col in order:
+        assert any(col in cols and all(position.get(c, len(order)) < position[col]
+                                       for c in cols - {col})
+                   for cols in ({c for c, _ in row.entries} for row in m.rows))
+    if len(order) == m.num_cols:
+        assert fraction_free_rank(m) == m.num_cols
+
+
 @settings(max_examples=80, deadline=None)
 @given(random_sparse_matrix())
 @example(matrix(3, [(0, 1), (1, 2)], [(0, 2), (1, 4)]))  # rank 1, below its bound 2
 @example(matrix(3, [(0, 1), (1, 1)]))  # rank meets its bound 1, not its 2 touched columns
 @example(matrix(3, [(0, 1)], [(1, -1)]))  # rank 2 meets its 2 touched columns
 def test_unit_functionals_exactly_when_rank_meets_touched_columns(m):
-    # The witness's carry test (``pipeline._unit_columns``): the functional
-    # of a free column is its unit vector exactly when no row touches the
-    # column, so all are exactly when the rank meets the touched columns,
-    # and their free columns are then the untouched ones.
+    # The functional of a free column is its unit vector exactly when no
+    # row touches the column (as for the witness's strut-only columns),
+    # so all are exactly when the rank meets the touched columns, and
+    # their free columns are then the untouched ones.
     touched = {c for row in m.rows for c, _ in row.entries}
     for p in (P, 5):
         vecs = cokernel_functionals(m, p)

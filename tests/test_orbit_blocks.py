@@ -2,29 +2,26 @@
 
 ``compute_dimension`` ranks one leaf-multiset block per orbit of the
 colour permutations, weighted by the orbit's size, and ``sparse_witness``
-carries a representative block's functionals onto the other blocks of
-its orbit.  Both rest on this: a colour permutation s maps block M onto
+adds no functional for an orbit whose representative block has full
+column rank.  Both rest on this: a colour permutation s maps block M onto
 block sM by a signed column bijection (each diagram goes to its
 recoloured canonical diagram, times that diagram's canonical sign), and
 the image of M's distinct rows under it is sM's distinct rows, up to
 row sign.  Here the bijection is built from concrete diagrams, each
 recoloured component canonicalized again, and every block of every
-orbit is compared with its representative.
+orbit is compared with its representative.  The recoloured encodings
+(``brute_force.recoloured_encoding``) are checked against the same
+concrete diagrams.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from brute_force import colour_table, recoloured_encoding
 from strutforge.bases import BasisSpec, leaf_orbits
-from strutforge.diagrams import (
-    Diagram,
-    Mode,
-    TreeComponent,
-    canonicalize,
-    recoloured_encoding,
-)
-from strutforge.pipeline import _colour_table, _rearrangements, build_basis, build_relations
+from strutforge.diagrams import Diagram, Mode, TreeComponent, canonicalize
+from strutforge.pipeline import _rearrangements, build_basis, build_relations
 from strutforge.relations import _normalized
 
 H = Mode.HOMOTOPY
@@ -60,7 +57,7 @@ def test_a_colour_permutation_carries_each_block_onto_its_image(mode, space, k, 
         images = list(_rearrangements(leaves))
         assert len(images) == len(set(images)) == orbit
         for image in images:
-            table = _colour_table(leaves, image)
+            table = colour_table(leaves, image)
             assert sorted(table[1:k + 1]) == list(range(1, k + 1))
             other, other_rows = block(mode, space, k, param, image)
             assert len(other) == len(basis)

@@ -4,7 +4,14 @@ import json
 import pytest
 
 from strutforge import __version__
-from strutforge.bases import Basis, BasisSpec, enumerate_basis, enumerate_y_basis, leaf_orbits
+from strutforge.bases import (
+    Basis,
+    BasisSpec,
+    enumerate_basis,
+    enumerate_y_basis,
+    leaf_orbits,
+    strut_union_count,
+)
 from strutforge.diagrams import Mode, encoding_trivalent_count
 from strutforge.errors import CacheError, DomainError
 import strutforge.linalg as linalg
@@ -77,8 +84,9 @@ class TestComputeDimension:
 
         monkeypatch.setattr(linalg, "rank_mod_p", counted)
         # y (3, 0) is one block, Y(1,2,3) alone, in an orbit of size 1;
-        # with its peel refused it is ranked from its rows
+        # with its peels refused it is ranked from its rows
         monkeypatch.setattr(pipeline, "peel_y_block", lambda basis: None)
+        monkeypatch.setattr(pipeline, "peel_rows", lambda rows, num_cols: [])
         certified = compute_dimension(H, "y", 3, 0)
         assert len(calls) == 1
         calls.clear()
@@ -102,6 +110,7 @@ class TestComputeDimension:
         assert ranked == [12, 4]
         monkeypatch.setattr(linalg, "rank_mod_p", counted)
         monkeypatch.setattr(pipeline, "peel_y_block", lambda basis: None)
+        monkeypatch.setattr(pipeline, "peel_rows", lambda rows, num_cols: [])
         certified = compute_dimension(H, "y", 4, 1)
         assert len(calls) == len(ranked)
         calls.clear()
@@ -111,6 +120,43 @@ class TestComputeDimension:
         assert not forced.certified
         assert forced.primes == DEFAULT_PRIMES
         assert forced.rank == certified.rank - sum(ranked)
+
+    def test_a_cell_whose_blocks_peel_runs_no_elimination(self, monkeypatch):
+        # Full homotopy (5, 4): its strut-only forests are counted, and
+        # every other block peels on its rows, so nothing is ranked; its
+        # witness peels link rows only, and builds no IHX row either.
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a peeled cell ran an elimination or built IHX rows")
+
+        for name in ("rank_multiprime", "cokernel_functionals"):
+            monkeypatch.setattr(pipeline, name, refuse)
+        rec = compute_dimension(H, "full", 5, 4)
+        assert (rec.num_diagrams, rec.quotient_dim, rec.certified, rec.primes) == \
+            (1485, strut_union_count(5, 4, H), True, DEFAULT_PRIMES[:1])
+        monkeypatch.setattr(pipeline, "ihx_relations", refuse)
+        doc = pipeline.sparse_witness(H, "full", 5, 4)
+        struts = [col for col, enc in enumerate(doc["basis"])
+                  if encoding_trivalent_count(bytes.fromhex(enc)) == 0]
+        assert doc["functionals"] == [[(col, 1)] for col in struts]
+        assert len(struts) == strut_union_count(5, 4, H)
+
+    def test_a_block_whose_peel_falls_short_is_ranked(self, monkeypatch):
+        # Full concordance (3, 7) has one orbit beyond the strut unions,
+        # the block (4, 4, 4), whose rows leave columns unpeeled; its
+        # rank falls short of its bound, so both primes rank it.
+        real = pipeline.rank_multiprime
+        ranked = []
+
+        def counted(m, primes):
+            ranked.append(m.num_cols)
+            return real(m, primes)
+
+        monkeypatch.setattr(pipeline, "rank_multiprime", counted)
+        rec = compute_dimension(C, "full", 3, 7)
+        assert (rec.num_diagrams, rec.quotient_dim, rec.certified, rec.primes) == \
+            (5127, 793, False, DEFAULT_PRIMES)
+        assert rec.quotient_dim == strut_union_count(3, 7, C) + 1
+        assert ranked == [len(build_basis(BasisSpec(C, 3, "full", 7, (4, 4, 4))))]
 
     def test_deterministic_modulo_timing(self):
         a = compute_dimension(H, "y", 4, 1)

@@ -2,11 +2,12 @@
 
 ``perfbench/traced_op.py`` replaces module attributes by name; if one of
 them is renamed the traced run breaks or records nothing for that span.
-These tests run it on tiny cells and check that the tree-generation,
-basis, row and linalg spans fill.  ``pipeline`` reaches the row builder
-and the elimination kernel through functions that import them on first
-use; the spans fill only if the pipeline calls those functions by the
-names the tracer patches.
+These tests run it on small cells and check that the tree-generation,
+basis, row and linalg spans fill, the linalg ones on full concordance
+(3, 7), whose (4, 4, 4) block is the one that does not peel.
+``pipeline`` reaches the row builder and the elimination kernel through
+functions that import them on first use; the spans fill only if the
+pipeline calls those functions by the names the tracer patches.
 """
 
 import json
@@ -29,12 +30,20 @@ def run_traced(tmp_path, *command):
 
 
 def test_dim_fills_rank_span(tmp_path):
-    # a full cell's blocks build link and IHX rows and are ranked; a Y
-    # cell's blocks peel and rank nothing
-    trace = run_traced(tmp_path, "dim", "--space", "full", "--k", "4", "--degree", "3",
-                       "--cache-dir", str(tmp_path / "cache"))
+    # a full cell's blocks build link and IHX rows, and a block whose rows
+    # leave a column unpeeled, as the (4, 4, 4) block of concordance
+    # (3, 7) does, is ranked; a Y cell's blocks peel and rank nothing
+    trace = run_traced(tmp_path, "dim", "--space", "full", "--mode", "concordance",
+                       "--k", "3", "--degree", "7", "--cache-dir", str(tmp_path / "cache"))
     for span in ("relations.link", "relations.ihx", "linalg.rank"):
         assert trace["self_s"].get(span, 0) > 0, span
+
+
+def test_a_peeled_full_dim_fills_no_rank_span(tmp_path):
+    trace = run_traced(tmp_path, "dim", "--space", "full", "--k", "4", "--degree", "3",
+                       "--cache-dir", str(tmp_path / "cache"))
+    assert trace["self_s"].get("relations.link", 0) > 0
+    assert "linalg.rank" not in trace["self_s"]
 
 
 def test_y_dim_fills_basis_span(tmp_path):
@@ -51,6 +60,9 @@ def test_full_dim_fills_tree_spans(tmp_path):
 
 
 def test_witness_fills_cokernel_span(tmp_path):
-    trace = run_traced(tmp_path, "witness", "--space", "full", "--k", "3",
-                       "--degree", "2")
-    assert trace["self_s"].get("linalg.cokernel", 0) > 0
+    # only a block whose link rows leave a column unpeeled builds IHX
+    # rows and is reduced
+    trace = run_traced(tmp_path, "witness", "--space", "full", "--mode", "concordance",
+                       "--k", "3", "--degree", "7", "--out", str(tmp_path / "w.json"))
+    for span in ("relations.ihx", "linalg.cokernel"):
+        assert trace["self_s"].get(span, 0) > 0, span

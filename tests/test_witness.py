@@ -1,12 +1,14 @@
 """The orbit-graded ``witness`` against the ungraded oracle, byte for byte.
 
-``sparse_witness`` reduces one representative block per orbit and
-carries its unit functionals across the orbit; when a representative's
-rank falls short of the columns its rows touch, it reduces every block
-of the orbit.  No cell reaches that branch, so one test forces it.  The
-functionals stay sparse until the CLI writes them, and the dense JSON it
-writes from their entries must give ``json.dumps``'s bytes of the dense
-document; ``compute_witness`` is that dense document.
+``sparse_witness`` gives each strut-only column its unit functional,
+adds none for an orbit whose representative block peels, and reduces
+every block of an orbit whose representative's peel falls short.  Full
+concordance (3, 7) has such an orbit, its one block beyond the strut
+unions; one test forces that branch on every orbit of every cell by
+refusing the peels.  The functionals stay sparse until the CLI writes
+them, and the dense JSON it writes from their entries must give
+``json.dumps``'s bytes of the dense document; ``compute_witness`` is
+that dense document.
 """
 
 import json
@@ -17,7 +19,6 @@ from hypothesis import given, strategies as st
 from brute_force import witness_ungraded
 from cli_runner import invoke
 import strutforge.pipeline as pipeline
-from strutforge.bases import enumerate_basis
 from strutforge.cli import _witness_parts
 from strutforge.diagrams import Mode
 from strutforge.pipeline import compute_witness, sparse_witness
@@ -26,7 +27,8 @@ H = Mode.HOMOTOPY
 C = Mode.CONCORDANCE
 
 WITNESS_CELLS = [(H, "y", 6, 2), (C, "y", 4, 2), (H, "full", 5, 4),
-                 (H, "full", 4, 3), (C, "full", 3, 4), (C, "full", 2, 5)]
+                 (H, "full", 4, 3), (C, "full", 3, 4), (C, "full", 2, 5),
+                 (C, "full", 3, 7)]
 
 
 def _witness_json(doc):
@@ -49,19 +51,9 @@ def test_witness_bytes_equal_the_ungraded_oracle(mode, space, k, param):
 
 @pytest.mark.parametrize("mode,space,k,param", WITNESS_CELLS)
 def test_per_block_reduction_gives_the_same_bytes(monkeypatch, mode, space, k, param):
-    monkeypatch.setattr(pipeline, "_unit_columns", lambda *_: None)
+    monkeypatch.setattr(pipeline, "peel_rows", lambda rows, num_cols: [])
+    monkeypatch.setattr(pipeline, "peel_y_block", lambda basis: None)
     _check_written_bytes(mode, space, k, param)
-
-
-def test_carry_needs_every_functional_to_be_a_unit_vector():
-    # ``_unit_columns`` gives the free columns only when no functional
-    # has two nonzero entries; otherwise the orbit is reduced block by block.
-    block = enumerate_basis(3, 2, H)
-    unit = [[int(col == free) for col in range(len(block))] for free in (1, 4)]
-    assert pipeline._unit_columns(block, unit) == \
-        [block.elements[1].encoding, block.elements[4].encoding]
-    two = [1 if col in (0, 4) else 0 for col in range(len(block))]
-    assert pipeline._unit_columns(block, [unit[0], two]) is None
 
 
 def test_cli_writes_the_oracle_bytes(tmp_path):

@@ -121,8 +121,9 @@ def test_record_names_the_primes_a_block_rank_came_from(monkeypatch):
     # from the pool, which agree and certify it
     monkeypatch.setattr(linalg, "rank_mod_p",
                         lambda m, p: real(m, p) - (p == DEFAULT_PRIMES[0]))
-    # with the peel refused, every block is ranked from its rows
+    # with the peels refused, every block is ranked from its rows
     monkeypatch.setattr(pipeline, "peel_y_block", lambda basis: None)
+    monkeypatch.setattr(pipeline, "peel_rows", lambda rows, num_cols: [])
     record = compute_dimension(H, "y", 4, 1)
     assert record.certified
     assert record.primes == PRIME_POOL[2:4]

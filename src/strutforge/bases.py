@@ -41,6 +41,7 @@ from .diagrams import (
     Mode,
     TreeComponent,
     _NODE_BYTE,
+    canonical_encoding,
     canonicalize_component,
     check_num_colors,
     decode_component,
@@ -185,7 +186,7 @@ def tree_components(k: int, deg: int, mode: Mode) -> tuple[TreeComponent, ...]:
         decode_component(marked) for marked in marked_encodings(k, deg, mode)
         if marked[0] < min(marked[1:])
         or (marked[0] == min(marked[1:])
-            and canonicalize_component(decode_component(marked), mode) == (marked, 1)))
+            and canonical_encoding(marked, mode) == (marked, 1)))
 
 
 def enumerate_trees(k: int, deg: int, mode: Mode,

@@ -7,12 +7,16 @@ the diagram (antisymmetry), so equality of diagrams is only defined up to
 sign; canonicalization returns an orientation-independent byte encoding
 together with that sign.  A sign of 0 means the diagram is its own
 negative, i.e. the zero vector of the diagram space.
+
+One parse (``_parse``) and one least-colour re-rooting
+(``_least_rooting``) serve decoding and both canonicalizers, of a
+``TreeComponent`` and of an encoding written from any leaf.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError, Value, _set
 from .records import Mode
@@ -217,21 +221,23 @@ class CanonicalDiagram(Value):
 ZERO_CANONICAL = CanonicalDiagram(b"", 0)
 
 
-def _encode_rooted(comp: TreeComponent, v: int, parent: int) -> tuple[bytes, int]:
-    """Encoding and swap sign of the subtree at ``v`` seen from ``parent``.
+def _encode_rooted(adj: Sequence[Sequence[int]], colors: Sequence[int],
+                   v: int, parent: int) -> tuple[bytes, int]:
+    """Encoding and swap sign of the subtree at ``v`` seen from ``parent``,
+    in the tree with neighbour lists ``adj`` and leaf colours ``colors``.
 
     Children of a trivalent vertex are taken in cyclic order after the
     parent edge and written in sorted order; each swap against the cyclic
     order costs a -1.  Equal child encodings mean the subtree equals its
     own negative, reported as sign 0.
     """
-    nbrs = comp.adj[v]
+    nbrs = adj[v]
     if len(nbrs) == 1:
-        return bytes([comp.colors[v]]), 1
+        return bytes([colors[v]]), 1
     i = nbrs.index(parent)
     a, b = nbrs[(i + 1) % 3], nbrs[(i + 2) % 3]
-    enc_a, sign_a = _encode_rooted(comp, a, v)
-    enc_b, sign_b = _encode_rooted(comp, b, v)
+    enc_a, sign_a = _encode_rooted(adj, colors, a, v)
+    enc_b, sign_b = _encode_rooted(adj, colors, b, v)
     if enc_a < enc_b:
         return _NODE_BYTE + enc_a + enc_b, sign_a * sign_b
     if enc_a > enc_b:
@@ -239,12 +245,10 @@ def _encode_rooted(comp: TreeComponent, v: int, parent: int) -> tuple[bytes, int
     return _NODE_BYTE + enc_a + enc_b, 0
 
 
-# Bounded small: most components a run canonicalizes are graft results
-# seen once, and keeping 1 << 18 of them doubled the peak memory of a
-# full k=7 d=6 ``dim``.
-@lru_cache(maxsize=1 << 12)
-def canonicalize_component(comp: TreeComponent, mode: Mode) -> tuple[bytes, int]:
-    """Canonical (encoding, sign) of one component under antisymmetry.
+def _least_rooting(adj: Sequence[Sequence[int]], colors: Sequence[int],
+                   mode: Mode) -> tuple[bytes, int]:
+    """Canonical (encoding, sign) of the tree with neighbour lists ``adj``
+    and colours ``colors`` (0 on a trivalent vertex) under antisymmetry.
 
     Roots the tree at each leaf of the least color, encodes each rooting,
     and keeps the lexicographically least: an encoding starts with its
@@ -254,16 +258,16 @@ def canonicalize_component(comp: TreeComponent, mode: Mode) -> tuple[bytes, int]
     least-color leaves to least-color leaves: the component is zero.  In
     homotopy mode a repeated leaf color is zero outright.
     """
-    cols = [c for c in comp.colors if c > 0]
+    cols = [c for c in colors if c > 0]
     if mode is Mode.HOMOTOPY and len(set(cols)) != len(cols):
         return b"", 0
     least = min(cols)
     best: Optional[bytes] = None
     best_signs: set[int] = set()
-    for v, color in enumerate(comp.colors):
+    for v, color in enumerate(colors):
         if color != least:
             continue
-        sub_enc, sub_sign = _encode_rooted(comp, comp.adj[v][0], v)
+        sub_enc, sub_sign = _encode_rooted(adj, colors, adj[v][0], v)
         if sub_sign == 0:
             return b"", 0
         if best is None or sub_enc < best:
@@ -275,6 +279,25 @@ def canonicalize_component(comp: TreeComponent, mode: Mode) -> tuple[bytes, int]
     if len(best_signs) == 2:
         return b"", 0
     return bytes([least]) + best, best_signs.pop()
+
+
+# Bounded small: the engine hands it each listed tree once
+# (``bases.tree_encodings``, itself cached) and ``expand_along``'s
+# diagrams; spliced encodings go to ``canonical_encoding``.  It is kept
+# for its ``cache_info()``, which ``perfbench/traced_op.py`` reads.
+@lru_cache(maxsize=1 << 12)
+def canonicalize_component(comp: TreeComponent, mode: Mode) -> tuple[bytes, int]:
+    """Canonical (encoding, sign) of one component under antisymmetry
+    (``_least_rooting``)."""
+    return _least_rooting(comp.adj, comp.colors, mode)
+
+
+def canonical_encoding(enc: bytes, mode: Mode) -> tuple[bytes, int]:
+    """``canonicalize_component(decode_component(enc), mode)`` for a
+    component written as ``enc`` from any leaf, each node's children in
+    either order, with no ``TreeComponent`` built: how splices are
+    canonicalized."""
+    return _least_rooting(_parse(enc), enc.replace(_NODE_BYTE, b"\0"), mode)
 
 
 def strut_encoding(i: int, j: int) -> bytes:
@@ -329,45 +352,45 @@ def strut_count(d: Diagram, i: int, j: int) -> int:
     return sum(1 for c in d.components if c.is_strut and c.strut_ends() == want)
 
 
-def _decode_expr(enc: bytes, pos: int, parent: int,
-                 adj: list[list[int]], colors: list[int]) -> tuple[int, int]:
-    """Parse one subtree expression; returns (vertex id, next position)."""
-    if pos >= len(enc):
+def _parse(enc: bytes) -> list[list[int]]:
+    """Neighbour lists of the component written as ``enc``, one vertex
+    per byte: vertex i is the leaf or node at position i, and its list
+    holds its parent, then a node's two children.  The root leaf's only
+    neighbour is vertex 1.  The vertices come in pre-order, the order
+    in which ``_encode_rooted`` writes them."""
+    if len(enc) < 2:
+        raise StructuralError("component encoding too short")
+    if not 1 <= enc[0] <= MARKED_COLOR:
+        raise StructuralError("component encoding must start with a color byte")
+    adj: list[list[int]] = [[]]
+    open_ = [0]  # vertices still missing a child, innermost last
+    for pos in range(1, len(enc)):
+        if not open_:
+            raise StructuralError("trailing bytes in component encoding")
+        byte = enc[pos]
+        parent = open_[-1]
+        nbrs = adj[parent]
+        nbrs.append(pos)
+        if len(nbrs) == 3 or not parent:
+            open_.pop()
+        if byte == _NODE:
+            open_.append(pos)
+        elif not 1 <= byte <= MARKED_COLOR:
+            raise StructuralError(f"bad byte {byte:#x} in component encoding")
+        adj.append([parent])
+    if open_:
         raise StructuralError("truncated component encoding")
-    byte = enc[pos]
-    if byte == _NODE:
-        v = len(adj)
-        adj.append([parent])
-        colors.append(0)
-        a, pos = _decode_expr(enc, pos + 1, v, adj, colors)
-        b, pos = _decode_expr(enc, pos, v, adj, colors)
-        adj[v] = [parent, a, b]
-        return v, pos
-    if 1 <= byte <= MARKED_COLOR:
-        v = len(adj)
-        adj.append([parent])
-        colors.append(byte)
-        return v, pos + 1
-    raise StructuralError(f"bad byte {byte:#x} in component encoding")
+    return adj
 
 
 def decode_component(enc: bytes) -> TreeComponent:
-    """Rebuild the concrete sign +1 representative from its encoding."""
-    if len(enc) < 2:
-        raise StructuralError("component encoding too short")
-    root_color = enc[0]
-    if not 1 <= root_color <= MARKED_COLOR:
-        raise StructuralError("component encoding must start with a color byte")
-    adj: list[list[int]] = [[]]
-    colors: list[int] = [root_color]
-    child, pos = _decode_expr(enc, 1, 0, adj, colors)
-    if pos != len(enc):
-        raise StructuralError("trailing bytes in component encoding")
-    adj[0] = [child]
+    """Rebuild the concrete sign +1 representative from its encoding,
+    numbering its vertices by position (``_parse``)."""
+    adj = _parse(enc)
     # a parsed encoding is a tree by construction: skip the checks
     comp = object.__new__(TreeComponent)
-    _set(comp, "adj", tuple(tuple(n) for n in adj))
-    _set(comp, "colors", tuple(colors))
+    _set(comp, "adj", tuple(map(tuple, adj)))
+    _set(comp, "colors", tuple(enc.replace(_NODE_BYTE, b"\0")))
     return comp
 
 
@@ -391,13 +414,14 @@ def encoding_leaf_colors(enc: bytes) -> tuple[int, ...]:
 
 def render_component(comp: TreeComponent) -> str:
     """Short human-readable form, e.g. '1-2' for a strut, 'Y(1,2,3)'."""
-    enc, sign = canonicalize_component(comp, Mode.CONCORDANCE)
-    return render_encoding(enc) if sign else "0"
+    return render_encoding(*canonicalize_component(comp, Mode.CONCORDANCE))
 
 
-def render_encoding(enc: bytes) -> str:
+def render_encoding(enc: bytes, sign: int = 1) -> str:
     """``render_component`` of the component with canonical encoding
-    ``enc``, read off the encoding."""
+    ``enc`` and sign ``sign``, read off the encoding: '0' for sign 0."""
+    if not sign:
+        return "0"
     if len(enc) == 2:
         return f"{enc[0]}-{enc[1]}"
     if len(enc) == 4 and enc[1] == _NODE:

@@ -18,9 +18,10 @@ The Y peel reads each Y{a, c, y} of a row as the row's own graft of the
 marked strut ``bytes((c, a))`` on the strut {c, y}, so it and the link
 rows of ``relations`` share one graft memo (``_graft_terms``) and one
 column lookup (``_term_column``).  A graft is spliced on the two
-encodings, then decoded and canonicalized.  This module imports only
-``diagrams`` and ``errors``, so a peeled block loads no elimination
-kernel, and a single-Y ``dim`` whose blocks all peel no row builder.
+encodings and canonicalized as it stands (``canonical_encoding``), with
+no tree built.  This module imports only ``diagrams`` and ``errors``,
+so a peeled block loads no elimination kernel, and a single-Y ``dim``
+whose blocks all peel no row builder.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 from .diagrams import (
     _NODE_BYTE,
     Mode,
-    canonicalize_component,
+    canonical_encoding,
     component_encodings,
-    decode_component,
     diagram_encoding,
     strut_encoding,
 )
@@ -77,12 +77,13 @@ def _graft_terms(marked: bytes, host: bytes,
     The key leaves out k: a graft does not depend on it.
 
     ``host`` has a leaf of the leg's color (``relations._rest_hosts``).
-    Each graft is spliced on the encodings, then decoded and
-    canonicalized.  With ``marked`` = c + E, the c-leaf byte at position
-    i > 0 of ``host`` becomes a node whose children are E and that leaf,
-    NODE + E + c; the new vertex is oriented (host side, E, leaf).  A
-    c-coloured root leaf stays the root, and its node takes the rest of
-    the host and then E: c + NODE + host[1:] + E.
+    Each graft is spliced on the encodings and canonicalized as it
+    stands (``canonical_encoding``).  With ``marked`` = c + E, the
+    c-leaf byte at position i > 0 of ``host`` becomes a node whose
+    children are E and that leaf, NODE + E + c; the new vertex is
+    oriented (host side, E, leaf).  A c-coloured root leaf stays the
+    root, and its node takes the rest of the host and then E:
+    c + NODE + host[1:] + E.
     """
     color, expr = marked[:1], marked[1:]
     terms: dict[bytes, int] = {}
@@ -90,7 +91,7 @@ def _graft_terms(marked: bytes, host: bytes,
         if byte == marked[0]:
             spliced = (color + _NODE_BYTE + host[1:] + expr if i == 0
                        else host[:i] + _NODE_BYTE + expr + color + host[i + 1:])
-            enc, sign = canonicalize_component(decode_component(spliced), mode)
+            enc, sign = canonical_encoding(spliced, mode)
             if sign:
                 terms[enc] = terms.get(enc, 0) + sign
     return tuple((enc, sign) for enc, sign in terms.items() if sign)

@@ -112,11 +112,17 @@ def build_relations(basis: Basis) -> tuple[list[RelationRow], int]:
     """
     spec = basis.spec
     link = link_relations(spec.k, spec.degree, spec.mode, basis, provenance=False)
-    ihx = ihx_relations(spec.k, spec.degree, spec.mode, basis, provenance=False)
+    return _with_ihx_rows(basis, link), count_ihx_instances(basis)
+
+
+def _with_ihx_rows(basis: Basis, link: list[RelationRow]) -> list[RelationRow]:
+    """The distinct rows among the link rows ``link`` of ``basis`` and
+    its IHX rows, in entry order."""
+    spec = basis.spec
     seen = {row.entries: row for row in link}
-    for row in ihx:
+    for row in ihx_relations(spec.k, spec.degree, spec.mode, basis, provenance=False):
         seen.setdefault(row.entries, row)
-    return [seen[key] for key in sorted(seen)], count_ihx_instances(basis)
+    return [seen[key] for key in sorted(seen)]
 
 
 def _check_prime_bound(space: str, param: int, primes: Sequence[int]) -> None:
@@ -238,7 +244,8 @@ def _block_functionals(block: BasisSpec, prime: int) -> tuple[Basis, list[list[i
     """The basis of the block ``block`` and its dense cokernel
     functionals mod ``prime``: none for a block without columns or whose
     columns all peel, a single-Y block without rows and any other on its
-    link rows; only a block whose peel falls short builds IHX rows."""
+    link rows; only a block whose peel falls short builds IHX rows, and
+    keeps its link rows beside them."""
     basis = build_basis(block)
     if not basis.elements or (block.space == "y" and peel_y_block(basis) is not None):
         return basis, []
@@ -246,7 +253,7 @@ def _block_functionals(block: BasisSpec, prime: int) -> tuple[Basis, list[list[i
     if len(peel_rows(link, len(basis))) == len(basis):
         return basis, []
     from .linalg import SparseMatrix
-    rows = build_relations(basis)[0]
+    rows = _with_ihx_rows(basis, link)
     return basis, cokernel_functionals(SparseMatrix.from_rows(rows, len(basis)), prime)
 
 

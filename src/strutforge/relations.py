@@ -48,9 +48,9 @@ this module nor ``linalg``, and every row here grafts through them.
 Both memos build their terms as bytes: a graft replaces the grafted
 leaf's byte in the host's encoding with a node over the marked tree's
 expression and that leaf, and an IHX term reassembles the four
-subexpressions around an internal edge.  Each spliced encoding is then
-decoded and canonicalized, so no tree is built here but by decoding an
-encoding.
+subexpressions around an internal edge.  Each spliced encoding is
+canonicalized as it stands (``canonical_encoding``), so no tree is built
+here; only ``expand_along``, handed a ``Diagram``, canonicalizes trees.
 
 Grafting the leg of a marked tree onto a leaf of a rest forest F keeps
 the leaves of F and of the expression E hanging off the leg, so every
@@ -93,12 +93,11 @@ from .diagrams import (
     _NODE_BYTE,
     Diagram,
     Mode,
+    canonical_encoding,
     canonicalize_component,
     component_encodings,
-    decode_component,
     diagram_encoding,
     encoding_trivalent_count,
-    render_component,
     render_encoding,
     strut_encoding,
 )
@@ -336,7 +335,8 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
         for rest, hosts in rests:
             rows.add_entries(
                 _link_row(marked, hosts, index, mode),
-                (lambda: f"link marked={render_component(decode_component(marked))}"
+                (lambda: "link marked="
+                         f"{render_encoding(*canonical_encoding(marked, Mode.CONCORDANCE))}"
                          f"@{marked[0]}* "
                          f"rest={{{','.join(render_encoding(e) for e in rest)}}}")
                 if provenance else None)
@@ -408,7 +408,8 @@ def _ihx_terms(enc: bytes, mode: Mode) -> tuple[tuple[tuple[bytes, int], ...], .
     a child Q = NODE + T1 + T2 that is a node too, taken by the position
     of P and then S1 before S2.  The I term is the
     component itself, ``(enc, 1)``.  H and X splice a rewired
-    subexpression in place of P's and are decoded and canonicalized: for
+    subexpression in place of P's and are canonicalized as they stand
+    (``canonical_encoding``): for
     Q = S1, H is NODE + T2 + (NODE + S2 + T1) and X is
     NODE + T1 + (NODE + S2 + T2); for Q = S2, H is
     NODE + T1 + (NODE + S1 + T2) and X is NODE + T2 + (NODE + S1 + T1).
@@ -436,8 +437,7 @@ def _ihx_terms(enc: bytes, mode: Mode) -> tuple[tuple[tuple[bytes, int], ...], .
                 a, b = b, a
             h = head + a + _NODE_BYTE + keep + b + tail
             x = head + b + _NODE_BYTE + keep + a + tail
-            out.append(((enc, 1), canonicalize_component(decode_component(h), mode),
-                        canonicalize_component(decode_component(x), mode)))
+            out.append(((enc, 1), canonical_encoding(h, mode), canonical_encoding(x, mode)))
     return tuple(out)
 
 

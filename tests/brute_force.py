@@ -95,7 +95,7 @@ def canonicalize_component_all_leaves(comp: TreeComponent, mode: Mode) -> tuple[
     best: Optional[bytes] = None
     best_signs: set[int] = set()
     for v, color in comp.leaves():
-        sub_enc, sub_sign = _encode_rooted(comp, comp.adj[v][0], v)
+        sub_enc, sub_sign = _encode_rooted(comp.adj, comp.colors, comp.adj[v][0], v)
         if sub_sign == 0:
             return b"", 0
         enc = bytes([color]) + sub_enc

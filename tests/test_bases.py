@@ -76,18 +76,18 @@ class TestTreeGeneratorOracle:
 class TestTreeListing:
     """``tree_components`` keeps the marked encodings whose leg colour is
     their least colour, and canonicalizes only those whose least colour
-    repeats in the expression."""
+    repeats in the expression, on the encoding (``canonical_encoding``)."""
 
     @staticmethod
     def spy(monkeypatch):
         calls = []
-        real = bases.canonicalize_component
+        real = bases.canonical_encoding
 
-        def spy(comp, mode):
-            calls.append(comp)
-            return real(comp, mode)
+        def spy(enc, mode):
+            calls.append(enc)
+            return real(enc, mode)
 
-        monkeypatch.setattr(bases, "canonicalize_component", spy)
+        monkeypatch.setattr(bases, "canonical_encoding", spy)
         return calls
 
     def test_homotopy_trees_are_not_canonicalized(self, monkeypatch):
@@ -104,7 +104,7 @@ class TestTreeListing:
         tree_components(k, deg, C)
         repeated = [marked for marked in bases.marked_encodings(k, deg, C)
                     if min(marked) == marked[0] and marked[0] in marked[1:]]
-        assert repeated and calls == [decode_component(marked) for marked in repeated]
+        assert repeated and calls == repeated
 
 
 class TestEnumerateTrees:

@@ -9,6 +9,7 @@ from strutforge.diagrams import (
     Diagram,
     Mode,
     TreeComponent,
+    canonical_encoding,
     canonicalize,
     canonicalize_component,
     component_encodings,
@@ -198,15 +199,26 @@ class TestDecode:
         assert decode_diagram(b"", H, 3).is_zero
 
     def test_bad_encoding_rejected(self):
-        with pytest.raises(StructuralError):
-            decode_component(b"\x01")
-        with pytest.raises(StructuralError):
-            decode_component(b"\x01\x7e\x02")
-        for enc, message in ((bytes([1, 0x7E, 2, 0x90]), "bad byte 0x90 in component encoding"),
+        # canonical_encoding parses as decode_component does
+        parsers = (decode_component, lambda enc: canonical_encoding(enc, H),
+                   lambda enc: canonical_encoding(enc, C))
+        for enc, message in ((b"", "component encoding too short"),
+                             (b"\x01", "component encoding too short"),
+                             (b"\x01\x7e\x02", "truncated component encoding"),
+                             (bytes([1, 0x7E, 0x7E, 2, 3]), "truncated component encoding"),
+                             (bytes([1, 0x7E, 2, 0x90]), "bad byte 0x90 in component encoding"),
+                             (bytes([1, 0x7E, 0, 2]), "bad byte 0x0 in component encoding"),
+                             (bytes([1, 0x7E, 2, 3, 0x90]), "trailing bytes in component encoding"),
                              (bytes([0x7E, 1, 2]), "must start with a color byte"),
                              (bytes([1, 2, 3]), "trailing bytes in component encoding")):
-            with pytest.raises(StructuralError, match=message):
-                decode_component(enc)
+            for parse in parsers:
+                with pytest.raises(StructuralError, match=message):
+                    parse(enc)
+
+    def test_vertices_are_numbered_by_position(self):
+        comp = decode_component(bytes([2, 0x7E, 0x7E, 1, 3, 4]))
+        assert comp.adj == ((1,), (0, 2, 5), (1, 3, 4), (2,), (2,), (1,))
+        assert comp.colors == (2, 0, 0, 1, 3, 4)
 
 
 class TestEncodingHelpers:
@@ -317,6 +329,51 @@ def test_least_color_rooting_on_every_small_tree(mode, k):
             zeros += expected[1] == 0
     # only concordance repeats a color, so only there can two branches be equal
     assert zeros > 0 if mode is C else zeros == 0
+
+
+def written_from(comp, leaf):
+    """``comp`` written from ``leaf``, each node's children in cyclic
+    order after its parent and left unsorted, as a splice writes them."""
+    def expr(v, parent):
+        nbrs = comp.adj[v]
+        if len(nbrs) == 1:
+            return bytes([comp.colors[v]])
+        i = nbrs.index(parent)
+        return bytes([0x7E]) + expr(nbrs[(i + 1) % 3], v) + expr(nbrs[(i + 2) % 3], v)
+    return bytes([comp.colors[leaf]]) + expr(comp.adj[leaf][0], leaf)
+
+
+# A component written from any leaf, with any flips, against the
+# all-leaves oracle; decoding it and writing it from vertex 0 gives it back.
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([H, C]),
+       st.one_of(random_component(max_leaves=7, k=4),
+                 random_component(max_leaves=7, k=7, distinct=True)), st.data())
+def test_canonical_encoding_from_any_leaf_matches_the_oracle(mode, comp, data):
+    for v in range(len(comp.adj)):
+        if len(comp.adj[v]) == 3 and data.draw(st.booleans()):
+            comp = comp.with_flip(v)
+    leaf = data.draw(st.sampled_from([v for v, _ in comp.leaves()]))
+    enc = written_from(comp, leaf)
+    assert written_from(decode_component(enc), 0) == enc
+    expected = canonicalize_component_all_leaves(comp, mode)
+    assert canonicalize_component_all_leaves(decode_component(enc), mode) == expected
+    assert canonical_encoding(enc, mode) == expected
+
+
+# Concordance colourings on 3 colours repeat colours, which homotopy mode
+# kills and concordance mode keeps, zero exactly when a symmetry reverses
+# the tree; homotopy colourings on 5 colours are all distinct and nonzero.
+@pytest.mark.parametrize("mode,k,colouring", [(H, 3, C), (C, 3, C), (H, 5, H)])
+def test_canonical_encoding_on_every_small_tree_from_every_leaf(mode, k, colouring):
+    zeros = 0
+    for deg in range(1, 5):
+        for comp in colored_trees(k, deg, colouring):
+            expected = canonicalize_component_all_leaves(comp, mode)
+            zeros += expected[1] == 0
+            for leaf, _ in comp.leaves():
+                assert canonical_encoding(written_from(comp, leaf), mode) == expected
+    assert zeros > 0 if colouring is C else zeros == 0
 
 
 @pytest.mark.parametrize("mode,k,d", [(H, 4, 3), (H, 4, 4), (C, 3, 4), (C, 2, 5)])

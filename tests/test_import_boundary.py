@@ -9,7 +9,8 @@ only for a block whose rows leave a column unpeeled, which full
 concordance (3, 7) has.  No command loads click, and no module
 imports it.  No command loads ``dataclasses``, ``inspect`` or
 ``datetime`` beyond what a bare interpreter loads, and no module
-imports the first or the last.  The
+imports the first or the last.  Neither the peel nor the row builder
+decodes a spliced encoding into a tree.  The
 package exports its names lazily, every name moved into ``records`` is
 the same object under its old module, and every module attribute that
 ``perfbench/traced_op.py`` patches still resolves.  The cache's line
@@ -141,6 +142,31 @@ def test_rows_and_peel_share_one_graft_memo():
     from strutforge import peel, relations
     assert relations._graft_terms is peel._graft_terms
     assert relations._term_column is peel._term_column
+
+
+def referenced_names(path):
+    """Every name a source file imports, reads or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module,unused", [
+    # splices are canonicalized on their encodings (canonical_encoding);
+    # the rows keep canonicalize_component for expand_along's Diagram
+    ("peel", {"decode_component", "canonicalize_component"}),
+    ("relations", {"decode_component"}),
+])
+def test_row_builders_build_no_tree(module, unused):
+    names = referenced_names(ROOT / "src" / "strutforge" / f"{module}.py")
+    assert "canonical_encoding" in names
+    assert not names & unused
 
 
 def test_no_command_loads_click(tmp_path):

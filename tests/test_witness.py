@@ -4,8 +4,9 @@
 adds none for an orbit whose representative block peels, and reduces
 every block of an orbit whose representative's peel falls short.  Full
 concordance (3, 7) has such an orbit, its one block beyond the strut
-unions; one test forces that branch on every orbit of every cell by
-refusing the peels.  The functionals stay sparse until the CLI writes
+unions, whose link rows are built once and kept beside its IHX rows;
+one test forces that branch on every orbit of every cell by refusing
+the peels.  The functionals stay sparse until the CLI writes
 them, and the dense JSON it writes from their entries must give
 ``json.dumps``'s bytes of the dense document; ``compute_witness`` is
 that dense document.
@@ -54,6 +55,22 @@ def test_per_block_reduction_gives_the_same_bytes(monkeypatch, mode, space, k, p
     monkeypatch.setattr(pipeline, "peel_rows", lambda rows, num_cols: [])
     monkeypatch.setattr(pipeline, "peel_y_block", lambda basis: None)
     _check_written_bytes(mode, space, k, param)
+
+
+def test_a_block_builds_its_link_rows_once(monkeypatch):
+    # the (4, 4, 4) block's link rows leave a column unpeeled, and are
+    # kept beside its IHX rows rather than built again
+    calls = []
+    real = pipeline.link_relations
+
+    def counted(k, d, mode, basis, *args, **kwargs):
+        calls.append(basis.spec.leaves)
+        return real(k, d, mode, basis, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "link_relations", counted)
+    sparse_witness(C, "full", 3, 7)
+    assert (4, 4, 4) in calls
+    assert len(calls) == len(set(calls)) == 70
 
 
 def test_cli_writes_the_oracle_bytes(tmp_path):

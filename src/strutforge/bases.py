@@ -57,7 +57,8 @@ class BasisSpec(Value):
     struts, or the full space of forests of degree ``param``; each is
     the slice of the forests of degree ``degree`` with ``components``
     trees.  A basis with ``leaves`` spans only the block of diagrams with
-    that leaf-colour multiset: ``leaves[i - 1]`` leaves of colour i."""
+    that leaf-colour multiset: ``leaves[i - 1]`` leaves of colour i,
+    stored as a tuple."""
 
     __slots__ = ("mode", "k", "space", "param", "leaves")
     mode: Mode
@@ -67,12 +68,12 @@ class BasisSpec(Value):
     leaves: Optional[tuple[int, ...]]
 
     def __init__(self, mode: Mode, k: int, space: str, param: int,
-                 leaves: Optional[tuple[int, ...]] = None) -> None:
+                 leaves: Optional[Sequence[int]] = None) -> None:
         _set(self, "mode", mode)
         _set(self, "k", k)
         _set(self, "space", space)
         _set(self, "param", param)
-        _set(self, "leaves", leaves)
+        _set(self, "leaves", None if leaves is None else tuple(leaves))
         check_num_colors(self.k)
         if self.space not in ("y", "full"):
             raise DomainError(f"space must be 'y' or 'full', got {self.space!r}")
@@ -364,8 +365,7 @@ def enumerate_basis(k: int, d: int, mode: Mode,
     """Ordered basis of all nonzero forests of total degree ``d``, or,
     given ``leaves``, of its block with that leaf-colour multiset
     (``_enumerate``)."""
-    return _enumerate(BasisSpec(mode, k, "full", d, None if leaves is None else tuple(leaves)),
-                      max_elements)
+    return _enumerate(BasisSpec(mode, k, "full", d, leaves), max_elements)
 
 
 def enumerate_y_basis(k: int, n: int, mode: Mode,
@@ -375,8 +375,7 @@ def enumerate_y_basis(k: int, n: int, mode: Mode,
     or, given ``leaves``, of its block with that leaf-colour multiset:
     the forests of degree n + 2 with n + 1 components (``_enumerate``),
     one Y and n struts."""
-    return _enumerate(BasisSpec(mode, k, "y", n, None if leaves is None else tuple(leaves)),
-                      max_elements)
+    return _enumerate(BasisSpec(mode, k, "y", n, leaves), max_elements)
 
 
 def _enumerate(spec: BasisSpec, max_elements: float) -> Basis:

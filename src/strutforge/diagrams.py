@@ -11,6 +11,15 @@ negative, i.e. the zero vector of the diagram space.
 One parse (``_parse``) and one least-colour re-rooting
 (``_least_rooting``) serve decoding and both canonicalizers, of a
 ``TreeComponent`` and of an encoding written from any leaf.
+
+Both relations' terms are spliced on canonical encodings here and
+canonicalized as they stand, in bounded caches that a whole process
+shares: a marked tree's grafts onto a host component (``graft_terms``)
+and the rewirings of a component's internal edges (``ihx_terms``).
+``relations`` and the Y peel of ``peel`` read them, and a term's column
+(``term_column``), from here, so only this module and ``bases``, whose
+rooted-expression generator writes the canonical form, name the node
+byte.
 """
 
 from __future__ import annotations
@@ -50,16 +59,16 @@ class TreeComponent(Value):
 
     ``adj[v]`` lists the neighbors of vertex ``v``; for a trivalent vertex
     the tuple order *is* the cyclic orientation.  ``colors[v]`` is the leaf
-    color, or 0 for trivalent vertices.
+    color, or 0 for trivalent vertices.  Both are stored as tuples.
     """
 
     __slots__ = ("adj", "colors")
     adj: tuple[tuple[int, ...], ...]
     colors: tuple[int, ...]
 
-    def __init__(self, adj: tuple[tuple[int, ...], ...], colors: tuple[int, ...]) -> None:
-        _set(self, "adj", adj)
-        _set(self, "colors", colors)
+    def __init__(self, adj: Sequence[Sequence[int]], colors: Sequence[int]) -> None:
+        _set(self, "adj", tuple(map(tuple, adj)))
+        _set(self, "colors", tuple(colors))
         n = len(self.adj)
         if n != len(self.colors):
             raise StructuralError("adjacency and color tables differ in length")
@@ -134,7 +143,7 @@ class TreeComponent(Value):
             raise DomainError(f"vertex {v} is not trivalent")
         new_adj = list(self.adj)
         new_adj[v] = tuple(reversed(self.adj[v]))
-        return TreeComponent(tuple(new_adj), self.colors)
+        return TreeComponent(new_adj, self.colors)
 
 
 def strut(a: int, b: int) -> TreeComponent:
@@ -155,7 +164,8 @@ class Diagram(Value):
     """A multiset of tree components with a mode tag and a color bound.
 
     The zero diagram (the zero vector of the space) is represented
-    explicitly by ``is_zero`` with an empty component tuple.
+    explicitly by ``is_zero`` with an empty component tuple.  The
+    components are stored as a tuple.
     """
 
     __slots__ = ("components", "mode", "k", "is_zero")
@@ -164,9 +174,9 @@ class Diagram(Value):
     k: int
     is_zero: bool
 
-    def __init__(self, components: tuple[TreeComponent, ...], mode: Mode, k: int,
+    def __init__(self, components: Iterable[TreeComponent], mode: Mode, k: int,
                  is_zero: bool = False) -> None:
-        _set(self, "components", components)
+        _set(self, "components", tuple(components))
         _set(self, "mode", mode)
         _set(self, "k", k)
         _set(self, "is_zero", is_zero)
@@ -186,7 +196,7 @@ class Diagram(Value):
 
 
 def diagram(components: Iterable[TreeComponent], mode: Mode, k: int) -> Diagram:
-    return Diagram(tuple(components), mode, k)
+    return Diagram(components, mode, k)
 
 
 @total_ordering
@@ -410,6 +420,93 @@ def encoding_trivalent_count(enc: bytes) -> int:
 def encoding_leaf_colors(enc: bytes) -> tuple[int, ...]:
     """Sorted leaf color multiset of the encoded diagram."""
     return tuple(sorted(b for b in enc if 1 <= b <= MARKED_COLOR))
+
+
+def encoding_colors(enc: bytes) -> set[int]:
+    """Distinct leaf colors of the encoded component."""
+    return set(enc) - {_NODE}
+
+
+def term_column(index: dict[bytes, int], components: list[bytes]) -> int:
+    """Basis column of the forest with these canonical component encodings."""
+    try:
+        return index[diagram_encoding(components)]
+    except KeyError:
+        raise DomainError(
+            "relation term falls outside the basis; the basis does not "
+            "match this generator's space") from None
+
+
+@lru_cache(maxsize=1 << 16)
+def graft_terms(marked: bytes, host: bytes,
+                mode: Mode) -> tuple[tuple[bytes, int], ...]:
+    """(encoding, summed sign) of the canonical components made by grafting
+    the leg of the marked tree ``marked`` above each same-colored leaf of
+    the host component with canonical encoding ``host``, zeros dropped.
+    The key leaves out k: a graft does not depend on it.
+
+    ``host`` has a leaf of the leg's color (``relations._rest_hosts``).
+    Each graft is spliced on the encodings and canonicalized as it
+    stands (``canonical_encoding``).  With ``marked`` = c + E, the
+    c-leaf byte at position i > 0 of ``host`` becomes a node whose
+    children are E and that leaf, NODE + E + c; the new vertex is
+    oriented (host side, E, leaf).  A c-coloured root leaf stays the
+    root, and its node takes the rest of the host and then E:
+    c + NODE + host[1:] + E.
+    """
+    color, expr = marked[:1], marked[1:]
+    terms: dict[bytes, int] = {}
+    for i, byte in enumerate(host):
+        if byte == marked[0]:
+            spliced = (color + _NODE_BYTE + host[1:] + expr if i == 0
+                       else host[:i] + _NODE_BYTE + expr + color + host[i + 1:])
+            enc, sign = canonical_encoding(spliced, mode)
+            if sign:
+                terms[enc] = terms.get(enc, 0) + sign
+    return tuple((enc, sign) for enc, sign in terms.items() if sign)
+
+
+@lru_cache(maxsize=1 << 14)
+def ihx_terms(enc: bytes, mode: Mode) -> tuple[tuple[tuple[bytes, int], ...], ...]:
+    """Canonical (encoding, sign) of the I, H and X terms of each internal
+    edge of the component with canonical encoding ``enc``, in the order
+    ``TreeComponent.internal_edges`` lists them on its decoding.
+
+    An internal edge joins a node P = NODE + S1 + S2 of the encoding to
+    a child Q = NODE + T1 + T2 that is a node too, taken by the position
+    of P and then S1 before S2.  The I term is the
+    component itself, ``(enc, 1)``.  H and X splice a rewired
+    subexpression in place of P's and are canonicalized as they stand
+    (``canonical_encoding``): for
+    Q = S1, H is NODE + T2 + (NODE + S2 + T1) and X is
+    NODE + T1 + (NODE + S2 + T2); for Q = S2, H is
+    NODE + T1 + (NODE + S1 + T2) and X is NODE + T2 + (NODE + S1 + T1).
+    With the four subtrees read cyclically after the edge as (A, B) at
+    one end and (C, D) at the other, these are I(A,B|C,D), H(A,C|B,D)
+    and X(B,C|A,D), and I - H + X = 0 is the Jacobi identity under this
+    package's orientation conventions.
+    """
+    # end[i]: the position just past the subexpression starting at i
+    end = [0] * (len(enc) + 1)
+    for i in range(len(enc) - 1, 0, -1):
+        end[i] = end[end[i + 1]] if enc[i] == _NODE else i + 1
+    out = []
+    for p in range(1, len(enc)):
+        if enc[p] != _NODE:
+            continue
+        s2 = end[p + 1]
+        head, tail = enc[:p] + _NODE_BYTE, enc[end[p]:]
+        for q, keep in ((p + 1, enc[s2:end[p]]), (s2, enc[p + 1:s2])):
+            if enc[q] != _NODE:
+                continue
+            t2 = end[q + 1]
+            a, b = enc[q + 1:t2], enc[t2:end[q]]
+            if q != s2:
+                a, b = b, a
+            h = head + a + _NODE_BYTE + keep + b + tail
+            x = head + b + _NODE_BYTE + keep + a + tail
+            out.append(((enc, 1), canonical_encoding(h, mode), canonical_encoding(x, mode)))
+    return tuple(out)
 
 
 def render_component(comp: TreeComponent) -> str:

@@ -1,5 +1,4 @@
-"""Certification of blocks by the singleton peel, and the graft memo
-the link rows share with it.
+"""Certification of blocks by the singleton peel.
 
 Peeling takes a row with one live column, marks that column and
 deletes it from every row: the singleton phase of LaMacchia & Odlyzko's
@@ -15,13 +14,12 @@ Y{p, q, r} + S lies in exactly six link rows, one per ordered pair
 without building them (``peel_y_block``).
 
 The Y peel reads each Y{a, c, y} of a row as the row's own graft of the
-marked strut ``bytes((c, a))`` on the strut {c, y}, so it and the link
-rows of ``relations`` share one graft memo (``_graft_terms``) and one
-column lookup (``_term_column``).  A graft is spliced on the two
-encodings and canonicalized as it stands (``canonical_encoding``), with
-no tree built.  This module imports only ``diagrams`` and ``errors``,
-so a peeled block loads no elimination kernel, and a single-Y ``dim``
-whose blocks all peel no row builder.
+marked strut ``bytes((c, a))`` on the strut {c, y}, from the graft memo
+and column lookup of ``diagrams`` (``graft_terms`` and
+``term_column``) that the link rows of ``relations`` read too.  This
+module imports only ``diagrams`` and ``errors``, so a peeled block
+loads no elimination kernel, and a single-Y ``dim`` whose blocks all
+peel no row builder.
 """
 
 from __future__ import annotations
@@ -29,14 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .diagrams import (
-    _NODE_BYTE,
-    Mode,
-    canonical_encoding,
-    component_encodings,
-    diagram_encoding,
-    strut_encoding,
-)
+from .diagrams import Mode, component_encodings, graft_terms, strut_encoding, term_column
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -56,45 +47,6 @@ def coefficient_bound(space: str, param: int) -> int:
     if space == "y":
         return param + 1
     return max(3, 2 * (param - 1))
-
-
-def _term_column(index: dict[bytes, int], components: list[bytes]) -> int:
-    """Basis column of the forest with these canonical component encodings."""
-    try:
-        return index[diagram_encoding(components)]
-    except KeyError:
-        raise DomainError(
-            "relation term falls outside the basis; the basis does not "
-            "match this generator's space") from None
-
-
-@lru_cache(maxsize=1 << 16)
-def _graft_terms(marked: bytes, host: bytes,
-                 mode: Mode) -> tuple[tuple[bytes, int], ...]:
-    """(encoding, summed sign) of the canonical components made by grafting
-    the leg of the marked tree ``marked`` above each same-colored leaf of
-    the host component with canonical encoding ``host``, zeros dropped.
-    The key leaves out k: a graft does not depend on it.
-
-    ``host`` has a leaf of the leg's color (``relations._rest_hosts``).
-    Each graft is spliced on the encodings and canonicalized as it
-    stands (``canonical_encoding``).  With ``marked`` = c + E, the
-    c-leaf byte at position i > 0 of ``host`` becomes a node whose
-    children are E and that leaf, NODE + E + c; the new vertex is
-    oriented (host side, E, leaf).  A c-coloured root leaf stays the
-    root, and its node takes the rest of the host and then E:
-    c + NODE + host[1:] + E.
-    """
-    color, expr = marked[:1], marked[1:]
-    terms: dict[bytes, int] = {}
-    for i, byte in enumerate(host):
-        if byte == marked[0]:
-            spliced = (color + _NODE_BYTE + host[1:] + expr if i == 0
-                       else host[:i] + _NODE_BYTE + expr + color + host[i + 1:])
-            enc, sign = canonical_encoding(spliced, mode)
-            if sign:
-                terms[enc] = terms.get(enc, 0) + sign
-    return tuple((enc, sign) for enc, sign in terms.items() if sign)
 
 
 def y_peel_passes(basis: Basis) -> tuple[list[int], int]:
@@ -195,7 +147,7 @@ def _y_rows(index: dict[bytes, int], parts: list[bytes], bands: tuple,
     configuration (a, c, S + {c, x}), the columns
     Y{a, c, y} + S - {c, y} + {c, x} with y in O_c.  Each Y{a, c, y} is
     the row's own graft of the marked strut ``bytes((c, a))`` on the
-    strut {c, y}, read from ``_graft_terms``."""
+    strut {c, y}, read from ``graft_terms``."""
     struts = [part for part in parts if len(part) == 2]
     for below, between, above, c, x1, cx1, x2, cx2 in bands:
         outside = below | between | above
@@ -206,8 +158,8 @@ def _y_rows(index: dict[bytes, int], parts: list[bytes], bands: tuple,
             for cy in ends:
                 rest = list(struts)
                 rest.remove(cy)
-                rest += (cx, _graft_terms(marked, cy, mode)[0][0])
-                row.append(_term_column(index, rest))
+                rest += (cx, graft_terms(marked, cy, mode)[0][0])
+                row.append(term_column(index, rest))
             yield row
 
 

@@ -47,7 +47,7 @@ import time
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .bases import Basis, BasisSpec, check_cell, enumerate_basis, enumerate_y_basis, leaf_orbits
-from .diagrams import _NODE_BYTE
+from .diagrams import encoding_trivalent_count
 from .errors import DomainError
 from .peel import coefficient_bound, peel_rows, peel_y_block
 # The records layer's names stay importable from here as well.
@@ -71,7 +71,7 @@ if TYPE_CHECKING:
 
 # These names live here for perfbench/traced_op.py, which wraps each one
 # in this module, and for the tests, which patch them here (ROADMAP item
-# 1 C).  The row builder (``relations``) and the elimination kernel
+# 2 C).  The row builder (``relations``) and the elimination kernel
 # (``linalg``) load on first use (see above); count_link_configs and
 # y_link_config_count are never called here.
 from .bases import count_link_configs, strut_union_count, y_link_config_count
@@ -223,14 +223,14 @@ def sparse_witness(mode: Mode, space: str, k: int, param: int,
     relation matrix is block diagonal, so the cell's reduced echelon form
     is its blocks' side by side, and each functional is a block's on that
     block's columns: ``_orbit_functionals`` gives those of each orbit,
-    and a strut-only column, with no node byte, is in no row and has its
-    unit functional.
+    and a strut-only column, with no trivalent vertex, is in no row and
+    has its unit functional.
     """
     _check_prime_bound(space, param, (prime,))
     check_cell(cell := BasisSpec(mode, k, space, param), max_elements, max_rows)
     basis = build_basis(cell, max_elements)
     found = {col: [(col, 1)] for col, cd in enumerate(basis.elements)  # free column -> entries
-             if _NODE_BYTE not in cd.encoding}
+             if not encoding_trivalent_count(cd.encoding)}
     for block, _ in _orbits_with_rows(cell):
         found.update(_orbit_functionals(block, prime, basis.index))
     return {

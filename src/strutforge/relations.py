@@ -16,41 +16,34 @@ component encodings, and ``_rest_hosts`` lists, per leaf colour, its
 distinct components with a leaf of that colour, once per rest for every
 marked tree grafted onto it.  A graft changes one component and leaves
 the others as they are, and depends only on that component, the marked
-tree and the mode, so the grafts of a (marked tree, host component)
-pair (``_graft_terms``) and the I, H and X terms of a component
-(``_ihx_terms``) are memoized by value in bounded caches, which every
-block, cell and space of a process shares: each is computed once while
-it stays in its cache.  A term's column is the basis index of the sorted
-component encodings, looked up in one place.  Coefficients are
-attachment multiplicities times the canonical antisymmetry signs, so one
-fixed grafting convention reproduces the relations exactly.
+tree and the mode, so a row takes the grafts of each (marked tree, host
+component) pair and the I, H and X terms of each component from the
+bounded caches of ``diagrams`` (``graft_terms`` and ``ihx_terms``),
+which splice the terms on canonical encodings and canonicalize them
+with no tree built, and its columns from ``diagrams.term_column``.
+Coefficients are attachment multiplicities times the canonical
+antisymmetry signs, so one fixed grafting convention reproduces the
+relations exactly.  This module assembles, deduplicates and describes
+the rows; only ``expand_along``, handed a ``Diagram``, canonicalizes
+trees.
 
 A single-Y row is the link row whose marked tree is the special strut
 (a, c*), the marked encoding ``bytes((c, a))``, over a rest R of n+1
 struts: in that slice the marked trees have degree d - c = 1 and the
 rests are the forests of n + 1 struts.  Grafting it above the c-end of
 a rest strut {c, x} gives Y{a, c, x} oriented (a, c, x), one
-``_graft_terms`` pair like any other, zero when two of a, c, x are
+``graft_terms`` pair like any other, zero when two of a, c, x are
 equal.  ``expand_along`` builds its row the same way, from the special
 strut ``bytes((c, fixed))``.  Provenance text is built only for rows
 kept after dedup, and only when asked for: the dumps ask,
 ``pipeline.build_relations`` does not.
 
 A single-Y block is usually certified without its rows, by the
-row-free peel in ``peel`` (``peel_y_block``); this module builds the
-rows of a block that does not peel, and of every full block but the
-strut-only ones, which no row touches.  ``peel.peel_rows`` peels those
-rows, and only a block they leave short is ranked.  The Y peel
-reads its rows' terms from the same graft memo, so ``_graft_terms`` and
-the column lookup ``_term_column`` live in ``peel``, which loads neither
-this module nor ``linalg``, and every row here grafts through them.
-
-Both memos build their terms as bytes: a graft replaces the grafted
-leaf's byte in the host's encoding with a node over the marked tree's
-expression and that leaf, and an IHX term reassembles the four
-subexpressions around an internal edge.  Each spliced encoding is
-canonicalized as it stands (``canonical_encoding``), so no tree is built
-here; only ``expand_along``, handed a ``Diagram``, canonicalizes trees.
+row-free peel in ``peel`` (``peel_y_block``), which reads the same
+graft cache; this module builds the rows of a block that does not
+peel, and of every full block but the strut-only ones, which no row
+touches.  ``peel.peel_rows`` peels those rows, and only a block they
+leave short is ranked.
 
 Grafting the leg of a marked tree onto a leaf of a rest forest F keeps
 the leaves of F and of the expression E hanging off the leg, so every
@@ -89,20 +82,21 @@ from .bases import (
     y_link_config_count,  # re-exported: the count behind y_link_relations
 )
 from .diagrams import (
-    _NODE,
-    _NODE_BYTE,
     Diagram,
     Mode,
     canonical_encoding,
     canonicalize_component,
     component_encodings,
     diagram_encoding,
+    encoding_colors,
     encoding_trivalent_count,
+    graft_terms,
+    ihx_terms,
     render_encoding,
     strut_encoding,
+    term_column,
 )
 from .errors import DomainError, Value, _set
-from .peel import _graft_terms, _term_column
 from .records import DEFAULT_MAX_ROWS
 
 
@@ -277,7 +271,7 @@ def _rest_hosts(rest: tuple[bytes, ...]) -> dict[int, list[tuple[bytes, int, lis
         if pos and rest[pos - 1] == host:
             continue
         site = (host, rest.count(host), list(rest[:pos] + rest[pos + 1:]))
-        for color in set(host) - {_NODE}:
+        for color in encoding_colors(host):
             hosts.setdefault(color, []).append(site)
     return hosts
 
@@ -291,13 +285,13 @@ def _link_row(marked: bytes, hosts: dict[int, list[tuple[bytes, int, list[bytes]
     A host repeated m times in the rest contributes its graft terms m
     times.  No two terms share a column, so no coefficient is summed
     here: a graft raises its host's degree, so R - h1 + g1 = R - h2 + g2
-    forces h1 = h2, and ``_graft_terms`` already sums the equal grafts
+    forces h1 = h2, and ``graft_terms`` already sums the equal grafts
     onto one host.
     """
     entries = []
     for host, mult, others in hosts.get(marked[0], ()):
-        for enc, sign in _graft_terms(marked, host, mode):
-            entries.append((_term_column(index, others + [enc]), mult * sign))
+        for enc, sign in graft_terms(marked, host, mode):
+            entries.append((term_column(index, others + [enc]), mult * sign))
     entries.sort()
     return tuple(entries)
 
@@ -315,7 +309,7 @@ def link_relations(k: int, d: int, mode: Mode, basis: Basis,
 
     The forest is a tuple of canonical component encodings, and the
     canonical grafts of a marked tree onto one component are computed
-    once while the pair stays in ``_graft_terms``' cache (``_link_row``).
+    once while the pair stays in ``graft_terms``' cache (``_link_row``).
     The configurations run are those of the slice of the space the basis
     spans (``_link_configs``): on a block basis (``leaves``) the block's,
     whose rows are the block's rows over its own columns.  The basis is
@@ -398,49 +392,6 @@ def _marked_groups(k: int, deg: int, mode: Mode) -> tuple[
     return _leaf_groups(marked_trees(k, deg, mode), k, skip=1)
 
 
-@lru_cache(maxsize=1 << 14)
-def _ihx_terms(enc: bytes, mode: Mode) -> tuple[tuple[tuple[bytes, int], ...], ...]:
-    """Canonical (encoding, sign) of the I, H and X terms of each internal
-    edge of the component with canonical encoding ``enc``, in the order
-    ``TreeComponent.internal_edges`` lists them on its decoding.
-
-    An internal edge joins a node P = NODE + S1 + S2 of the encoding to
-    a child Q = NODE + T1 + T2 that is a node too, taken by the position
-    of P and then S1 before S2.  The I term is the
-    component itself, ``(enc, 1)``.  H and X splice a rewired
-    subexpression in place of P's and are canonicalized as they stand
-    (``canonical_encoding``): for
-    Q = S1, H is NODE + T2 + (NODE + S2 + T1) and X is
-    NODE + T1 + (NODE + S2 + T2); for Q = S2, H is
-    NODE + T1 + (NODE + S1 + T2) and X is NODE + T2 + (NODE + S1 + T1).
-    With the four subtrees read cyclically after the edge as (A, B) at
-    one end and (C, D) at the other, these are I(A,B|C,D), H(A,C|B,D)
-    and X(B,C|A,D), and I - H + X = 0 is the Jacobi identity under this
-    package's orientation conventions.
-    """
-    # end[i]: the position just past the subexpression starting at i
-    end = [0] * (len(enc) + 1)
-    for i in range(len(enc) - 1, 0, -1):
-        end[i] = end[end[i + 1]] if enc[i] == _NODE else i + 1
-    out = []
-    for p in range(1, len(enc)):
-        if enc[p] != _NODE:
-            continue
-        s2 = end[p + 1]
-        head, tail = enc[:p] + _NODE_BYTE, enc[end[p]:]
-        for q, keep in ((p + 1, enc[s2:end[p]]), (s2, enc[p + 1:s2])):
-            if enc[q] != _NODE:
-                continue
-            t2 = end[q + 1]
-            a, b = enc[q + 1:t2], enc[t2:end[q]]
-            if q != s2:
-                a, b = b, a
-            h = head + a + _NODE_BYTE + keep + b + tail
-            x = head + b + _NODE_BYTE + keep + a + tail
-            out.append(((enc, 1), canonical_encoding(h, mode), canonical_encoding(x, mode)))
-    return tuple(out)
-
-
 def ihx_relations(k: int, d: int, mode: Mode, basis: Basis,
                   provenance: bool = True) -> list[RelationRow]:
     """Three-term IHX rows, one per (basis diagram, component, internal
@@ -449,7 +400,7 @@ def ihx_relations(k: int, d: int, mode: Mode, basis: Basis,
 
     The rewiring happens inside one component, so the canonical I, H and
     X terms of a component encoding are computed once while it stays in
-    ``_ihx_terms``' cache, and each term's column is looked up with the
+    ``ihx_terms``' cache, and each term's column is looked up with the
     diagram's other components.  A basis whose trees stay below degree 3
     (``BasisSpec.largest_tree``) has no internal edge and is not scanned.
     The basis is checked first (``_check_basis``).  With ``provenance``
@@ -466,11 +417,11 @@ def ihx_relations(k: int, d: int, mode: Mode, basis: Basis,
             if encoding_trivalent_count(enc) < 2:
                 continue
             others = parts[:idx] + parts[idx + 1:]
-            for triple in _ihx_terms(enc, mode):
+            for triple in ihx_terms(enc, mode):
                 coeffs: dict[int, int] = {}
                 for (term, sign), weight in zip(triple, (1, -1, 1)):
                     if sign:
-                        c = _term_column(index, others + [term])
+                        c = term_column(index, others + [term])
                         coeffs[c] = coeffs.get(c, 0) + weight * sign
                 rows.add_entries(
                     tuple(sorted((c, v) for c, v in coeffs.items() if v)),

@@ -22,10 +22,10 @@ the adjacency tables of a marked component and a host component,
 canonicalized as a whole diagram.  They are the oracle for
 ``y_link_relations``, ``link_relations`` and ``expand_along`` in
 ``strutforge.relations``, and ``join_components`` for the encoding
-splices of ``strutforge.peel._graft_terms``.  The IHX oracle rewires
+splices of ``strutforge.diagrams.graft_terms``.  The IHX oracle rewires
 the adjacency of the decoded basis diagrams (``rewire`` and
 ``ihx_instances``), for ``ihx_relations``, ``count_ihx_instances`` and
-the encoding splices of ``strutforge.relations._ihx_terms``.
+the encoding splices of ``strutforge.diagrams.ihx_terms``.
 
 The ungraded dimension and witness, the oracles for the orbit-graded
 ``compute_dimension`` and ``compute_witness`` of ``strutforge.pipeline``

@@ -5,7 +5,10 @@ The oracle in ``brute_force`` builds every row the long way: one
 concrete components, and every IHX row rewired on the decoded basis
 diagrams, each term canonicalized as a whole diagram.  The functions in
 ``strutforge.relations`` must return the same rows, with the same
-entries and provenance, in the same order.  ``expand_along`` must give
+entries and provenance, in the same order, and the graft and IHX terms
+they take from ``strutforge.diagrams`` (``graft_terms`` and
+``ihx_terms``) must equal those joined and rewired on decoded
+components.  ``expand_along`` must give
 the row ``PreGraftConfig`` grafts for the same concrete diagram, whatever
 its vertex orientations and component order.
 """
@@ -23,12 +26,12 @@ from strutforge.diagrams import (
     Mode,
     canonicalize_component,
     decode_component,
+    graft_terms,
+    ihx_terms,
     strut,
     strut_encoding,
 )
-from strutforge.peel import _graft_terms
 from strutforge.relations import (
-    _ihx_terms,
     count_ihx_instances,
     count_link_configs,
     expand_along,
@@ -107,7 +110,7 @@ def assert_y_matches_oracle(k, n, mode):
 
 
 def joined_graft_terms(marked, host, mode):
-    """``_graft_terms`` the generic way: decode both components, join the
+    """``graft_terms`` the generic way: decode both components, join the
     leg above each same-colored host leaf, canonicalize, sum the signs."""
     m_comp, comp = decode_component(marked), decode_component(host)
     terms = {}
@@ -123,7 +126,7 @@ def test_strut_on_strut_graft_is_the_joined_graft():
     for mode in (H, C):
         for c, a, x in itertools.product(range(1, 6), repeat=3):
             marked, host = bytes((c, a)), strut_encoding(c, x)
-            assert _graft_terms(marked, host, mode) == \
+            assert graft_terms(marked, host, mode) == \
                 joined_graft_terms(marked, host, mode), (mode, c, a, x)
 
 
@@ -145,12 +148,12 @@ def graft_pairs(k):
 @pytest.mark.parametrize("k,stride", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 9)])
 def test_graft_splice_is_the_joined_graft(k, stride):
     for marked, host, mode in itertools.islice(graft_pairs(k), 0, None, stride):
-        assert _graft_terms.__wrapped__(marked, host, mode) == \
+        assert graft_terms.__wrapped__(marked, host, mode) == \
             joined_graft_terms(marked, host, mode), (marked, host, mode)
 
 
 def rewired_ihx_terms(enc, mode):
-    """``_ihx_terms`` the generic way: decode the component, rewire each
+    """``ihx_terms`` the generic way: decode the component, rewire each
     internal edge's adjacency into H and X, and canonicalize them."""
     return tuple(((enc, 1), canonicalize_component(h, mode), canonicalize_component(x, mode))
                  for _, h, x in brute_force.ihx_instances(decode_component(enc)))
@@ -163,10 +166,10 @@ def test_ihx_splice_is_the_rewired_triple(k, stride):
     trees = [(enc, mode) for mode in (H, C) for deg in range(3, 7)
              for enc in tree_encodings(k, deg, mode)]
     for enc, mode in trees[::stride]:
-        assert _ihx_terms.__wrapped__(enc, mode) == rewired_ihx_terms(enc, mode), (enc, mode)
+        assert ihx_terms.__wrapped__(enc, mode) == rewired_ihx_terms(enc, mode), (enc, mode)
 
 
-MEMOS = (canonicalize_component, _graft_terms, _ihx_terms)
+MEMOS = (canonicalize_component, graft_terms, ihx_terms)
 
 
 class TestSharedMemos:

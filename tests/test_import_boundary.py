@@ -9,8 +9,11 @@ only for a block whose rows leave a column unpeeled, which full
 concordance (3, 7) has.  No command loads click, and no module
 imports it.  No command loads ``dataclasses``, ``inspect`` or
 ``datetime`` beyond what a bare interpreter loads, and no module
-imports the first or the last.  Neither the peel nor the row builder
-decodes a spliced encoding into a tree.  The
+imports the first or the last.  Relation terms are spliced and
+canonicalized on encodings in ``diagrams``: neither the peel nor the row
+builder decodes an encoding into a tree, the row builder imports nothing
+of the peel, and no module but ``diagrams`` and ``bases`` names the node
+byte.  The
 package exports its names lazily, every name moved into ``records`` is
 the same object under its old module, and every module attribute that
 ``perfbench/traced_op.py`` patches still resolves.  The cache's line
@@ -139,9 +142,9 @@ def test_peel_and_linalg_load_no_row_builder(module, loads):
 
 
 def test_rows_and_peel_share_one_graft_memo():
-    from strutforge import peel, relations
-    assert relations._graft_terms is peel._graft_terms
-    assert relations._term_column is peel._term_column
+    from strutforge import diagrams, peel, relations
+    assert peel.graft_terms is relations.graft_terms is diagrams.graft_terms
+    assert peel.term_column is relations.term_column is diagrams.term_column
 
 
 def referenced_names(path):
@@ -158,15 +161,41 @@ def referenced_names(path):
 
 
 @pytest.mark.parametrize("module,unused", [
-    # splices are canonicalized on their encodings (canonical_encoding);
+    # the peel takes its grafts from diagrams and canonicalizes nothing;
     # the rows keep canonicalize_component for expand_along's Diagram
-    ("peel", {"decode_component", "canonicalize_component"}),
+    ("peel", {"canonical_encoding", "decode_component", "canonicalize_component"}),
     ("relations", {"decode_component"}),
 ])
 def test_row_builders_build_no_tree(module, unused):
     names = referenced_names(ROOT / "src" / "strutforge" / f"{module}.py")
-    assert "canonical_encoding" in names
     assert not names & unused
+
+
+def test_relation_terms_are_canonicalized_on_encodings():
+    tree = ast.parse((ROOT / "src" / "strutforge" / "diagrams.py").read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("graft_terms", "ihx_terms"):
+        called = {node.func.id for node in ast.walk(bodies[name])
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "canonical_encoding" in called, name
+        assert not called & {"decode_component", "canonicalize_component"}, name
+
+
+def test_relation_terms_live_in_diagrams():
+    # relation terms are made in diagrams, so the row builder reads
+    # nothing of the peel, and only diagrams and the rooted-expression
+    # generator of bases read or write the encoding's node byte
+    relations = ast.parse((ROOT / "src" / "strutforge" / "relations.py").read_text(
+        encoding="utf-8"))
+    imported = {part for node in ast.walk(relations)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in (getattr(node, "module", None) or "",
+                             *(alias.name for alias in node.names))
+                for part in name.split(".")}
+    assert "peel" not in imported and "diagrams" in imported
+    for path in (ROOT / "src" / "strutforge").glob("*.py"):
+        if path.stem not in ("diagrams", "bases"):
+            assert not referenced_names(path) & {"_NODE", "_NODE_BYTE"}, path
 
 
 def test_no_command_loads_click(tmp_path):

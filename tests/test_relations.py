@@ -161,7 +161,7 @@ class TestLinkRelations:
     def test_a_block_basis_missing_a_column_is_refused(self):
         # Every column of this block is a term of one of its rows, so a
         # block basis rebuilt without any one of them meets a term it
-        # cannot place (``_term_column``).
+        # cannot place (``diagrams.term_column``).
         block = enumerate_basis(4, 3, H, leaves=(2, 1, 1, 1))
         assert link_relations(4, 3, H, block)
         for drop in range(len(block)):

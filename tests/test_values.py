@@ -2,7 +2,8 @@
 deleting a field raises AttributeError, ``==`` and ``hash`` skip the
 fields that only describe a value (a row's provenance, a basis's column
 index), ``replace`` builds a checked copy, a pickle round trip gives an
-equal value, and ``repr`` and the cache line of a record are the text
+equal value, a sequence field given as a list is stored as a tuple, and
+``repr`` and the cache line of a record are the text
 written before the classes were slotted."""
 
 import pickle
@@ -13,7 +14,15 @@ import pytest
 
 from strutforge.bases import Basis, BasisSpec, enumerate_y_basis
 from strutforge.counting import count_report
-from strutforge.diagrams import CanonicalDiagram, Diagram, Mode, strut, y_tree
+from strutforge.diagrams import (
+    CanonicalDiagram,
+    Diagram,
+    Mode,
+    TreeComponent,
+    canonicalize_component,
+    strut,
+    y_tree,
+)
 from strutforge.errors import DomainError, StructuralError, Value
 from strutforge.linalg import RankResult, SparseMatrix
 from strutforge.pipeline import ResultCache, compute_dimension
@@ -144,6 +153,19 @@ def test_pickle_round_trip(name):
         assert type(again) is type(value) and again == value
         for field in type(value).__slots__:
             assert getattr(again, field) == getattr(value, field)
+
+
+def test_list_fields_are_stored_as_tuples():
+    # (built from lists, its twin built from tuples)
+    pairs = [
+        (BasisSpec(H, 3, "full", 3, [2, 2, 1]), BasisSpec(H, 3, "full", 3, (2, 2, 1))),
+        (TreeComponent([[1], [0]], [1, 2]), TreeComponent(((1,), (0,)), (1, 2))),
+        (Diagram([strut(1, 2)], H, 3), Diagram((strut(1, 2),), H, 3)),
+    ]
+    for listed, twin in pairs:
+        assert listed == twin and hash(listed) == hash(twin)
+        assert pickle.loads(pickle.dumps(listed)) == twin
+    assert canonicalize_component(pairs[1][0], H) == (b"\x01\x02", 1)
 
 
 def test_canonical_diagrams_order_by_encoding_then_sign():
